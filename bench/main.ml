@@ -129,7 +129,7 @@ let micro_tests scale =
   let trace =
     Wn_power.Trace.square ~on_ms:3 ~off_ms:30 ~power:2e-3 ~duration_s:4.0
   in
-  let intermittent_task engine () =
+  let intermittent_task () =
     let supply =
       Wn_power.Supply.create ~trace ~capacitor:(Wn_power.Capacitor.create ()) ()
     in
@@ -137,19 +137,17 @@ let micro_tests scale =
     ignore
       (Wn_runtime.Executor.run
          ~policy:(Wn_runtime.Executor.Clank Wn_runtime.Executor.default_clank)
-         ~engine ~machine ~supply ())
+         ~machine ~supply ())
   in
   (* fig10: the Clank runtime with its shadow-map read/write tracking,
      isolated from outage physics by an always-on supply — measures the
      per-instruction tracking overhead alone. *)
-  let clank_shadowmap engine () =
+  let clank_shadowmap () =
     Wn_core.Runner.load_sample build machine inputs;
     ignore
       (Wn_runtime.Executor.run
          ~policy:(Wn_runtime.Executor.Clank Wn_runtime.Executor.default_clank)
-         ~engine ~machine
-         ~supply:(Wn_power.Supply.always_on ())
-         ())
+         ~machine ~supply:(Wn_power.Supply.always_on ()) ())
   in
   (* fig13: the multiply front end with and without memoization. *)
   let memo = Wn_machine.Memo.create ~entries:16 () in
@@ -182,22 +180,16 @@ let micro_tests scale =
     | Ok _ -> ()
     | Error e -> failwith e
   in
-  let fast = Wn_runtime.Executor.Fast in
-  let block = Wn_runtime.Executor.Block in
   [
     Test.make ~name:"table1:compile_var_kernel" (Staged.stage compile_kernel);
     Test.make ~name:"fig9:simulate_1k_instructions[engine=fast]"
       (Staged.stage step_machine);
     Test.make ~name:"fig9:simulate_1k_instructions[engine=block]"
       (Staged.stage step_machine_block);
-    Test.make ~name:"fig10:intermittent_clank_task[engine=fast]"
-      (Staged.stage (intermittent_task fast));
     Test.make ~name:"fig10:intermittent_clank_task[engine=block]"
-      (Staged.stage (intermittent_task block));
-    Test.make ~name:"fig10:executor_clank_shadowmap[engine=fast]"
-      (Staged.stage (clank_shadowmap fast));
+      (Staged.stage intermittent_task);
     Test.make ~name:"fig10:executor_clank_shadowmap[engine=block]"
-      (Staged.stage (clank_shadowmap block));
+      (Staged.stage clank_shadowmap);
     Test.make ~name:"fig13:memo_front_end" (Staged.stage memo_lookup);
     Test.make ~name:"fig14:subword_major_encode" (Staged.stage layout_encode);
     Test.make ~name:"isa:codec_roundtrip" (Staged.stage codec);

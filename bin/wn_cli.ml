@@ -89,11 +89,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Executor stepping engine: $(b,block) (fused basic-block \
-           superinstructions with energy-gated entry, the default), \
-           $(b,fast) (per-instruction fast path) or $(b,compat) (the \
-           original record interface, kept as a cross-check).  All \
-           engines produce byte-identical reports; the choice only \
-           affects simulation speed.")
+           superinstructions with energy-gated entry, the default) or \
+           $(b,reference) (every instruction through the ISA spec, \
+           the cross-check).  Both produce byte-identical reports; the \
+           choice only affects simulation speed.")
 
 let find_engine id =
   match Wn_runtime.Executor.engine_of_string id with
@@ -101,7 +100,7 @@ let find_engine id =
   | None ->
       Error
         (`Msg
-           (Printf.sprintf "unknown engine %S (know: fast, block, compat)" id))
+           (Printf.sprintf "unknown engine %S (know: block, reference)" id))
 
 (* ---------------- wn list ---------------- *)
 
@@ -372,7 +371,8 @@ let inject_cmd =
       value & flag
       & info [ "differential" ]
           ~doc:
-            "Also run every point under the Compat engine and require \
+            "Also run every point under the reference engine (every \
+             instruction through the ISA spec) and require \
              bit-identical restore state and outcome.")
   in
   let keyframe_arg =

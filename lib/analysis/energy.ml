@@ -2,9 +2,10 @@ open Wn_isa
 
 (* The static cost model is the execution cost model, not a copy of it:
    per-instruction worst-case latency comes from [Instr.worst_cycles]
-   (the same table [Machine.step]/[step_fast] pay, with memoization and
-   zero-skipping only ever shortening it), and the joules-per-cycle and
-   capacitor-budget constants come from [Wn_power]. *)
+   (the same table [Machine.step_fast], [step_reference] and fused
+   blocks pay, with memoization and zero-skipping only ever shortening
+   it), and the joules-per-cycle and capacitor-budget constants come
+   from [Wn_power]. *)
 
 let default_cycle_energy = Wn_power.Supply.default_cycle_energy
 

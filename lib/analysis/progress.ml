@@ -10,44 +10,36 @@ type runtime = {
   rt_per_instruction : bool;
 }
 
-(* The default numbers mirror [Wn_runtime.Executor.default_clank] /
-   [default_nvp]; a unit test asserts they stay in lockstep (the
-   analysis library cannot depend on the runtime library: the runtime
-   is downstream of the machine, the analysis upstream of the
-   compiler). *)
-let clank ?(watchdog_period = 8_000) ?(checkpoint_cycles = 40)
-    ?(restore_cycles = 40) () =
+(* The costs come from [Wn_power.Runtime_costs], the same constants the
+   executor's default policies read (the analysis library cannot depend
+   on the runtime library: the runtime is downstream of the machine,
+   the analysis upstream of the compiler). *)
+let clank ?(watchdog_period = Wn_power.Runtime_costs.watchdog_period) () =
   {
     rt_name = "clank";
-    rt_checkpoint_cycles = checkpoint_cycles;
-    rt_restore_cycles = restore_cycles;
+    rt_checkpoint_cycles = Wn_power.Runtime_costs.checkpoint_cycles;
+    rt_restore_cycles = Wn_power.Runtime_costs.restore_cycles;
     rt_watchdog_period = Some watchdog_period;
     rt_per_instruction = false;
   }
 
-let nvp ?(restore_cycles = 8) () =
+let nvp () =
   {
     rt_name = "nvp";
     rt_checkpoint_cycles = 0;
-    rt_restore_cycles = restore_cycles;
+    rt_restore_cycles = Wn_power.Runtime_costs.nvp_wakeup_cycles;
     rt_watchdog_period = None;
     rt_per_instruction = true;
   }
 
-let skim_only ?(restore_cycles = 40) () =
+let skim_only () =
   {
     rt_name = "skim";
     rt_checkpoint_cycles = 0;
-    rt_restore_cycles = restore_cycles;
+    rt_restore_cycles = Wn_power.Runtime_costs.restore_cycles;
     rt_watchdog_period = None;
     rt_per_instruction = false;
   }
-
-let runtime_of_name = function
-  | "clank" -> Some (clank ())
-  | "nvp" -> Some (nvp ())
-  | "skim" -> Some (skim_only ())
-  | _ -> None
 
 (* ---------------- saturating cycle arithmetic ---------------- *)
 

@@ -37,21 +37,13 @@ type runtime = {
   rt_per_instruction : bool;
 }
 
-val clank :
-  ?watchdog_period:int ->
-  ?checkpoint_cycles:int ->
-  ?restore_cycles:int ->
-  unit ->
-  runtime
-(** Defaults mirror [Wn_runtime.Executor.default_clank]. *)
+(** The runtime models price checkpoints, restores and the watchdog
+    with {!Wn_power.Runtime_costs}, the constants the executor's default
+    policies use. *)
 
-val nvp : ?restore_cycles:int -> unit -> runtime
-(** Defaults mirror [Wn_runtime.Executor.default_nvp]. *)
-
-val skim_only : ?restore_cycles:int -> unit -> runtime
-
-val runtime_of_name : string -> runtime option
-(** ["clank"], ["nvp"] or ["skim"], with default parameters. *)
+val clank : ?watchdog_period:int -> unit -> runtime
+val nvp : unit -> runtime
+val skim_only : unit -> runtime
 
 type bound = Finite of int | Unbounded of { binding_loop : int }
 (** Cycles, saturating well below [max_int]; [binding_loop] is the

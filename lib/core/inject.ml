@@ -122,20 +122,22 @@ let same_restore (a : Faults.restore_state) (b : Faults.restore_state) =
   && a.Faults.r_flags = b.Faults.r_flags
   && Digest.equal a.Faults.r_mem_digest b.Faults.r_mem_digest
 
-(* Lockstep differential: the Compat engine must report the same
-   post-restore machine/memory state and the same outcome as Fast. *)
+(* Lockstep differential: the point re-run on the reference engine (every
+   instruction through the ISA spec) must report the same post-restore
+   machine/memory state and the same outcome. *)
 let differential_violations (a : Faults.point_result) (b : Faults.point_result) =
   let v = ref [] in
   (match (a.Faults.restore, b.Faults.restore) with
   | Some ra, Some rb ->
       if not (same_restore ra rb) then
-        v := "differential: Fast/Compat post-restore state differs" :: !v
+        v := "differential: reference post-restore state differs" :: !v
   | None, None -> ()
-  | _ -> v := "differential: engines disagree on whether an outage fired" :: !v);
+  | _ ->
+      v := "differential: reference disagrees on whether an outage fired" :: !v);
   if not (Digest.equal a.Faults.final_digest b.Faults.final_digest) then
-    v := "differential: Fast/Compat final memory differs" :: !v;
+    v := "differential: reference final memory differs" :: !v;
   if a.Faults.outcome <> b.Faults.outcome then
-    v := "differential: Fast/Compat outcome records differ" :: !v;
+    v := "differential: reference outcome record differs" :: !v;
   List.rev !v
 
 let sweep ?(jobs = 1) ~mode ~config (w : Workload.t) =
@@ -212,7 +214,7 @@ let sweep ?(jobs = 1) ~mode ~config (w : Workload.t) =
         let vs =
           if config.differential then
             let res' =
-              Faults.run_point ~engine:Executor.Compat
+              Faults.run_point ~engine:Executor.Reference
                 ~off_cycles:config.off_cycles ?keyframes ?machine scen ~boundary
             in
             vs @ differential_violations res res'
@@ -253,7 +255,7 @@ let pp ppf r =
   Format.fprintf ppf " of %d boundaries; %d skim commits%s@\n"
     (max 0 (r.retired - 1))
     r.skim_commits
-    (if r.config.differential then "; differential vs Compat" else "");
+    (if r.config.differential then "; differential vs reference" else "");
   match r.violations with
   | [] -> Format.fprintf ppf "  oracle: PASS@\n"
   | vs ->

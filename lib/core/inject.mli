@@ -26,8 +26,9 @@ type config = {
   sample_seed : int;  (** boundary-sampling seed *)
   off_cycles : int;  (** powered-off period per injected outage *)
   differential : bool;
-      (** additionally run every point under the Compat engine and
-          require bit-identical restore state and outcome *)
+      (** additionally run every point under the [Reference] engine
+          (every instruction through the ISA spec) and require
+          bit-identical restore state and outcome *)
   keyframe_interval : int;
       (** retired instructions between keyframe snapshots of the
           continuous run; injected points then replay at most this many
@@ -45,7 +46,7 @@ type config = {
   engine : Wn_runtime.Executor.engine;
       (** stepping engine for the injected runs (default [Block]);
           reports are byte-identical across engines.  The differential
-          re-run always uses [Compat] regardless. *)
+          re-run always uses [Reference] regardless. *)
 }
 
 val auto_keyframe_interval : int

@@ -32,13 +32,11 @@ type keyframes = {
   kf_final_digest : Digest.t;
 }
 
-let default_keyframe_interval = 512
-
 (* Denser-than-sqrt placement: with delta frames a keyframe costs
-   O(pages dirtied per interval), so the old fixed 512 is no longer the
-   store/replay trade-off point.  2·sqrt(n) keeps replay windows short
-   on big runs without flooding the rejoin-probe candidate lists on
-   small ones; the clamp bounds pathological run lengths. *)
+   O(pages dirtied per interval), so frames can be dense.  2·sqrt(n)
+   keeps replay windows short on big runs without flooding the
+   rejoin-probe candidate lists on small ones; the clamp bounds
+   pathological run lengths. *)
 let auto_keyframe_interval ~boundaries =
   let k = int_of_float (2.0 *. sqrt (float_of_int (max 1 boundaries))) in
   max 32 (min 4096 k)
@@ -168,7 +166,7 @@ type point_result = {
   final_digest : Digest.t;
 }
 
-let run_point ?(engine = Executor.Fast)
+let run_point ?(engine = Executor.Block)
     ?(off_cycles = Supply.default_off_cycles) ?keyframes ?machine scenario
     ~boundary =
   if boundary < 1 then invalid_arg "Faults.run_point";

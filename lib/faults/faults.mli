@@ -76,12 +76,6 @@ type keyframes = {
 (** [frames] ascend in [kf_retired]; frame [i] sits at boundary
     [(i + 1) * interval] (boundaries past halt are never captured). *)
 
-val default_keyframe_interval : int
-(** 512 retired instructions per keyframe — the measured sweet spot of
-    the pre-delta full-copy store on the exhaustive MatAdd sweep.  Kept
-    as the reference fixed interval; new callers should prefer
-    {!auto_keyframe_interval}. *)
-
 val auto_keyframe_interval : boundaries:int -> int
 (** Derived keyframe interval for a run with [boundaries] injectable
     boundaries: [2·sqrt(boundaries)] clamped to [32, 4096].  Delta
@@ -157,8 +151,9 @@ val run_point :
   point_result
 (** Run the task with exactly one forced outage at [boundary] (which
     must be within [1, retired - 1] for the outage to strike before
-    halt).  [off_cycles] is the powered-off period served before
-    restore (default {!Wn_power.Supply.default_off_cycles}).
+    halt) under [engine] (default [Block]).  [off_cycles] is the
+    powered-off period served before restore (default
+    {!Wn_power.Supply.default_off_cycles}).
 
     With [keyframes] the point costs O(interval + recovery) instead of
     O(retired): the continuous prefix resumes from the nearest keyframe

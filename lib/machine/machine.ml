@@ -11,9 +11,9 @@ let default_config = { memo_entries = None; zero_skip = false }
    dispatch table [code] built once at [create] — one closure per PC,
    capturing only immutable operand data (register indices, immediates,
    precomputed latencies).  [step_fast] dispatches through [code] and
-   reports its effects in the [last_*] scratch fields instead of
-   allocating a [step_result]; [step] is a compatibility wrapper that
-   reifies the scratch fields into the record.
+   reports its effects in the [last_*] scratch fields without
+   allocating; [step_reference] interprets the [int Instr.t] array
+   directly and leaves the same scratch.
 
    Flags are four mutable bools (not a [Cond.flags] record) so [Cmp]
    does not allocate; [flags] materialises the record on demand. *)
@@ -493,8 +493,6 @@ let take_skim t =
   t.skim <- None;
   s
 
-let clear_skim t = t.skim <- None
-
 let reset_for_new_task t =
   t.pcv <- 0;
   t.halt <- false;
@@ -502,24 +500,13 @@ let reset_for_new_task t =
   Array.fill t.regs 0 Reg.count 0;
   set_flags t Cond.initial_flags
 
-type access = { addr : int; bytes : int }
-
-type step_result = {
-  instr : int Instr.t;
-  cycles : int;
-  read : access option;
-  wrote : access option;
-  memo_hit : bool;
-  zero_skipped : bool;
-}
-
 (* ---------------- the fast path ---------------- *)
 
 let step_fast t =
-  if t.halt then failwith "Machine.step: halted";
+  if t.halt then failwith "Machine.step_fast: halted";
   let pc = t.pcv in
   if pc < 0 || pc >= Array.length t.code then
-    failwith (Printf.sprintf "Machine.step: PC %d out of program" pc);
+    failwith (Printf.sprintf "Machine.step_fast: PC %d out of program" pc);
   t.last_pc <- pc;
   t.last_read_addr <- -1;
   t.last_wrote_addr <- -1;
@@ -541,22 +528,6 @@ let last_wrote_bytes t = t.last_wrote_bytes
 let last_memo_hit t = t.last_memo_hit
 let last_zero_skipped t = t.last_zero_skipped
 let last_was_skm t = t.last_skm
-
-let step t =
-  let pc0 = t.pcv in
-  step_fast t;
-  {
-    instr = t.program.(pc0);
-    cycles = t.last_cycles;
-    read =
-      (if t.last_read_addr < 0 then None
-       else Some { addr = t.last_read_addr; bytes = t.last_read_bytes });
-    wrote =
-      (if t.last_wrote_addr < 0 then None
-       else Some { addr = t.last_wrote_addr; bytes = t.last_wrote_bytes });
-    memo_hit = t.last_memo_hit;
-    zero_skipped = t.last_zero_skipped;
-  }
 
 (* ---------------- block-compiled execution ---------------- *)
 
@@ -708,7 +679,6 @@ let block_at t pc =
   else None
 
 let block_len b = b.b_len
-let block_first b = b.b_first
 let block_cycles b = b.b_cycles
 let block_pre_cycles b = b.b_pre_cycles
 let block_costs b = b.b_costs
@@ -803,23 +773,26 @@ let multiply t ~full_cycles a b =
             (r, full_cycles, false, false))
     | None -> (u32 (a * b), full_cycles, false, false)
 
-(* The original direct interpreter over [int Instr.t], kept verbatim as
-   the executable specification: the differential suite steps it and
-   [step_fast] in lockstep to prove the predecoded table is
-   bit-identical. *)
+(* The direct interpreter over [int Instr.t], kept as the executable
+   specification of the ISA: it shares only the ALU, compare and
+   square-root helpers with the predecoded table, and the differential
+   suite and the executor's [Reference] engine step it to prove
+   [step_fast] and [exec_block] faithful.  It leaves the same [last_*]
+   scratch as [step_fast], byte counts included: those are sticky, so
+   an instruction without such an access keeps the previous value. *)
 let step_reference t =
-  if t.halt then failwith "Machine.step: halted";
-  if t.pcv < 0 || t.pcv >= Array.length t.program then
-    failwith (Printf.sprintf "Machine.step: PC %d out of program" t.pcv);
-  let i = t.program.(t.pcv) in
-  let next = t.pcv + 1 in
-  let nothing = (None, None, false, false) in
+  if t.halt then failwith "Machine.step_reference: halted";
+  let pc = t.pcv in
+  if pc < 0 || pc >= Array.length t.program then
+    failwith (Printf.sprintf "Machine.step_reference: PC %d out of program" pc);
+  let i = t.program.(pc) in
+  let next = pc + 1 in
   let rd_set r v = set_reg t r v in
   let rv r = reg t r in
-  let default_cycles = Instr.cycles ~taken:false i in
-  let cycles = ref default_cycles in
+  let cycles = ref (Instr.cycles ~taken:false i) in
   let pc' = ref next in
-  let effects = ref nothing in
+  let read_addr = ref (-1) and wrote_addr = ref (-1) in
+  let memo_hit = ref false and zero_skipped = ref false in
   (match i with
   | Instr.Nop -> ()
   | Instr.Halt -> t.halt <- true
@@ -841,7 +814,8 @@ let step_reference t =
       let r, c, hit, zs = multiply t ~full_cycles:16 (rv rn) (rv rm) in
       rd_set rd r;
       cycles := c;
-      effects := (None, None, hit, zs)
+      memo_hit := hit;
+      zero_skipped := zs
   | Instr.Mul_asp { bits; signed; rd; rn; shift } ->
       let sub_raw = Subword.truncate ~bits (rv rn) in
       let multiplicand = signed32 (rv rd) in
@@ -851,7 +825,8 @@ let step_reference t =
       let product = multiplicand * sub in
       rd_set rd (u32 (product lsl shift));
       cycles := c;
-      effects := (None, None, hit, zs)
+      memo_hit := hit;
+      zero_skipped := zs
   | Instr.Add_asv (w, rd, rn, rm) ->
       rd_set rd (Subword.lanes_add ~lane_bits:w ~width:32 (rv rn) (rv rm))
   | Instr.Sub_asv (w, rd, rn, rm) ->
@@ -864,20 +839,24 @@ let step_reference t =
       let addr = rv base + off in
       let v, bytes = load t width ~signed addr in
       rd_set rd v;
-      effects := (Some { addr; bytes }, None, false, false)
+      read_addr := addr;
+      t.last_read_bytes <- bytes
   | Instr.Str { width; rs; base; off } ->
       let addr = rv base + off in
       let (), bytes = store t width addr (rv rs) in
-      effects := (None, Some { addr; bytes }, false, false)
+      wrote_addr := addr;
+      t.last_wrote_bytes <- bytes
   | Instr.Ldr_reg { width; signed; rd; base; idx } ->
       let addr = rv base + rv idx in
       let v, bytes = load t width ~signed addr in
       rd_set rd v;
-      effects := (Some { addr; bytes }, None, false, false)
+      read_addr := addr;
+      t.last_read_bytes <- bytes
   | Instr.Str_reg { width; rs; base; idx } ->
       let addr = rv base + rv idx in
       let (), bytes = store t width addr (rv rs) in
-      effects := (None, Some { addr; bytes }, false, false)
+      wrote_addr := addr;
+      t.last_wrote_bytes <- bytes
   | Instr.B (c, tgt) ->
       if holds c t then begin
         pc' := tgt;
@@ -893,8 +872,13 @@ let step_reference t =
   if Instr.is_wn_extension i then t.wn_retired <- t.wn_retired + 1;
   t.cycles <- t.cycles + !cycles;
   if t.steps_left > 0 then t.steps_left <- t.steps_left - 1;
-  let read, wrote, memo_hit, zero_skipped = !effects in
-  { instr = i; cycles = !cycles; read; wrote; memo_hit; zero_skipped }
+  t.last_pc <- pc;
+  t.last_cycles <- !cycles;
+  t.last_read_addr <- !read_addr;
+  t.last_wrote_addr <- !wrote_addr;
+  t.last_memo_hit <- !memo_hit;
+  t.last_zero_skipped <- !zero_skipped;
+  t.last_skm <- (match i with Instr.Skm _ -> true | _ -> false)
 
 (* ---------------- whole-state snapshot ---------------- *)
 

@@ -7,9 +7,10 @@
     optional multiply memoization table with zero-skipping, and the
     non-volatile SKM register that implements skim points.
 
-    The machine executes one instruction per [step] and reports its
+    The machine executes one instruction per step and reports its
     latency plus the memory effects the intermittency runtimes need
-    (Clank tracks read/write sets for idempotency violations). *)
+    (Clank tracks read/write sets for idempotency violations) in
+    scratch fields read through the [last_*] accessors. *)
 
 open Wn_isa
 
@@ -50,50 +51,30 @@ val skim_target : t -> int option
 val take_skim : t -> int option
 (** Read and clear the SKM register (done once on restore). *)
 
-val clear_skim : t -> unit
-
 val reset_for_new_task : t -> unit
 (** Prepare the core for the next input sample: PC back to 0, halt
     latch and SKM register cleared, registers scrubbed.  Statistics and
     the memoization table persist across tasks. *)
 
-type access = { addr : int; bytes : int }
-
-type step_result = {
-  instr : int Instr.t;
-  cycles : int;  (** actual latency, after memo/zero-skip shortcuts *)
-  read : access option;
-  wrote : access option;
-  memo_hit : bool;
-  zero_skipped : bool;
-}
-
-val step : t -> step_result
-(** Execute the instruction at the PC.  Raises [Failure] if the machine
-    is already halted or the PC is outside the program.
-
-    Compatibility wrapper: runs {!step_fast} and reifies the scratch
-    fields into a [step_result] record (one record plus up to two
-    [access] allocations per call). *)
-
 (** {2 Allocation-free fast path}
 
     [step_fast] executes through a dispatch table predecoded once at
     {!create} (one closure per PC, capturing only operand data) and
-    reports the instruction's effects in scratch fields on the machine
-    instead of a [step_result].  Observable behaviour — register file,
-    flags, memory, PC, SKM latch, statistics, memo-table contents and
-    counters — is bit-identical to {!step}; the per-instruction cost is
-    an array load, an indirect call and integer field writes, with no
-    heap allocation.
+    reports the instruction's effects in scratch fields on the machine.
+    Observable behaviour — register file, flags, memory, PC, SKM latch,
+    statistics, memo-table contents and counters, and the scratch — is
+    bit-identical to {!step_reference}; the per-instruction cost is an
+    array load, an indirect call and integer field writes, with no heap
+    allocation.
 
-    The scratch accessors below are valid until the next [step_fast] /
-    [step] call.  Addresses are [-1] when the instruction made no such
-    access; byte counts are meaningful only when the address is
-    non-negative. *)
+    The scratch accessors below are valid until the next step.
+    Addresses are [-1] when the instruction made no such access; byte
+    counts keep the last access's value and are meaningful only when
+    the address is non-negative. *)
 
 val step_fast : t -> unit
-(** Same failure conditions as {!step}. *)
+(** Execute the instruction at the PC.  Raises [Failure] if the machine
+    is already halted or the PC is outside the program. *)
 
 val last_pc : t -> int
 (** PC of the most recently executed instruction. *)
@@ -167,7 +148,6 @@ val block_at : t -> int -> fused option
     execution then reaches the next run start naturally. *)
 
 val block_len : fused -> int
-val block_first : fused -> int
 
 val block_cycles : fused -> int
 (** Total latency of the run — the sum of {!worst_case_cycles} over its
@@ -195,7 +175,7 @@ val budget_covers : t -> int -> bool
 
 val exec_block : t -> fused -> unit
 (** Execute the whole run in one call.  The caller must ensure the
-    machine is not halted, the PC equals [block_first], and
+    machine is not halted, the PC is the run's first pc, and
     [budget_covers] the run length; {!step_block} and the executor's
     block engine do. *)
 
@@ -204,12 +184,13 @@ val step_block : t -> unit
     covers it, {!step_fast} otherwise.  Same failure conditions as
     {!step_fast}. *)
 
-val step_reference : t -> step_result
-(** The original direct interpreter over [int Instr.t], kept as the
-    executable specification of the ISA.  Semantically interchangeable
-    with {!step}; the differential test suite runs both implementations
-    in lockstep to prove the predecoded table faithful.  Not intended
-    for production use. *)
+val step_reference : t -> unit
+(** The direct interpreter over [int Instr.t], kept as the executable
+    specification of the ISA.  Interchangeable with {!step_fast},
+    [last_*] scratch included; the differential suite runs both in
+    lockstep, and the executor's [Reference] engine steps every
+    instruction through it.  Same failure conditions as {!step_fast};
+    slower, not intended for production use. *)
 
 (** {2 Whole-state snapshot — keyframe support}
 

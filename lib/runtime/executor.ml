@@ -4,7 +4,7 @@ open Wn_power
 
 type nvp_config = { nvp_restore_cycles : int }
 
-let default_nvp = { nvp_restore_cycles = 8 }
+let default_nvp = { nvp_restore_cycles = Runtime_costs.nvp_wakeup_cycles }
 
 type clank_config = {
   watchdog_period : int;
@@ -15,27 +15,19 @@ type clank_config = {
 
 let default_clank =
   {
-    watchdog_period = 8_000;
-    buffer_entries = 2_048;
-    checkpoint_cycles = 40;
-    clank_restore_cycles = 40;
+    watchdog_period = Runtime_costs.watchdog_period;
+    buffer_entries = Runtime_costs.buffer_entries;
+    checkpoint_cycles = Runtime_costs.checkpoint_cycles;
+    clank_restore_cycles = Runtime_costs.restore_cycles;
   }
 
 type policy = Always_on | Nvp of nvp_config | Clank of clank_config
 
-let policy_name = function
-  | Always_on -> "always-on"
-  | Nvp _ -> "nvp"
-  | Clank _ -> "clank"
-
-type engine = Fast | Block | Compat
-
-let engine_name = function Fast -> "fast" | Block -> "block" | Compat -> "compat"
+type engine = Block | Reference
 
 let engine_of_string = function
-  | "fast" -> Some Fast
   | "block" -> Some Block
-  | "compat" -> Some Compat
+  | "reference" -> Some Reference
   | _ -> None
 
 type outcome = {
@@ -183,8 +175,6 @@ type resume_state = {
   rs_next_snapshot : int;
 }
 
-let resume_retired rs = rs.rs_retired
-
 (* Fast-forward: the caller has detected that the machine's
    architectural state bit-matches a recorded boundary of a reference
    run whose completion is already known, so the rest of this run is
@@ -194,13 +184,21 @@ let resume_retired rs = rs.rs_retired
    deltas. *)
 type fast_forward = { ff_at : resume_state; ff_final : outcome }
 
-let run ?(policy = Always_on) ?(engine = Fast)
+let run ?(policy = Always_on) ?(engine = Block)
     ?(max_wall_cycles = 20_000_000_000) ?(snapshot_every = 10_000) ?snapshot
     ?(halt_at_skim = false) ?on_checkpoint ?on_restore ?on_region ?on_step
     ?resume ?keyframe_every ?on_keyframe ?fast_forward ~machine ~supply () =
   (match keyframe_every with
   | Some k when k < 1 -> invalid_arg "Executor.run: keyframe_every"
   | _ -> ());
+  (* A region window opened before a resumed prefix or closed inside a
+     fast-forwarded tail is invisible to this run, so metering it would
+     silently undercount. *)
+  if
+    Option.is_some on_region
+    && (Option.is_some resume || Option.is_some fast_forward)
+  then
+    invalid_arg "Executor.run: on_region with resume or fast_forward";
   let wall_start = Supply.now_cycles supply in
   let retired_start = Machine.instructions_retired machine in
   (* Offsets a resumed run inherits from its captured prefix; zero for a
@@ -367,6 +365,12 @@ let run ?(policy = Always_on) ?(engine = Fast)
       st.tracked <- st.tracked + 1
     end
   in
+  (* Skip only reads dominated by a *full-word* write, which
+     re-execution is guaranteed to reproduce. *)
+  let track_read cfg st addr =
+    let w = word_of_addr addr in
+    if shadow_bits st w land write_bit = 0 then track cfg st w read_bit
+  in
   (* Watchdog and WAR-violation pre-check: a store about to write a word
      read first in this epoch forces a checkpoint *before* the violating
      write commits.  The store's target address comes from the per-PC
@@ -446,10 +450,37 @@ let run ?(policy = Always_on) ?(engine = Fast)
        a fault-injection oracle audit that state in place. *)
     match on_restore with Some hook -> hook !outage_count | None -> ()
   in
-  (* Everything after an instruction executes, engine-independent.  All
-     effect arguments are immediates (addresses are -1 for "no such
-     access"), so the fast path passes them without allocating. *)
-  let post_step ~cycles ~read_addr ~wrote_addr ~wrote_bytes ~was_skm =
+  (* The tail every commit shares, per-instruction or fused.  [costs]
+     are the latencies of the instructions just retired, the first
+     starting at active count [from]: the snapshot threshold is tested
+     at each of their boundaries, at most once per boundary (a fused run
+     crosses it only with no snapshot hook installed — the entry guard
+     sees to that — so there only the counter advances).  Then an
+     exhausted step budget forces an outage at this exact boundary,
+     whichever engine stepped; the budget is cleared so the
+     re-execution after restore runs free. *)
+  let commit_tail ~from costs =
+    if !active >= !next_snapshot then begin
+      let a = ref from in
+      for i = 0 to Array.length costs - 1 do
+        a := !a + Array.unsafe_get costs i;
+        if !a >= !next_snapshot then begin
+          take_snapshot ();
+          next_snapshot := !next_snapshot + snapshot_every
+        end
+      done
+    end;
+    if Machine.budget_exhausted machine then begin
+      Machine.set_step_budget machine None;
+      flush_pending ();
+      Supply.cut supply
+    end
+  in
+  (* Everything after one instruction executes, read from the machine's
+     effect scratch: both steppers leave it identically. *)
+  let one_cost = [| 0 |] in
+  let post_step () =
+    let cycles = Machine.last_cycles machine in
     active := !active + cycles;
     region_add cycles;
     if coalesce then pending := !pending + cycles
@@ -458,37 +489,24 @@ let run ?(policy = Always_on) ?(engine = Fast)
     | Some (cfg, st) ->
         st.since_ckpt_cycles <- st.since_ckpt_cycles + cycles;
         st.since_ckpt_retired <- st.since_ckpt_retired + 1;
-        if read_addr >= 0 then begin
-          let w = word_of_addr read_addr in
-          (* Skip only reads dominated by a *full-word* write, which
-             re-execution is guaranteed to reproduce. *)
-          if shadow_bits st w land write_bit = 0 then track cfg st w read_bit
-        end;
-        if wrote_addr >= 0 && wrote_bytes = 4 then
+        let read_addr = Machine.last_read_addr machine in
+        if read_addr >= 0 then track_read cfg st read_addr;
+        let wrote_addr = Machine.last_wrote_addr machine in
+        if wrote_addr >= 0 && Machine.last_wrote_bytes machine = 4 then
           track cfg st (word_of_addr wrote_addr) write_bit
     | None ->
         (* NVP / always-on: every retired instruction commits, so each
            closes its own burn window. *)
         region_close ());
-    if was_skm then begin
+    if Machine.last_was_skm machine then begin
       if !first_skim_active = None then first_skim_active := Some !active;
       if halt_at_skim then
         (* Model an outage at this very instant: take the skim jump
            and commit the earliest available output. *)
         ignore (handle_skim_jump ())
     end;
-    if !active >= !next_snapshot then begin
-      take_snapshot ();
-      next_snapshot := !next_snapshot + snapshot_every
-    end;
-    (* Fault injection: an exhausted step budget forces an outage at
-       this exact instruction boundary, whichever engine stepped.  The
-       budget is cleared so the re-execution after restore runs free. *)
-    if Machine.budget_exhausted machine then begin
-      Machine.set_step_budget machine None;
-      flush_pending ();
-      Supply.cut supply
-    end
+    Array.unsafe_set one_cost 0 cycles;
+    commit_tail ~from:(!active - cycles) one_cost
   in
   (* After an instruction (and its post-step accounting) completes:
      first the per-step observation hook, then — at every
@@ -508,25 +526,23 @@ let run ?(policy = Always_on) ?(engine = Fast)
         then hook (capture_resume ())
     | _ -> ()
   in
-  let step_fast_once () =
-    Machine.step_fast machine;
-    post_step
-      ~cycles:(Machine.last_cycles machine)
-      ~read_addr:(Machine.last_read_addr machine)
-      ~wrote_addr:(Machine.last_wrote_addr machine)
-      ~wrote_bytes:(Machine.last_wrote_bytes machine)
-      ~was_skm:(Machine.last_was_skm machine)
+  let reference = engine = Reference in
+  let step_once () =
+    if reference then Machine.step_reference machine
+    else Machine.step_fast machine;
+    post_step ()
   in
   (* Block engine: hooks that must observe every instruction boundary —
      the per-step observer, region metering, the fast-forward rejoin
      probe — force the per-step path for the whole run, keeping the
-     fault survey and the WCEC soundness oracle exact. *)
+     fault survey and the WCEC soundness oracle exact.  The reference
+     engine never fuses. *)
   let may_fuse =
-    Option.is_none on_step && Option.is_none on_region
+    (not reference) && Option.is_none on_step && Option.is_none on_region
     && Option.is_none fast_forward
   in
   (* One guard at block entry, then the whole run in a single call with
-     one batched consume and one post-step.  Each conjunct ensures some
+     one batched consume and one commit tail.  Each conjunct ensures some
      per-instruction check could not have fired at an *interior*
      boundary of the run; anything that would fire exactly at the run's
      final boundary (budget exhaustion, watchdog, keyframe, a scripted
@@ -568,32 +584,11 @@ let run ?(policy = Always_on) ?(engine = Fast)
                 transitions equal the per-step ones, and the entry guard
                 ruled out an overflow checkpoint. *)
              for i = 0 to Machine.block_loads b - 1 do
-               let w = word_of_addr (Machine.block_read_addr machine i) in
-               if shadow_bits st w land write_bit = 0 then
-                 track cfg st w read_bit
+               track_read cfg st (Machine.block_read_addr machine i)
              done
          | None -> ());
-         (* Runs latch no skim point, so only the snapshot threshold and
-            the budget remain from the per-step tail.  The threshold can
-            only be crossed here with no snapshot hook installed (the
-            entry guard otherwise kept the whole run below it), so this
-            replays exactly the per-boundary counter advance. *)
-         if !active >= !next_snapshot then begin
-           let costs = Machine.block_costs b in
-           let a = ref (!active - c) in
-           for i = 0 to n - 1 do
-             a := !a + Array.unsafe_get costs i;
-             if !a >= !next_snapshot then begin
-               take_snapshot ();
-               next_snapshot := !next_snapshot + snapshot_every
-             end
-           done
-         end;
-         if Machine.budget_exhausted machine then begin
-           Machine.set_step_budget machine None;
-           flush_pending ();
-           Supply.cut supply
-         end;
+         (* Runs latch no skim point, so only the shared tail remains. *)
+         commit_tail ~from:(!active - c) (Machine.block_costs b);
          true
        end
   in
@@ -606,31 +601,13 @@ let run ?(policy = Always_on) ?(engine = Fast)
     end
     else begin
       (match clank with Some (cfg, st) -> pre_step cfg st | None -> ());
-      (match engine with
-      | Fast -> step_fast_once ()
-      | Block ->
-          let fused =
-            may_fuse
-            && (match Machine.block_at machine (Machine.pc machine) with
-               | Some b -> try_block b
-               | None -> false)
-          in
-          if not fused then step_fast_once ()
-      | Compat ->
-          let res = Machine.step machine in
-          let read_addr =
-            match res.Machine.read with Some a -> a.Machine.addr | None -> -1
-          in
-          let wrote_addr, wrote_bytes =
-            match res.Machine.wrote with
-            | Some a -> (a.Machine.addr, a.Machine.bytes)
-            | None -> (-1, 0)
-          in
-          let was_skm =
-            match res.Machine.instr with Instr.Skm _ -> true | _ -> false
-          in
-          post_step ~cycles:res.Machine.cycles ~read_addr ~wrote_addr
-            ~wrote_bytes ~was_skm);
+      let fused =
+        may_fuse
+        && (match Machine.block_at machine (Machine.pc machine) with
+           | Some b -> try_block b
+           | None -> false)
+      in
+      if not fused then step_once ();
       after_step ();
       match fast_forward with
       | None -> loop ()

@@ -20,7 +20,7 @@
 type nvp_config = { nvp_restore_cycles : int }
 
 val default_nvp : nvp_config
-(** 8-cycle wake-up. *)
+(** {!Wn_power.Runtime_costs.nvp_wakeup_cycles} wake-up. *)
 
 type clank_config = {
   watchdog_period : int;  (** cycles between forced checkpoints *)
@@ -30,38 +30,30 @@ type clank_config = {
 }
 
 val default_clank : clank_config
-(** 8000-cycle watchdog (of the order of one power burst, as Clank
-    tunes it), 2048-word tracking capacity (Clank's Bloom filters cover
-    thousands of addresses before saturating), 40-cycle checkpoint,
-    40-cycle restore. *)
+(** The {!Wn_power.Runtime_costs} watchdog period, tracking capacity,
+    checkpoint and restore costs. *)
 
 type policy = Always_on | Nvp of nvp_config | Clank of clank_config
 
-val policy_name : policy -> string
-
-type engine = Fast | Block | Compat
-(** Which machine stepping interface drives the loop.  [Fast] (the
-    default) uses [Machine.step_fast] and the scratch-field effect
-    accessors — no per-instruction allocation.  [Block] additionally
-    executes fused straight-line superinstructions
+type engine = Block | Reference
+(** Which stepper drives the loop.  [Block] (the default) executes
+    fused straight-line superinstructions
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
     guard passes — step budget covers the run length, watchdog slack
     and Clank tracking capacity cover the run, the capacitor's usable
     charge covers the run's worst-case energy, and no snapshot/keyframe
     boundary lands inside it — with one batched supply consume and one
-    post-step; any failed guard (or a hook that must observe every
+    commit; any failed guard (or a hook that must observe every
     instruction boundary: [on_step], [on_region], [fast_forward]) falls
-    back to per-instruction stepping until the next run entry, so fault
-    injection at any instruction boundary still works.  [Compat] drives
-    the original [Machine.step] record interface.  All three are
-    observably identical (the differential suite asserts it); [Compat]
-    exists as the cross-check and for callers instrumenting
-    [step_result]. *)
-
-val engine_name : engine -> string
+    back to per-instruction {!Wn_machine.Machine.step_fast} until the
+    next run entry, so fault injection at any instruction boundary
+    still works.  [Reference] never fuses and steps every instruction
+    through the ISA spec {!Wn_machine.Machine.step_reference}: the
+    independent cross-check.  Both are observably identical (the
+    differential suite asserts it). *)
 
 val engine_of_string : string -> engine option
-(** ["fast"], ["block"] or ["compat"]. *)
+(** ["block"] or ["reference"]. *)
 
 type outcome = {
   completed : bool;  (** reached [Halt] (possibly via a skim jump) *)
@@ -96,9 +88,6 @@ type resume_state
     taken at the same boundary to resume execution as if the run had
     never stopped: the resumed run's [outcome] is bit-identical to the
     from-scratch run's. *)
-
-val resume_retired : resume_state -> int
-(** Instructions retired from task start at capture. *)
 
 type fast_forward = { ff_at : resume_state; ff_final : outcome }
 (** A rejoin certificate: the caller has observed that the machine's
@@ -140,7 +129,7 @@ val run :
     memoization, small-subword and sampling studies ("when the earliest
     available output is taken").
 
-    Fault-injection hooks (both engines): [on_checkpoint n] fires after
+    Fault-injection hooks (either engine): [on_checkpoint n] fires after
     each Clank checkpoint completes, with [n] the machine's total
     retired-instruction count at that instant; [on_restore k] fires
     after the [k]'th outage's restore completes — skim jump taken or
@@ -161,9 +150,8 @@ val run :
     the static WCEC verifier's per-charge bound
     ({!Wn_analysis.Progress.max_region_cycles}) must dominate; the
     soundness oracle in the test suite checks exactly that.  Windows
-    are metered for from-scratch runs: combining [on_region] with
-    [resume] or [fast_forward] undercounts the first (or skipped)
-    window.
+    are metered for from-scratch runs only: combining [on_region] with
+    [resume] or [fast_forward] raises [Invalid_argument].
 
     Observation and keyframes: [on_step] fires after every instruction's
     post-step accounting, with the machine's [last_*] scratch accessors

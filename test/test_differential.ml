@@ -3,14 +3,17 @@
    cycle-accurate core under continuous power, and by the same binary
    under intermittent power on both system models.  All four answers
    must agree bit for bit: the compiler against the language semantics,
-   and the intermittency runtimes against the compiler. *)
+   and the intermittency runtimes against the compiler.  Under Clank
+   outages the block engine must also agree with the ISA spec, outcome
+   record included. *)
 
 open Wn_compiler
 
 let globals_of (spec : Gen_wnc.spec) = spec.Gen_wnc.program.Wn_lang.Ast.globals
 
-(* Run a compiled program; returns each global's final contents. *)
-let machine_results ?policy ?supply compiled (spec : Gen_wnc.spec) =
+(* Run a compiled program; returns the outcome and each global's final
+   contents. *)
+let machine_run ?policy ?supply ?engine compiled (spec : Gen_wnc.spec) =
   let mem = Wn_mem.Memory.create ~size:(compiled.Compile.data_bytes + 64) in
   List.iter
     (fun (name, values) ->
@@ -24,18 +27,22 @@ let machine_results ?policy ?supply compiled (spec : Gen_wnc.spec) =
   let supply =
     match supply with Some s -> s () | None -> Wn_power.Supply.always_on ()
   in
-  let outcome = Wn_runtime.Executor.run ?policy ~machine ~supply () in
+  let outcome = Wn_runtime.Executor.run ?policy ?engine ~machine ~supply () in
   if not outcome.Wn_runtime.Executor.completed then failwith "did not complete";
-  List.map
-    (fun (g : Wn_lang.Ast.global) ->
-      let sym = Compile.symbol compiled g.Wn_lang.Ast.g_name in
-      ( g.Wn_lang.Ast.g_name,
-        Layout.decode sym.Compile.sym_layout ~count:g.Wn_lang.Ast.g_count
-          (Wn_mem.Memory.region mem ~addr:sym.Compile.sym_addr
-             ~len:
-               (Layout.storage_bytes sym.Compile.sym_layout
-                  ~count:g.Wn_lang.Ast.g_count)) ))
-    (globals_of spec)
+  ( outcome,
+    List.map
+      (fun (g : Wn_lang.Ast.global) ->
+        let sym = Compile.symbol compiled g.Wn_lang.Ast.g_name in
+        ( g.Wn_lang.Ast.g_name,
+          Layout.decode sym.Compile.sym_layout ~count:g.Wn_lang.Ast.g_count
+            (Wn_mem.Memory.region mem ~addr:sym.Compile.sym_addr
+               ~len:
+                 (Layout.storage_bytes sym.Compile.sym_layout
+                    ~count:g.Wn_lang.Ast.g_count)) ))
+      (globals_of spec) )
+
+let machine_results ?policy ?supply compiled spec =
+  snd (machine_run ?policy ?supply compiled spec)
 
 let interp_results (spec : Gen_wnc.spec) =
   Wn_lang.Interp.interpret spec.Gen_wnc.program ~inputs:spec.Gen_wnc.inputs
@@ -103,6 +110,19 @@ let prop_clank_equals_always_on =
       in
       clank = reference)
 
+let prop_clank_block_equals_reference =
+  QCheck.Test.make ~count:100 ~name:"Clank under outages: block == reference"
+    Gen_wnc.arbitrary (fun spec ->
+      let compiled = compile_spec spec in
+      let run engine =
+        machine_run ~engine
+          ~policy:
+            (Wn_runtime.Executor.Clank
+               { Wn_runtime.Executor.default_clank with watchdog_period = 800 })
+          ~supply:bursty compiled spec
+      in
+      run Wn_runtime.Executor.Block = run Wn_runtime.Executor.Reference)
+
 let () =
   Alcotest.run "wn.differential"
     [
@@ -113,5 +133,6 @@ let () =
             prop_compiler_matches_interpreter;
             prop_nvp_equals_always_on;
             prop_clank_equals_always_on;
+            prop_clank_block_equals_reference;
           ] );
     ]

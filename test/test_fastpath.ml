@@ -1,9 +1,9 @@
 (* Differential tests for the simulator fast path: the predecoded
-   allocation-free [Machine.step_fast] against the reference
-   interpreter [Machine.step_reference], lockstep over the full
-   workload suite; the executor's [Fast] engine against [Compat] under
-   every intermittency policy; and the zero-allocation guarantee
-   itself via [Gc.minor_words]. *)
+   allocation-free [Machine.step_fast] and the fused [step_block]
+   against the reference interpreter [Machine.step_reference], lockstep
+   over the full workload suite; the executor's [Block] engine against
+   [Reference] under every intermittency policy; and the
+   zero-allocation guarantee itself via [Gc.minor_words]. *)
 
 open Wn_isa
 open Wn_workloads
@@ -22,36 +22,35 @@ let max_lockstep_steps = 500_000
 
 (* ---------------- machine-level lockstep ---------------- *)
 
-let check_step_effects name step (r : Machine.step_result) fast =
+(* Every effect-scratch field, byte counts included (both steppers keep
+   them sticky across instructions without such an access). *)
+let check_scratch_equal name step m_ref m =
   let fail fmt = Alcotest.failf ("%s step %d: " ^^ fmt) name step in
-  if r.Machine.cycles <> Machine.last_cycles fast then
-    fail "cycles %d vs %d" r.Machine.cycles (Machine.last_cycles fast);
-  let ra, rb =
-    match r.Machine.read with
-    | Some a -> (a.Machine.addr, a.Machine.bytes)
-    | None -> (-1, 0)
+  let ints =
+    [
+      ("last_pc", Machine.last_pc);
+      ("cycles", Machine.last_cycles);
+      ("read addr", Machine.last_read_addr);
+      ("read bytes", Machine.last_read_bytes);
+      ("wrote addr", Machine.last_wrote_addr);
+      ("wrote bytes", Machine.last_wrote_bytes);
+    ]
   in
-  if ra <> Machine.last_read_addr fast then
-    fail "read addr %d vs %d" ra (Machine.last_read_addr fast);
-  if ra >= 0 && rb <> Machine.last_read_bytes fast then
-    fail "read bytes %d vs %d" rb (Machine.last_read_bytes fast);
-  let wa, wb =
-    match r.Machine.wrote with
-    | Some a -> (a.Machine.addr, a.Machine.bytes)
-    | None -> (-1, 0)
+  List.iter
+    (fun (field, get) ->
+      if get m_ref <> get m then fail "%s %d vs %d" field (get m_ref) (get m))
+    ints;
+  let bools =
+    [
+      ("memo_hit", Machine.last_memo_hit);
+      ("zero_skipped", Machine.last_zero_skipped);
+      ("skm flag", Machine.last_was_skm);
+    ]
   in
-  if wa <> Machine.last_wrote_addr fast then
-    fail "wrote addr %d vs %d" wa (Machine.last_wrote_addr fast);
-  if wa >= 0 && wb <> Machine.last_wrote_bytes fast then
-    fail "wrote bytes %d vs %d" wb (Machine.last_wrote_bytes fast);
-  if r.Machine.memo_hit <> Machine.last_memo_hit fast then
-    fail "memo_hit %b vs %b" r.Machine.memo_hit (Machine.last_memo_hit fast);
-  if r.Machine.zero_skipped <> Machine.last_zero_skipped fast then
-    fail "zero_skipped %b vs %b" r.Machine.zero_skipped
-      (Machine.last_zero_skipped fast);
-  let skm = match r.Machine.instr with Instr.Skm _ -> true | _ -> false in
-  if skm <> Machine.last_was_skm fast then
-    fail "skm flag %b vs %b" skm (Machine.last_was_skm fast)
+  List.iter
+    (fun (field, get) ->
+      if get m_ref <> get m then fail "%s %b vs %b" field (get m_ref) (get m))
+    bools
 
 let check_machines_equal name m_ref m_fast =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
@@ -102,9 +101,9 @@ let lockstep_workload wname (cfg_name, mcfg) () =
   let steps = ref 0 in
   while (not (Machine.halted m_ref)) && !steps < max_lockstep_steps do
     incr steps;
-    let r = Machine.step_reference m_ref in
+    Machine.step_reference m_ref;
     Machine.step_fast m_fast;
-    check_step_effects name !steps r m_fast;
+    check_scratch_equal name !steps m_ref m_fast;
     if Machine.pc m_ref <> Machine.pc m_fast then
       Alcotest.failf "%s step %d: pc %d vs %d" name !steps (Machine.pc m_ref)
         (Machine.pc m_fast)
@@ -117,9 +116,9 @@ let lockstep_workload wname (cfg_name, mcfg) () =
    The block engine retires whole fused runs per dispatch, so the
    lockstep drives the reference interpreter forward to the block
    machine's retirement count after every dispatch and compares
-   architectural state there — every block boundary is checked, and
-   per-instruction fallback steps degenerate to the per-step lockstep
-   above. *)
+   architectural state and effect scratch there — every block boundary
+   is checked, and per-instruction fallback steps degenerate to the
+   per-step lockstep above. *)
 
 let lockstep_block_workload wname (cfg_name, mcfg) () =
   let w = Suite.find Workload.Small wname in
@@ -139,11 +138,12 @@ let lockstep_block_workload wname (cfg_name, mcfg) () =
     let after = Machine.instructions_retired m_blk in
     if after - before > 1 then incr fused_dispatches;
     for _ = 1 to after - before do
-      ignore (Machine.step_reference m_ref)
+      Machine.step_reference m_ref
     done;
     if Machine.pc m_ref <> Machine.pc m_blk then
       Alcotest.failf "%s dispatch %d: pc %d vs %d" name !dispatches
-        (Machine.pc m_ref) (Machine.pc m_blk)
+        (Machine.pc m_ref) (Machine.pc m_blk);
+    check_scratch_equal name !dispatches m_ref m_blk
   done;
   check_machines_equal name m_ref m_blk;
   if !fused_dispatches = 0 then
@@ -209,26 +209,7 @@ let test_block_snapshot_roundtrip () =
   done;
   check_machines_equal "Var/block snapshot roundtrip" m1 m3
 
-(* The [step] wrapper must report exactly what [step_reference] does. *)
-let test_step_wrapper () =
-  let w = Suite.find Workload.Small "Var" in
-  let b = Wn_core.Runner.build w wcfg in
-  let mcfg = { Machine.memo_entries = Some 16; Machine.zero_skip = true } in
-  let m_ref = Wn_core.Runner.machine ~machine_config:mcfg b in
-  let m_wrap = Wn_core.Runner.machine ~machine_config:mcfg b in
-  let inputs = w.Workload.fresh_inputs (Wn_util.Rng.create 7) in
-  Wn_core.Runner.load_sample b m_ref inputs;
-  Wn_core.Runner.load_sample b m_wrap inputs;
-  let steps = ref 0 in
-  while (not (Machine.halted m_ref)) && !steps < max_lockstep_steps do
-    incr steps;
-    let r = Machine.step_reference m_ref in
-    let s = Machine.step m_wrap in
-    if r <> s then Alcotest.failf "step %d: step_result records differ" !steps
-  done;
-  check_machines_equal "Var/wrapper" m_ref m_wrap
-
-(* ---------------- executor-level: Fast vs Compat ---------------- *)
+(* ---------------- executor-level: Block vs Reference ---------------- *)
 
 let policies =
   [
@@ -274,25 +255,23 @@ let check_outcomes_equal name (o_a, mem_a) (o_b, mem_b) =
     Alcotest.failf "%s: first_skim_active differs" name;
   if mem_a <> mem_b then Alcotest.failf "%s: memory images differ" name
 
-(* All three engines, both builds (anytime with skim points and the
-   precise baseline), every policy: identical outcomes and memories. *)
+(* Both engines, both builds (anytime with skim points and the precise
+   baseline), every policy: identical outcomes and memories. *)
 let executor_differential wname ~skim (pname, policy) () =
   let w = Suite.find Workload.Small wname in
   let b = Wn_core.Runner.build ~precise:(not skim) w wcfg in
   let inputs = w.Workload.fresh_inputs (Wn_util.Rng.create 11) in
-  let fast = run_with_engine Executor.Fast b w inputs policy in
   let block = run_with_engine Executor.Block b w inputs policy in
-  let compat = run_with_engine Executor.Compat b w inputs policy in
+  let reference = run_with_engine Executor.Reference b w inputs policy in
   let name =
     Printf.sprintf "%s/%s/skim-%s" wname pname (if skim then "on" else "off")
   in
-  check_outcomes_equal (name ^ "/block-vs-fast") block fast;
-  check_outcomes_equal (name ^ "/compat-vs-fast") compat fast
+  check_outcomes_equal (name ^ "/block-vs-reference") block reference
 
 (* The Always_on batching path: when the supply can never cut power the
    Block engine coalesces supply consumes into one pending counter per
    block; the supply's cycle and energy accounting must come out
-   exactly as Fast's per-instruction consume sequence. *)
+   exactly as the per-instruction sequence of the Reference engine. *)
 let coalescing_regression wname () =
   let w = Suite.find Workload.Small wname in
   let b = Wn_core.Runner.build w wcfg in
@@ -304,15 +283,15 @@ let coalescing_regression wname () =
     let o = Executor.run ~policy:Executor.Always_on ~engine ~machine:m ~supply () in
     (o, Wn_power.Supply.now_cycles supply, Wn_power.Supply.energy_consumed supply)
   in
-  let o_f, cycles_f, energy_f = run Executor.Fast in
+  let o_r, cycles_r, energy_r = run Executor.Reference in
   let o_b, cycles_b, energy_b = run Executor.Block in
-  if cycles_f <> cycles_b then
-    Alcotest.failf "%s: supply clock %d vs %d cycles" wname cycles_f cycles_b;
-  if energy_f <> energy_b then
-    Alcotest.failf "%s: energy %.12g vs %.12g J" wname energy_f energy_b;
-  if o_f.Executor.wall_cycles <> o_b.Executor.wall_cycles then
+  if cycles_r <> cycles_b then
+    Alcotest.failf "%s: supply clock %d vs %d cycles" wname cycles_r cycles_b;
+  if energy_r <> energy_b then
+    Alcotest.failf "%s: energy %.12g vs %.12g J" wname energy_r energy_b;
+  if o_r.Executor.wall_cycles <> o_b.Executor.wall_cycles then
     Alcotest.failf "%s: wall cycles differ" wname;
-  if o_f.Executor.active_cycles <> o_b.Executor.active_cycles then
+  if o_r.Executor.active_cycles <> o_b.Executor.active_cycles then
     Alcotest.failf "%s: active cycles differ" wname
 
 (* ---------------- zero allocation ---------------- *)
@@ -446,8 +425,6 @@ let () =
           Alcotest.test_case "snapshot roundtrip" `Quick
             test_block_snapshot_roundtrip;
         ] );
-      ( "step wrapper",
-        [ Alcotest.test_case "record identical" `Quick test_step_wrapper ] );
       ("executor engines", executor_cases);
       ("always-on coalescing", coalescing_cases);
       ( "allocation",

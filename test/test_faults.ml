@@ -1,6 +1,7 @@
 (* Tests for wn.faults: forced outages at exact instruction boundaries,
-   the three-property crash-consistency oracle, the Fast/Compat lockstep
-   differential, and the suite-level sweep driver (wn.core Inject). *)
+   the three-property crash-consistency oracle, the Block/Reference
+   lockstep differential, and the suite-level sweep driver (wn.core
+   Inject). *)
 
 open Wn_isa
 open Wn_machine
@@ -265,11 +266,11 @@ let test_keyframe_point_identity () =
                 Alcotest.failf "%s, boundary %d: keyframed point diverges" pname
                   boundary;
               (scratch, resumed))
-            [ Executor.Fast; Executor.Compat ]
+            [ Executor.Block; Executor.Reference ]
         in
         (match per_engine with
-        | [ (fast_s, fast_r); (compat_s, compat_r) ] ->
-            if fast_s <> compat_s || fast_r <> compat_r then
+        | [ (block_s, block_r); (ref_s, ref_r) ] ->
+            if block_s <> ref_s || block_r <> ref_r then
               Alcotest.failf "%s, boundary %d: engines diverge" pname boundary
         | _ -> assert false);
         let scratch_ref = Faults.skim_reference sc ~boundary in
@@ -315,7 +316,7 @@ let test_oracle_not_vacuous () =
   Alcotest.check_raises "boundary 0 rejected" (Invalid_argument "Faults.run_point")
     (fun () -> ignore (Faults.run_point sc ~boundary:0))
 
-(* ------------- Fast/Compat lockstep differential (satellite) ------- *)
+(* ------------- Block/Reference lockstep differential ------------- *)
 
 let test_lockstep_differential () =
   List.iter
@@ -323,15 +324,15 @@ let test_lockstep_differential () =
       let sc = scenario ~policy program in
       let p = Faults.profile sc in
       for boundary = 1 to p.Faults.retired - 1 do
-        let fast = Faults.run_point ~engine:Executor.Fast sc ~boundary in
-        let compat = Faults.run_point ~engine:Executor.Compat sc ~boundary in
-        if fast.Faults.restore <> compat.Faults.restore then
+        let block = Faults.run_point ~engine:Executor.Block sc ~boundary in
+        let refr = Faults.run_point ~engine:Executor.Reference sc ~boundary in
+        if block.Faults.restore <> refr.Faults.restore then
           Alcotest.failf "%s, boundary %d: post-restore state diverges" pname
             boundary;
-        if not (Digest.equal fast.Faults.final_digest compat.Faults.final_digest)
+        if not (Digest.equal block.Faults.final_digest refr.Faults.final_digest)
         then
           Alcotest.failf "%s, boundary %d: final memory diverges" pname boundary;
-        if fast.Faults.outcome <> compat.Faults.outcome then
+        if block.Faults.outcome <> refr.Faults.outcome then
           Alcotest.failf "%s, boundary %d: outcomes diverge" pname boundary
       done)
     [
@@ -430,7 +431,7 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "fast vs compat lockstep" `Quick
+          Alcotest.test_case "block vs reference lockstep" `Quick
             test_lockstep_differential;
         ] );
       ( "suite",

@@ -16,7 +16,7 @@ let run ?config ?(mem_size = 256) ?(setup = fun _ -> ()) items =
   while not (Machine.halted machine) do
     incr guard;
     if !guard > 1_000_000 then Alcotest.fail "program did not halt";
-    ignore (Machine.step machine)
+    Machine.step_fast machine
   done;
   machine
 
@@ -220,7 +220,7 @@ let test_branches_and_flags () =
   let mem = Wn_mem.Memory.create ~size:64 in
   let machine = Machine.create ~program ~mem () in
   while not (Machine.halted machine) do
-    ignore (Machine.step machine)
+    Machine.step_fast machine
   done;
   Alcotest.(check int) "sum" 15 (Machine.reg machine (r 0))
 
@@ -232,7 +232,7 @@ let test_skm_register () =
   let mem = Wn_mem.Memory.create ~size:64 in
   let m = Machine.create ~program ~mem () in
   while not (Machine.halted m) do
-    ignore (Machine.step m)
+    Machine.step_fast m
   done;
   Alcotest.(check (option int)) "latched" (Some 2) (Machine.skim_target m);
   Alcotest.(check (option int)) "take clears" (Some 2) (Machine.take_skim m);
@@ -290,7 +290,7 @@ let test_capture_restore_scrub () =
   let program = Asm.assemble_exn [ Asm.I (Instr.Mov_imm (r 0, 9)); Asm.I Instr.Halt ] in
   let mem = Wn_mem.Memory.create ~size:64 in
   let m = Machine.create ~program ~mem () in
-  ignore (Machine.step m);
+  Machine.step_fast m;
   let snap = Machine.capture_registers m in
   Machine.scrub_volatile m;
   Alcotest.(check int) "scrubbed reg" 0 (Machine.reg m (r 0));

@@ -156,26 +156,11 @@ let test_doomed_config_dynamic () =
   Alcotest.(check bool) "it is outages all the way down" true
     (outcome.Executor.outage_count > 0)
 
-(* The static runtime models must stay in lockstep with the executor's
-   default configurations (the analysis library cannot depend on the
-   runtime library, so the constants are mirrored). *)
-let test_runtime_defaults_lockstep () =
-  let c = Progress.clank () in
-  Alcotest.(check int) "clank watchdog"
-    Executor.default_clank.Executor.watchdog_period
-    (Option.get c.Progress.rt_watchdog_period);
-  Alcotest.(check int) "clank checkpoint"
-    Executor.default_clank.Executor.checkpoint_cycles
-    c.Progress.rt_checkpoint_cycles;
-  Alcotest.(check int) "clank restore"
-    Executor.default_clank.Executor.clank_restore_cycles
-    c.Progress.rt_restore_cycles;
-  let n = Progress.nvp () in
-  Alcotest.(check int) "nvp restore"
-    Executor.default_nvp.Executor.nvp_restore_cycles
-    n.Progress.rt_restore_cycles;
+(* NVP state commits continuously, so its model charges per
+   instruction; the soundness oracle above relies on it. *)
+let test_nvp_per_instruction () =
   Alcotest.(check bool) "nvp commits per instruction" true
-    n.Progress.rt_per_instruction
+    (Progress.nvp ()).Progress.rt_per_instruction
 
 let () =
   Alcotest.run "wn.progress"
@@ -196,7 +181,7 @@ let () =
         ] );
       ( "models",
         [
-          Alcotest.test_case "defaults match the executor" `Quick
-            test_runtime_defaults_lockstep;
+          Alcotest.test_case "nvp commits per instruction" `Quick
+            test_nvp_per_instruction;
         ] );
     ]

@@ -158,12 +158,12 @@ let test_clank_war_epochs () =
         o.Executor.checkpoint_count;
       Alcotest.(check int) "word 0" (n / 2) at0;
       Alcotest.(check int) "word 4" (n / 2) at4)
-    [ Executor.Fast; Executor.Block; Executor.Compat ]
+    [ Executor.Block; Executor.Reference ]
 
 let test_clank_engines_lockstep () =
   (* The loop program under a bursty supply: outage rollbacks, watchdog
-     checkpoints and shadow epochs must agree across all three stepping
-     engines. *)
+     checkpoints and shadow epochs must agree between the block engine
+     and the ISA spec. *)
   let program = loop_program ~iters:2000 ~muls:4 () in
   let run engine =
     let machine, mem = fresh ~program () in
@@ -175,12 +175,8 @@ let test_clank_engines_lockstep () =
       o.Executor.outage_count,
       Wn_mem.Memory.read32 mem 0 )
   in
-  let reference = run Executor.Fast in
-  List.iter
-    (fun engine ->
-      if run engine <> reference then
-        Alcotest.fail "engines disagree under Clank with outages")
-    [ Executor.Block; Executor.Compat ]
+  if run Executor.Block <> run Executor.Reference then
+    Alcotest.fail "engines disagree under Clank with outages"
 
 (* A skim-able program: sets r0=1 (coarse result), stores it, latches a
    skim point, then does a long refinement phase before storing 2. *)
@@ -268,6 +264,34 @@ let test_snapshots_fire () =
   if !count < expected - 1 || !count > expected + 2 then
     Alcotest.failf "snapshot count %d for %d cycles" !count o.Executor.active_cycles
 
+(* Region metering cannot see a window opened before a resumed prefix
+   or closed inside a fast-forwarded tail, so the combination is
+   rejected rather than silently undercounted. *)
+let test_region_rejects_resume () =
+  let keyframe = ref None in
+  let machine, _ = fresh () in
+  ignore
+    (Executor.run ~keyframe_every:10
+       ~on_keyframe:(fun rs ->
+         if Option.is_none !keyframe then keyframe := Some rs)
+       ~machine ~supply:(Supply.always_on ()) ());
+  let resume = Option.get !keyframe in
+  let on_region ~cycles:_ = () in
+  let expected =
+    Invalid_argument "Executor.run: on_region with resume or fast_forward"
+  in
+  Alcotest.check_raises "resume" expected (fun () ->
+      let machine, _ = fresh () in
+      ignore
+        (Executor.run ~on_region ~resume ~machine ~supply:(Supply.always_on ())
+           ()));
+  Alcotest.check_raises "fast_forward" expected (fun () ->
+      let machine, _ = fresh () in
+      ignore
+        (Executor.run ~on_region
+           ~fast_forward:(fun () -> None)
+           ~machine ~supply:(Supply.always_on ()) ()))
+
 let () =
   Alcotest.run "wn.runtime"
     [
@@ -296,4 +320,9 @@ let () =
         ] );
       ( "skim",
         [ Alcotest.test_case "halt at skim" `Quick test_halt_at_skim ] );
+      ( "hooks",
+        [
+          Alcotest.test_case "region metering rejects resume and fast-forward"
+            `Quick test_region_rejects_resume;
+        ] );
     ]

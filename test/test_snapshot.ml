@@ -43,7 +43,7 @@ let observe m =
 let engines =
   [
     ("fast", Machine.step_fast);
-    ("reference", fun m -> ignore (Machine.step_reference m));
+    ("reference", Machine.step_reference);
   ]
 
 (* Memoization and zero skipping carry extra mutable state (tag/result
