@@ -14,14 +14,6 @@ let worst_cycles = Instr.worst_cycles
 let energy_of_cycles ~cycle_energy cycles =
   float_of_int cycles *. cycle_energy
 
-let block_worst_cycles (cfg : Cfg.t) b =
-  let blk = cfg.blocks.(b) in
-  let acc = ref 0 in
-  for pc = blk.first to blk.last do
-    acc := !acc + worst_cycles cfg.program.(pc)
-  done;
-  !acc
-
 let max_instruction_cycles (cfg : Cfg.t) =
   Array.fold_left (fun acc i -> max acc (worst_cycles i)) 0 cfg.program
 

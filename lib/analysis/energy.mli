@@ -18,9 +18,6 @@ val worst_cycles : 'lbl Instr.t -> int
 
 val energy_of_cycles : cycle_energy:float -> int -> float
 
-val block_worst_cycles : Cfg.t -> int -> int
-(** Sum of {!worst_cycles} over one basic block. *)
-
 val max_instruction_cycles : Cfg.t -> int
 (** The most expensive single instruction in the program — the slack a
     watchdog-period bound must add (the watchdog fires before a step,

@@ -23,8 +23,7 @@ let runtime_quality ?(points = 48) ?(vector_loads = false) ?(provisioned = true)
   let machine = Runner.machine anytime in
   Runner.load_sample anytime machine inputs;
   let collected = ref [] in
-  let snapshot ~active_cycles ~wall_cycles =
-    ignore wall_cycles;
+  let sample active_cycles =
     let out = Runner.output anytime machine in
     let err = Runner.nrmse_pct ~reference out in
     collected :=
@@ -32,14 +31,24 @@ let runtime_quality ?(points = 48) ?(vector_loads = false) ?(provisioned = true)
         nrmse = err }
       :: !collected
   in
-  (* Snapshot density relative to the *anytime* build's expected length
-     (roughly 2–3× baseline); probe a little finer than requested. *)
-  let snapshot_every = max 200 (baseline_cycles * 3 / points) in
-  let outcome =
-    Runner.run_always_on ~snapshot_every ~snapshot anytime machine
+  (* Sample density relative to the *anytime* build's expected length
+     (roughly 2–3× baseline); probe a little finer than requested.  One
+     sample at the first instruction boundary past each multiple of the
+     period, plus the final point.  Always-on runs spend no overhead, so
+     the active count is the retired instructions' latency sum. *)
+  let period = max 200 (baseline_cycles * 3 / points) in
+  let active = ref 0 and next = ref period in
+  let on_step _ =
+    active := !active + Wn_machine.Machine.last_cycles machine;
+    if !active >= !next then begin
+      sample !active;
+      next := !next + period
+    end
   in
+  let outcome = Runner.run_always_on ~on_step anytime machine in
   if not outcome.Wn_runtime.Executor.completed then
     failwith "Curves.runtime_quality: anytime build did not complete";
+  sample outcome.Wn_runtime.Executor.active_cycles;
   let final_out = Runner.output anytime machine in
   {
     workload = w.Workload.name;

@@ -35,11 +35,10 @@ let output b machine =
 
 let nrmse_pct ~reference out = Wn_util.Stats.nrmse_pct ~reference out
 
-let run_always_on ?halt_at_skim ?snapshot_every ?snapshot b machine =
+let run_always_on ?halt_at_skim ?on_step b machine =
   ignore b;
   let supply = Wn_power.Supply.always_on () in
-  Wn_runtime.Executor.run ?halt_at_skim ?snapshot_every ?snapshot ~machine
-    ~supply ()
+  Wn_runtime.Executor.run ?halt_at_skim ?on_step ~machine ~supply ()
 
 let precise_reference b inputs =
   let pb = build ~precise:true b.workload b.cfg in

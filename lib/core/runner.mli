@@ -38,12 +38,12 @@ val nrmse_pct : reference:float array -> float array -> float
 
 val run_always_on :
   ?halt_at_skim:bool ->
-  ?snapshot_every:int ->
-  ?snapshot:Wn_runtime.Executor.snapshot_hook ->
+  ?on_step:(Wn_runtime.Executor.live -> unit) ->
   build ->
   Wn_machine.Machine.t ->
   Wn_runtime.Executor.outcome
-(** One task under continuous power. *)
+(** One task under continuous power; [on_step] observes every retired
+    instruction ({!Wn_runtime.Executor.run}). *)
 
 val precise_reference :
   build -> (string * int array) list -> float array * int

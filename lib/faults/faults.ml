@@ -49,14 +49,14 @@ type survey_result = {
 
 (* Everything the planner, oracle and keyframe replayer need, gathered
    in ONE uninterrupted executor run under the scenario's policy: the
-   per-step hook records store/SKM boundaries and takes the requested
-   prefix digests, the checkpoint hook observes the policy's checkpoint
-   placement, and the keyframe hook captures (machine snapshot,
-   executor resume state) pairs every [keyframe_interval] retired
-   instructions.  The machine-visible state stream of a policy-driven
-   uninterrupted run is bit-identical to raw stepping (checkpoints only
-   read the register file), so the recorded boundaries and digests
-   equal the raw continuous run's. *)
+   per-step observer records store/SKM boundaries, takes the requested
+   prefix digests and captures (machine snapshot, executor resume state)
+   keyframes every [keyframe_interval] retired instructions, and the
+   checkpoint event records the policy's checkpoint placement.  The
+   machine-visible state stream of a policy-driven uninterrupted run is
+   bit-identical to raw stepping (checkpoints only read the register
+   file), so the recorded boundaries and digests equal the raw
+   continuous run's. *)
 let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
     ?keyframe_interval ?(full_frames = false) scenario =
   (match keyframe_interval with
@@ -75,7 +75,7 @@ let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
   let bi = ref 0 in
   let n = ref 0 in
   let frames = ref [] in
-  let on_step () =
+  let on_step live =
     incr n;
     if !n > max_steps && not (Machine.halted m) then
       failwith "Faults.survey: program did not halt";
@@ -84,28 +84,27 @@ let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
     if !bi < count && boundaries.(!bi) = !n then begin
       digests.(!bi) <- mem_digest m;
       incr bi
-    end
+    end;
+    match keyframe_interval with
+    | Some k when !n mod k = 0 && not (Machine.halted m) ->
+        (* Delta snapshots by default: the survey machine is the only
+           writer of its memory, so consecutive keyframes share every
+           page the program did not dirty in between and the store
+           stays O(dirty).  [full_frames] keeps the old isolated-copy
+           behaviour for comparison. *)
+        let kf_machine = Machine.snapshot ~full:full_frames m in
+        frames :=
+          { kf_retired = !n; kf_machine; kf_exec = Executor.capture live }
+          :: !frames
+    | _ -> ()
   in
-  let on_checkpoint retired = ckpts := retired :: !ckpts in
-  (* Delta snapshots by default: the survey machine is the only writer
-     of its memory, so consecutive keyframes share every page the
-     program did not dirty in between and the store stays O(dirty).
-     [full_frames] keeps the old isolated-copy behaviour for
-     comparison. *)
-  let on_keyframe rs =
-    frames :=
-      {
-        kf_retired = !n;
-        kf_machine = Machine.snapshot ~full:full_frames m;
-        kf_exec = rs;
-      }
-      :: !frames
+  let on_event = function
+    | Executor.Checkpoint -> ckpts := Machine.instructions_retired m :: !ckpts
+    | Executor.Outage | Executor.Restore | Executor.Skim_restore -> ()
   in
   let outcome =
-    Executor.run ~policy:scenario.policy ~on_step ~on_checkpoint
-      ?keyframe_every:keyframe_interval
-      ?on_keyframe:(Option.map (fun _ -> on_keyframe) keyframe_interval)
-      ~machine:m ~supply ()
+    Executor.run ~policy:scenario.policy ~on_step ~on_event ~machine:m ~supply
+      ()
   in
   if not outcome.Executor.completed then
     failwith "Faults.survey: program did not halt";
@@ -204,19 +203,24 @@ let run_point ?(engine = Executor.Block)
   in
   Machine.set_step_budget m (Some budget);
   let restore = ref None in
-  let outage_seen = ref false in
-  let on_restore _outage_index =
-    outage_seen := true;
-    if !restore = None then
-      restore :=
-        Some
-          {
-            at_retired = Machine.instructions_retired m;
-            r_pc = Machine.pc m;
-            r_regs = Array.init Wn_isa.Reg.count (fun i -> Machine.reg m (Wn_isa.Reg.r i));
-            r_flags = Machine.flags m;
-            r_mem_digest = mem_digest m;
-          }
+  let outage_seen = ref false and skimmed = ref false in
+  let on_event = function
+    | Executor.Checkpoint | Executor.Outage -> ()
+    | (Executor.Restore | Executor.Skim_restore) as e ->
+        outage_seen := true;
+        if e = Executor.Skim_restore then skimmed := true;
+        if !restore = None then
+          restore :=
+            Some
+              {
+                at_retired = Machine.instructions_retired m;
+                r_pc = Machine.pc m;
+                r_regs =
+                  Array.init Wn_isa.Reg.count (fun i ->
+                      Machine.reg m (Wn_isa.Reg.r i));
+                r_flags = Machine.flags m;
+                r_mem_digest = mem_digest m;
+              }
   in
   (* Rejoin fast-forward: once the injected run is past the outage, the
      first instant its architectural state bit-matches a keyframe of the
@@ -225,13 +229,15 @@ let run_point ?(engine = Executor.Block)
      the tail from the survey's recorded final outcome.  Candidates are
      indexed by PC, so the per-step probe is one array load on the vast
      majority of steps; the gate on [outage_seen] keeps the prefix
-     replay — which matches keyframes trivially — running normally. *)
+     replay — which matches keyframes trivially — running normally, and
+     a skim commit leaves the trajectory the keyframes describe, so the
+     probe stops there rather than being paid on every commit-tail
+     step.  Without keyframes no observer is attached and the run
+     fuses. *)
   let ffired = ref false in
-  let fast_forward =
+  let on_step =
     match keyframes with
-    | None -> None
-    | Some kfs when Array.length kfs.frames = 0 -> None
-    | Some kfs ->
+    | Some kfs when Array.length kfs.frames > 0 ->
         let by_pc = Array.make (Array.length (Machine.program m)) [] in
         Array.iter
           (fun kf ->
@@ -240,31 +246,27 @@ let run_point ?(engine = Executor.Block)
               by_pc.(pc) <- kf :: by_pc.(pc))
           kfs.frames;
         Some
-          (fun () ->
-            if not !outage_seen then None
-            else
-              let pc = Machine.pc m in
-              if pc < 0 || pc >= Array.length by_pc then None
-              else
-                let rec probe = function
-                  | [] -> None
-                  | kf :: rest ->
-                      if Machine.matches_state m kf.kf_machine then begin
-                        ffired := true;
-                        Some
-                          {
-                            Executor.ff_at = kf.kf_exec;
-                            ff_final = kfs.kf_final;
-                          }
-                      end
-                      else probe rest
-                in
-                probe by_pc.(pc))
+          (fun live ->
+            let pc = Machine.pc m in
+            if !outage_seen && (not !skimmed) && pc >= 0
+               && pc < Array.length by_pc
+            then
+              match
+                List.find_opt
+                  (fun kf -> Machine.matches_state m kf.kf_machine)
+                  by_pc.(pc)
+              with
+              | Some kf ->
+                  ffired := true;
+                  Executor.rejoin live
+                    { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
+              | None -> ())
+    | _ -> None
   in
   let outcome =
-    Executor.run ~policy:scenario.policy ~engine ~on_restore
+    Executor.run ~policy:scenario.policy ~engine ~on_event ?on_step
       ?resume:(Option.map (fun kf -> kf.kf_exec) resume)
-      ?fast_forward ~machine:m ~supply ()
+      ~machine:m ~supply ()
   in
   let final_digest =
     if !ffired then

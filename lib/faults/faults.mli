@@ -125,7 +125,8 @@ val prefix_digests :
     in one pass: [(survey ~boundaries s).sv_digests]. *)
 
 (** Machine state captured by the oracle at the instant restore
-    completes (the [on_restore] hook). *)
+    completes (the executor's first [Restore] or [Skim_restore]
+    event). *)
 type restore_state = {
   at_retired : int;  (** total retired instructions when the outage struck *)
   r_pc : int;

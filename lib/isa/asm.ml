@@ -59,8 +59,3 @@ let pp_listing ppf prog =
       | I i -> Format.fprintf ppf "        %a@." (Instr.pp ~lbl:pp_label) i
       | Comment c -> Format.fprintf ppf "        ; %s@." c)
     prog
-
-let pp_disassembly ppf prog =
-  Array.iteri
-    (fun addr i -> Format.fprintf ppf "%4d:  %a@." addr Instr.pp_resolved i)
-    prog

@@ -20,6 +20,3 @@ val label_map : program -> (string * int) list
 
 val pp_listing : Format.formatter -> program -> unit
 (** Source-level listing with labels and comments. *)
-
-val pp_disassembly : Format.formatter -> int Instr.t array -> unit
-(** Numbered disassembly of a resolved program. *)

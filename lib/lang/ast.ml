@@ -125,8 +125,6 @@ let rec iter_exprs_stmt f stmt =
       List.iter (iter_exprs_stmt f) commit
   | Skim_here -> ()
 
-let iter_exprs f stmts = List.iter (iter_exprs_stmt f) stmts
-
 let rec map_expr f e =
   let e =
     match e with

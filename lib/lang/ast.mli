@@ -129,8 +129,6 @@ val map_expr : (expr -> expr) -> expr -> expr
 val iter_exprs_stmt : (expr -> unit) -> stmt -> unit
 (** Visit every expression in a statement tree. *)
 
-val iter_exprs : (expr -> unit) -> stmt list -> unit
-
 val map_exprs_stmt : (expr -> expr) -> stmt -> stmt
 (** Rewrite every expression in a statement tree (applied bottom-up to
     sub-expressions first). *)

@@ -17,9 +17,6 @@ let power_at_tick t i =
   let n = Array.length t.samples in
   t.samples.(((i mod n) + n) mod n)
 
-let power_at t time_s =
-  power_at_tick t (int_of_float (Float.floor (time_s /. sample_period_s)))
-
 let mean_power t = Wn_util.Stats.mean t.samples
 
 let duty_cycle t =

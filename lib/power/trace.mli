@@ -23,9 +23,6 @@ val duration_s : t -> float
 val power_at_tick : t -> int -> float
 (** Sample at tick [i], wrapping modulo the trace length. *)
 
-val power_at : t -> float -> float
-(** Sample at a time in seconds, wrapping. *)
-
 val mean_power : t -> float
 val duty_cycle : t -> float
 (** Fraction of ticks with non-negligible (> 1 µW) power. *)

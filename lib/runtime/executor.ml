@@ -43,7 +43,7 @@ type outcome = {
   retired : int;
 }
 
-type snapshot_hook = active_cycles:int -> wall_cycles:int -> unit
+type event = Checkpoint | Outage | Restore | Skim_restore
 
 (* Clank epoch state: the last checkpoint plus the read-first/write
    sets used to detect idempotency (write-after-read) violations at
@@ -162,7 +162,8 @@ type clank_resume = {
 }
 
 type resume_state = {
-  rs_clank : clank_resume option;
+  rs_policy : policy;  (* the policy the state was captured under *)
+  rs_clank : clank_resume option;  (* [Some] exactly under [Clank] *)
   rs_active : int;
   rs_overhead : int;
   rs_reexecuted : int;
@@ -172,7 +173,6 @@ type resume_state = {
   rs_first_skim_active : int option;
   rs_wall : int;  (* wall cycles elapsed from task start to capture *)
   rs_retired : int;  (* instructions retired from task start to capture *)
-  rs_next_snapshot : int;
 }
 
 (* Fast-forward: the caller has detected that the machine's
@@ -184,49 +184,16 @@ type resume_state = {
    deltas. *)
 type fast_forward = { ff_at : resume_state; ff_final : outcome }
 
-let run ?(policy = Always_on) ?(engine = Block)
-    ?(max_wall_cycles = 20_000_000_000) ?(snapshot_every = 10_000) ?snapshot
-    ?(halt_at_skim = false) ?on_checkpoint ?on_restore ?on_region ?on_step
-    ?resume ?keyframe_every ?on_keyframe ?fast_forward ~machine ~supply () =
-  (match keyframe_every with
-  | Some k when k < 1 -> invalid_arg "Executor.run: keyframe_every"
-  | _ -> ());
-  (* A region window opened before a resumed prefix or closed inside a
-     fast-forwarded tail is invisible to this run, so metering it would
-     silently undercount. *)
-  if
-    Option.is_some on_region
-    && (Option.is_some resume || Option.is_some fast_forward)
-  then
-    invalid_arg "Executor.run: on_region with resume or fast_forward";
-  let wall_start = Supply.now_cycles supply in
-  let retired_start = Machine.instructions_retired machine in
-  (* Offsets a resumed run inherits from its captured prefix; zero for a
-     run from task entry.  The outcome then reports totals from task
-     start, bit-identical to an uninterrupted from-scratch run. *)
-  let wall_base, retired_base =
-    match resume with
-    | Some rs -> (rs.rs_wall, rs.rs_retired)
-    | None -> (0, 0)
-  in
-  let active = ref (match resume with Some r -> r.rs_active | None -> 0) in
-  let overhead = ref (match resume with Some r -> r.rs_overhead | None -> 0) in
-  let reexecuted =
-    ref (match resume with Some r -> r.rs_reexecuted | None -> 0)
-  in
-  let outage_count =
-    ref (match resume with Some r -> r.rs_outages | None -> 0)
-  in
-  let checkpoint_count =
-    ref (match resume with Some r -> r.rs_checkpoints | None -> 0)
-  in
-  let skimmed = ref (match resume with Some r -> r.rs_skimmed | None -> false) in
-  let first_skim_active =
-    ref (match resume with Some r -> r.rs_first_skim_active | None -> None)
-  in
-  let next_snapshot =
-    ref (match resume with Some r -> r.rs_next_snapshot | None -> snapshot_every)
-  in
+(* The run in progress: the loop counters, the bound policy state and
+   what the step functions below read from the caller. *)
+type live = {
+  machine : Machine.t;
+  supply : Supply.t;
+  policy : policy;
+  clank : (clank_config * clank_state) option;
+  stores : store_table;
+  halt_at_skim : bool;
+  emit : event -> unit;
   (* Consume coalescing: when the supply can never cut power on its own
      (always-on / scripted with an empty script), per-instruction
      [Supply.consume] calls are pure clock-and-drain arithmetic — so
@@ -234,49 +201,276 @@ let run ?(policy = Always_on) ?(engine = Block)
      reads or changes supply state (a forced cut, an outage, run end).
      Energy accounting is in integer cycles on the supply side, so the
      flush is bit-identical to the per-instruction sequence. *)
-  let coalesce = Supply.never_cuts supply in
-  let pending = ref 0 in
-  let flush_pending () =
-    if !pending > 0 then begin
-      ignore (Supply.consume supply ~cycles:!pending);
-      pending := 0
-    end
+  coalesce : bool;
+  mutable pending : int;
+  (* Offsets that turn the supply clock and the machine's retired count
+     into totals from task start: a resumed run inherits its captured
+     prefix, so its outcome is bit-identical to an uninterrupted run's. *)
+  wall_offset : int;
+  retired_offset : int;
+  mutable active : int;
+  mutable overhead : int;
+  mutable reexecuted : int;
+  mutable outages : int;
+  mutable checkpoints : int;
+  mutable skimmed : bool;
+  mutable first_skim_active : int option;
+  mutable observing : bool;  (* inside the caller's [on_step] *)
+  mutable rejoined : fast_forward option;
+}
+
+let wall_elapsed l = Supply.now_cycles l.supply + l.pending + l.wall_offset
+
+let task_retired l = Machine.instructions_retired l.machine + l.retired_offset
+
+let flush_pending l =
+  if l.pending > 0 then begin
+    ignore (Supply.consume l.supply ~cycles:l.pending);
+    l.pending <- 0
+  end
+
+let spend l cycles =
+  if l.coalesce then l.pending <- l.pending + cycles
+  else ignore (Supply.consume l.supply ~cycles)
+
+let spend_overhead l cycles =
+  l.overhead <- l.overhead + cycles;
+  spend l cycles
+
+let do_checkpoint l cfg st =
+  spend_overhead l cfg.checkpoint_cycles;
+  st.checkpoint <- Machine.capture_registers l.machine;
+  shadow_clear st;
+  st.since_ckpt_cycles <- 0;
+  st.since_ckpt_retired <- 0;
+  l.checkpoints <- l.checkpoints + 1;
+  l.emit Checkpoint
+
+(* Insert into one tracking plane, checkpointing first on overflow
+   (capacity is checked before the insert, as the hardware tests the
+   buffer before latching a new entry). *)
+let track l cfg st w bit =
+  if shadow_bits st w land bit = 0 then begin
+    if st.tracked >= cfg.buffer_entries then do_checkpoint l cfg st;
+    shadow_set st w bit;
+    st.tracked <- st.tracked + 1
+  end
+
+(* Skip only reads dominated by a *full-word* write, which
+   re-execution is guaranteed to reproduce. *)
+let track_read l cfg st addr =
+  let w = word_of_addr addr in
+  if shadow_bits st w land write_bit = 0 then track l cfg st w read_bit
+
+(* Watchdog and WAR-violation pre-check: a store about to write a word
+   read first in this epoch forces a checkpoint *before* the violating
+   write commits.  The store's target address comes from the per-PC
+   table and live registers. *)
+let pre_step l cfg st =
+  if st.since_ckpt_cycles >= cfg.watchdog_period then do_checkpoint l cfg st
+  else begin
+    let m = l.machine and stores = l.stores in
+    let pc = Machine.pc m in
+    if pc >= 0 && pc < Array.length stores.st_kind then
+      match stores.st_kind.(pc) with
+      | 1 ->
+          let w =
+            word_of_addr (Machine.reg m stores.st_base.(pc) + stores.st_off.(pc))
+          in
+          (* An out-of-range word cannot have been read this epoch
+             (tracked reads all succeeded, hence were in bounds). *)
+          if w >= 0 && w < Array.length st.shadow
+             && shadow_bits st w land read_bit <> 0
+          then do_checkpoint l cfg st
+      | 2 ->
+          let w =
+            word_of_addr
+              (Machine.reg m stores.st_base.(pc) + Machine.reg m stores.st_idx.(pc))
+          in
+          if w >= 0 && w < Array.length st.shadow
+             && shadow_bits st w land read_bit <> 0
+          then do_checkpoint l cfg st
+      | _ -> ()
+  end
+
+let handle_skim_jump l =
+  match Machine.take_skim l.machine with
+  | Some target ->
+      Machine.set_pc l.machine target;
+      l.skimmed <- true;
+      true
+  | None -> false
+
+let handle_outage l =
+  (* On a coalescing supply the only way here is a forced cut, which
+     flushed. *)
+  flush_pending l;
+  l.emit Outage;
+  l.outages <- l.outages + 1;
+  ignore (Supply.wait_for_power l.supply);
+  let m = l.machine in
+  let skim =
+    match l.clank with
+    | None ->
+        spend_overhead l
+          (match l.policy with Nvp c -> c.nvp_restore_cycles | _ -> 0);
+        (* NVP keeps all state; just honour a pending skim point. *)
+        handle_skim_jump l
+    | Some (cfg, st) ->
+        spend_overhead l cfg.clank_restore_cycles;
+        let skim = handle_skim_jump l in
+        if skim then begin
+          (* The skim target's code depends only on NVM state, so a
+             scrubbed register file is safe; start a fresh epoch
+             there. *)
+          let pc = Machine.pc m in
+          Machine.scrub_volatile m;
+          Machine.set_pc m pc;
+          st.checkpoint <- Machine.capture_registers m
+        end
+        else begin
+          (* Roll back: everything since the checkpoint re-executes. *)
+          l.reexecuted <- l.reexecuted + st.since_ckpt_retired;
+          Machine.restore_registers m st.checkpoint
+        end;
+        shadow_clear st;
+        st.since_ckpt_cycles <- 0;
+        st.since_ckpt_retired <- 0;
+        skim
   in
-  let wall_elapsed () =
-    wall_base + Supply.now_cycles supply + !pending - wall_start
-  in
-  let task_retired () =
-    retired_base + Machine.instructions_retired machine - retired_start
-  in
-  let take_snapshot () =
-    match snapshot with
-    | None -> ()
-    | Some hook -> hook ~active_cycles:!active ~wall_cycles:(wall_elapsed ())
-  in
-  (* Per-region cycle metering for the WCEC soundness oracle: a region
-     window is every cycle burned — execution and runtime overhead —
-     between consecutive power-fail-safe points (checkpoint committed,
-     power death, per-instruction commit under NVP, halt).  Each such
-     window must stay below the static per-charge bound. *)
-  let region_acc = ref 0 in
-  let region_add cycles =
-    if on_region <> None then region_acc := !region_acc + cycles
-  in
-  let region_close () =
-    match on_region with
-    | Some hook ->
-        hook ~cycles:!region_acc;
-        region_acc := 0
-    | None -> ()
-  in
-  let spend_overhead cycles =
-    overhead := !overhead + cycles;
-    region_add cycles;
-    if coalesce then pending := !pending + cycles
-    else ignore (Supply.consume supply ~cycles)
-  in
-  (* Bind the policy configuration once; the per-instruction loop used
-     to re-match [policy] twice per step. *)
+  (* Restore complete: the machine is in exactly the state execution
+     resumes from (skim jump taken, rollback applied). *)
+  l.emit (if skim then Skim_restore else Restore)
+
+(* The tail every commit shares, per-instruction or fused: an exhausted
+   step budget forces an outage at this exact boundary, whichever
+   engine stepped; the budget is cleared so the re-execution after
+   restore runs free. *)
+let commit_tail l =
+  if Machine.budget_exhausted l.machine then begin
+    Machine.set_step_budget l.machine None;
+    flush_pending l;
+    Supply.cut l.supply
+  end
+
+(* Everything after one instruction executes, read from the machine's
+   effect scratch: both steppers leave it identically. *)
+let post_step l =
+  let m = l.machine in
+  let cycles = Machine.last_cycles m in
+  l.active <- l.active + cycles;
+  spend l cycles;
+  (match l.clank with
+  | Some (cfg, st) ->
+      st.since_ckpt_cycles <- st.since_ckpt_cycles + cycles;
+      st.since_ckpt_retired <- st.since_ckpt_retired + 1;
+      let read_addr = Machine.last_read_addr m in
+      if read_addr >= 0 then track_read l cfg st read_addr;
+      let wrote_addr = Machine.last_wrote_addr m in
+      if wrote_addr >= 0 && Machine.last_wrote_bytes m = 4 then
+        track l cfg st (word_of_addr wrote_addr) write_bit
+  | None -> ());
+  if Machine.last_was_skm m then begin
+    if l.first_skim_active = None then l.first_skim_active <- Some l.active;
+    if l.halt_at_skim then
+      (* Model an outage at this very instant: take the skim jump and
+         commit the earliest available output. *)
+      ignore (handle_skim_jump l)
+  end;
+  commit_tail l
+
+(* Block engine: one guard at block entry, then the whole run in a
+   single call with one batched consume and one commit tail.  Each
+   conjunct ensures some per-instruction check could not have fired at
+   an *interior* boundary of the run; anything that would fire exactly
+   at the run's final boundary (budget exhaustion, watchdog, a scripted
+   cut landing on the last cycle) fires identically after the batched
+   commit.  Any failed conjunct just falls back to per-instruction
+   stepping until the next run entry — bit-identical, merely slower. *)
+let try_block l ~max_wall_cycles b =
+  let m = l.machine in
+  let n = Machine.block_len b in
+  let c = Machine.block_cycles b in
+  Machine.budget_covers m n
+  && wall_elapsed l + c <= max_wall_cycles
+  && (match l.clank with
+     | Some (cfg, st) ->
+         (* No interior pre-step can trip the watchdog, and the read set
+            cannot overflow the buffer mid-run (runs are store-free, so
+            WAR pre-checks are vacuous). *)
+         st.since_ckpt_cycles + Machine.block_pre_cycles b < cfg.watchdog_period
+         && st.tracked + Machine.block_loads b <= cfg.buffer_entries
+     | None -> true)
+  && (l.coalesce || Supply.assured l.supply ~cycles:c)
+  && begin
+       Machine.exec_block m b;
+       l.active <- l.active + c;
+       if l.coalesce then l.pending <- l.pending + c
+       else ignore (Supply.consume_run l.supply ~costs:(Machine.block_costs b));
+       (match l.clank with
+       | Some (cfg, st) ->
+           st.since_ckpt_cycles <- st.since_ckpt_cycles + c;
+           st.since_ckpt_retired <- st.since_ckpt_retired + n;
+           (* Replay read tracking from the recorded load addresses, in
+              order — no store ran in between, so the shadow-map
+              transitions equal the per-step ones, and the entry guard
+              ruled out an overflow checkpoint. *)
+           for i = 0 to Machine.block_loads b - 1 do
+             track_read l cfg st (Machine.block_read_addr m i)
+           done
+       | None -> ());
+       (* Runs latch no skim point, so only the shared tail remains. *)
+       commit_tail l;
+       true
+     end
+
+let observed fn l =
+  if not l.observing then invalid_arg ("Executor." ^ fn ^ ": outside on_step")
+
+let capture l =
+  observed "capture" l;
+  if
+    Machine.halted l.machine
+    || (not (Supply.is_on l.supply))
+    || Machine.budget_exhausted l.machine
+  then invalid_arg "Executor.capture: not a clean boundary";
+  {
+    rs_policy = l.policy;
+    rs_clank =
+      Option.map
+        (fun (_cfg, st) ->
+          {
+            rc_checkpoint = st.checkpoint;
+            rc_shadow = pack_shadow st;
+            rc_tracked = st.tracked;
+            rc_since_cycles = st.since_ckpt_cycles;
+            rc_since_retired = st.since_ckpt_retired;
+          })
+        l.clank;
+    rs_active = l.active;
+    rs_overhead = l.overhead;
+    rs_reexecuted = l.reexecuted;
+    rs_outages = l.outages;
+    rs_checkpoints = l.checkpoints;
+    rs_skimmed = l.skimmed;
+    rs_first_skim_active = l.first_skim_active;
+    rs_wall = wall_elapsed l;
+    rs_retired = task_retired l;
+  }
+
+let rejoin l ff =
+  observed "rejoin" l;
+  l.rejoined <- Some ff
+
+let no_event (_ : event) = ()
+
+let run ?(policy = Always_on) ?(engine = Block)
+    ?(max_wall_cycles = 20_000_000_000) ?(halt_at_skim = false) ?resume
+    ?on_step ?(on_event = no_event) ~machine ~supply () =
+  (match resume with
+  | Some rs when rs.rs_policy <> policy ->
+      invalid_arg "Executor.run: resume state captured under another policy"
+  | _ -> ());
   let clank =
     match policy with
     | Clank cfg ->
@@ -294,9 +488,7 @@ let run ?(policy = Always_on) ?(engine = Block)
                 since_ckpt_cycles = rc.rc_since_cycles;
                 since_ckpt_retired = rc.rc_since_retired;
               }
-          | Some { rs_clank = None; _ } ->
-              invalid_arg "Executor.run: resume state lacks Clank policy state"
-          | None ->
+          | _ ->
               {
                 checkpoint = Machine.capture_registers machine;
                 shadow = Array.make words 0;
@@ -307,367 +499,101 @@ let run ?(policy = Always_on) ?(engine = Block)
               }
         in
         Some (cfg, st)
-    | Always_on | Nvp _ ->
-        (match resume with
-        | Some { rs_clank = Some _; _ } ->
-            invalid_arg "Executor.run: resume state carries Clank policy state"
-        | _ -> ());
-        None
+    | Always_on | Nvp _ -> None
   in
-  let capture_resume () =
+  let field f zero = match resume with Some rs -> f rs | None -> zero in
+  let l =
     {
-      rs_clank =
-        Option.map
-          (fun (_cfg, st) ->
-            {
-              rc_checkpoint = st.checkpoint;
-              rc_shadow = pack_shadow st;
-              rc_tracked = st.tracked;
-              rc_since_cycles = st.since_ckpt_cycles;
-              rc_since_retired = st.since_ckpt_retired;
-            })
-          clank;
-      rs_active = !active;
-      rs_overhead = !overhead;
-      rs_reexecuted = !reexecuted;
-      rs_outages = !outage_count;
-      rs_checkpoints = !checkpoint_count;
-      rs_skimmed = !skimmed;
-      rs_first_skim_active = !first_skim_active;
-      rs_wall = wall_elapsed ();
-      rs_retired = task_retired ();
-      rs_next_snapshot = !next_snapshot;
+      machine;
+      supply;
+      policy;
+      clank;
+      stores = build_store_table (Machine.program machine);
+      halt_at_skim;
+      emit = on_event;
+      coalesce = Supply.never_cuts supply;
+      pending = 0;
+      wall_offset = field (fun r -> r.rs_wall) 0 - Supply.now_cycles supply;
+      retired_offset =
+        field (fun r -> r.rs_retired) 0 - Machine.instructions_retired machine;
+      active = field (fun r -> r.rs_active) 0;
+      overhead = field (fun r -> r.rs_overhead) 0;
+      reexecuted = field (fun r -> r.rs_reexecuted) 0;
+      outages = field (fun r -> r.rs_outages) 0;
+      checkpoints = field (fun r -> r.rs_checkpoints) 0;
+      skimmed = field (fun r -> r.rs_skimmed) false;
+      first_skim_active = field (fun r -> r.rs_first_skim_active) None;
+      observing = false;
+      rejoined = None;
     }
   in
-  let stores = build_store_table (Machine.program machine) in
-  let shadow_words st = Array.length st.shadow in
-  let do_checkpoint cfg st =
-    spend_overhead cfg.checkpoint_cycles;
-    st.checkpoint <- Machine.capture_registers machine;
-    shadow_clear st;
-    st.since_ckpt_cycles <- 0;
-    st.since_ckpt_retired <- 0;
-    incr checkpoint_count;
-    (* The checkpoint is committed: everything up to and including its
-       overhead is now safe against power loss. *)
-    region_close ();
-    match on_checkpoint with
-    | Some hook -> hook (Machine.instructions_retired machine)
-    | None -> ()
-  in
-  (* Insert into one tracking plane, checkpointing first on overflow
-     (capacity is checked before the insert, as the hardware tests the
-     buffer before latching a new entry). *)
-  let track cfg st w bit =
-    if shadow_bits st w land bit = 0 then begin
-      if st.tracked >= cfg.buffer_entries then do_checkpoint cfg st;
-      shadow_set st w bit;
-      st.tracked <- st.tracked + 1
-    end
-  in
-  (* Skip only reads dominated by a *full-word* write, which
-     re-execution is guaranteed to reproduce. *)
-  let track_read cfg st addr =
-    let w = word_of_addr addr in
-    if shadow_bits st w land write_bit = 0 then track cfg st w read_bit
-  in
-  (* Watchdog and WAR-violation pre-check: a store about to write a word
-     read first in this epoch forces a checkpoint *before* the violating
-     write commits.  The store's target address comes from the per-PC
-     table and live registers. *)
-  let pre_step cfg st =
-    if st.since_ckpt_cycles >= cfg.watchdog_period then do_checkpoint cfg st
-    else begin
-      let pc = Machine.pc machine in
-      if pc >= 0 && pc < Array.length stores.st_kind then
-        match stores.st_kind.(pc) with
-        | 1 ->
-            let w =
-              word_of_addr (Machine.reg machine stores.st_base.(pc) + stores.st_off.(pc))
-            in
-            (* An out-of-range word cannot have been read this epoch
-               (tracked reads all succeeded, hence were in bounds). *)
-            if w >= 0 && w < shadow_words st
-               && shadow_bits st w land read_bit <> 0
-            then do_checkpoint cfg st
-        | 2 ->
-            let w =
-              word_of_addr
-                (Machine.reg machine stores.st_base.(pc)
-                + Machine.reg machine stores.st_idx.(pc))
-            in
-            if w >= 0 && w < shadow_words st
-               && shadow_bits st w land read_bit <> 0
-            then do_checkpoint cfg st
-        | _ -> ()
-    end
-  in
-  let handle_skim_jump () =
-    match Machine.take_skim machine with
-    | Some target ->
-        Machine.set_pc machine target;
-        skimmed := true;
-        true
-    | None -> false
-  in
-  let handle_outage () =
-    (* Power died: this charge's burn window ends here; the restore
-       overhead below opens the next charge's window.  (On a coalescing
-       supply the only way here is a forced cut, which flushed.) *)
-    flush_pending ();
-    region_close ();
-    incr outage_count;
-    ignore (Supply.wait_for_power supply);
-    (match clank with
-    | None ->
-        let restore =
-          match policy with Nvp c -> c.nvp_restore_cycles | _ -> 0
-        in
-        spend_overhead restore;
-        (* NVP keeps all state; just honour a pending skim point. *)
-        ignore (handle_skim_jump ())
-    | Some (cfg, st) ->
-        spend_overhead cfg.clank_restore_cycles;
-        if handle_skim_jump () then begin
-          (* The skim target's code depends only on NVM state, so a
-             scrubbed register file is safe; start a fresh epoch
-             there. *)
-          let pc = Machine.pc machine in
-          Machine.scrub_volatile machine;
-          Machine.set_pc machine pc;
-          st.checkpoint <- Machine.capture_registers machine
-        end
-        else begin
-          (* Roll back: everything since the checkpoint re-executes. *)
-          reexecuted := !reexecuted + st.since_ckpt_retired;
-          Machine.restore_registers machine st.checkpoint
-        end;
-        shadow_clear st;
-        st.since_ckpt_cycles <- 0;
-        st.since_ckpt_retired <- 0);
-    (* Restore complete: the machine is in exactly the state execution
-       resumes from (skim jump taken, rollback applied).  The hook lets
-       a fault-injection oracle audit that state in place. *)
-    match on_restore with Some hook -> hook !outage_count | None -> ()
-  in
-  (* The tail every commit shares, per-instruction or fused.  [costs]
-     are the latencies of the instructions just retired, the first
-     starting at active count [from]: the snapshot threshold is tested
-     at each of their boundaries, at most once per boundary (a fused run
-     crosses it only with no snapshot hook installed — the entry guard
-     sees to that — so there only the counter advances).  Then an
-     exhausted step budget forces an outage at this exact boundary,
-     whichever engine stepped; the budget is cleared so the
-     re-execution after restore runs free. *)
-  let commit_tail ~from costs =
-    if !active >= !next_snapshot then begin
-      let a = ref from in
-      for i = 0 to Array.length costs - 1 do
-        a := !a + Array.unsafe_get costs i;
-        if !a >= !next_snapshot then begin
-          take_snapshot ();
-          next_snapshot := !next_snapshot + snapshot_every
-        end
-      done
-    end;
-    if Machine.budget_exhausted machine then begin
-      Machine.set_step_budget machine None;
-      flush_pending ();
-      Supply.cut supply
-    end
-  in
-  (* Everything after one instruction executes, read from the machine's
-     effect scratch: both steppers leave it identically. *)
-  let one_cost = [| 0 |] in
-  let post_step () =
-    let cycles = Machine.last_cycles machine in
-    active := !active + cycles;
-    region_add cycles;
-    if coalesce then pending := !pending + cycles
-    else ignore (Supply.consume supply ~cycles);
-    (match clank with
-    | Some (cfg, st) ->
-        st.since_ckpt_cycles <- st.since_ckpt_cycles + cycles;
-        st.since_ckpt_retired <- st.since_ckpt_retired + 1;
-        let read_addr = Machine.last_read_addr machine in
-        if read_addr >= 0 then track_read cfg st read_addr;
-        let wrote_addr = Machine.last_wrote_addr machine in
-        if wrote_addr >= 0 && Machine.last_wrote_bytes machine = 4 then
-          track cfg st (word_of_addr wrote_addr) write_bit
-    | None ->
-        (* NVP / always-on: every retired instruction commits, so each
-           closes its own burn window. *)
-        region_close ());
-    if Machine.last_was_skm machine then begin
-      if !first_skim_active = None then first_skim_active := Some !active;
-      if halt_at_skim then
-        (* Model an outage at this very instant: take the skim jump
-           and commit the earliest available output. *)
-        ignore (handle_skim_jump ())
-    end;
-    Array.unsafe_set one_cost 0 cycles;
-    commit_tail ~from:(!active - cycles) one_cost
-  in
-  (* After an instruction (and its post-step accounting) completes:
-     first the per-step observation hook, then — at every
-     [keyframe_every]'th retired instruction of an uninterrupted run —
-     the keyframe hook with a freshly captured resume state.  Keyframes
-     are never taken on a halted machine or while power is down (a
-     pending forced outage included), so every captured state is a clean
-     resumable boundary. *)
-  let after_step () =
-    (match on_step with Some f -> f () | None -> ());
-    match (keyframe_every, on_keyframe) with
-    | Some k, Some hook ->
-        if
-          task_retired () mod k = 0
-          && (not (Machine.halted machine))
-          && Supply.is_on supply
-        then hook (capture_resume ())
-    | _ -> ()
-  in
   let reference = engine = Reference in
-  let step_once () =
-    if reference then Machine.step_reference machine
-    else Machine.step_fast machine;
-    post_step ()
-  in
-  (* Block engine: hooks that must observe every instruction boundary —
-     the per-step observer, region metering, the fast-forward rejoin
-     probe — force the per-step path for the whole run, keeping the
-     fault survey and the WCEC soundness oracle exact.  The reference
-     engine never fuses. *)
-  let may_fuse =
-    (not reference) && Option.is_none on_step && Option.is_none on_region
-    && Option.is_none fast_forward
-  in
-  (* One guard at block entry, then the whole run in a single call with
-     one batched consume and one commit tail.  Each conjunct ensures some
-     per-instruction check could not have fired at an *interior*
-     boundary of the run; anything that would fire exactly at the run's
-     final boundary (budget exhaustion, watchdog, keyframe, a scripted
-     cut landing on the last cycle) fires identically after the batched
-     commit.  Any failed conjunct just falls back to per-instruction
-     stepping until the next run entry — bit-identical, merely slower. *)
-  let try_block b =
-    let n = Machine.block_len b in
-    let c = Machine.block_cycles b in
-    Machine.budget_covers machine n
-    && wall_elapsed () + c <= max_wall_cycles
-    && (match snapshot with
-       | Some _ -> !active + c < !next_snapshot
-       | None -> true)
-    && (match (keyframe_every, on_keyframe) with
-       | Some k, Some _ -> k - (task_retired () mod k) >= n
-       | _ -> true)
-    && (match clank with
-       | Some (cfg, st) ->
-           (* No interior pre-step can trip the watchdog, and the read
-              set cannot overflow the buffer mid-run (runs are
-              store-free, so WAR pre-checks are vacuous). *)
-           st.since_ckpt_cycles + Machine.block_pre_cycles b
-           < cfg.watchdog_period
-           && st.tracked + Machine.block_loads b <= cfg.buffer_entries
-       | None -> true)
-    && (coalesce || Supply.assured supply ~cycles:c)
-    && begin
-         Machine.exec_block machine b;
-         active := !active + c;
-         if coalesce then pending := !pending + c
-         else ignore (Supply.consume_run supply ~costs:(Machine.block_costs b));
-         (match clank with
-         | Some (cfg, st) ->
-             st.since_ckpt_cycles <- st.since_ckpt_cycles + c;
-             st.since_ckpt_retired <- st.since_ckpt_retired + n;
-             (* Replay read tracking from the recorded load addresses, in
-                order — no store ran in between, so the shadow-map
-                transitions equal the per-step ones, and the entry guard
-                ruled out an overflow checkpoint. *)
-             for i = 0 to Machine.block_loads b - 1 do
-               track_read cfg st (Machine.block_read_addr machine i)
-             done
-         | None -> ());
-         (* Runs latch no skim point, so only the shared tail remains. *)
-         commit_tail ~from:(!active - c) (Machine.block_costs b);
-         true
-       end
-  in
+  (* One fusion rule: the block engine fuses exactly when no observer
+     must see every instruction boundary; the reference engine never
+     fuses. *)
+  let fuse = (not reference) && Option.is_none on_step in
   let rec loop () =
-    if Machine.halted machine then `Done true
-    else if wall_elapsed () > max_wall_cycles then `Done false
+    if Machine.halted machine || wall_elapsed l > max_wall_cycles then ()
     else if not (Supply.is_on supply) then begin
-      handle_outage ();
+      handle_outage l;
       loop ()
     end
     else begin
-      (match clank with Some (cfg, st) -> pre_step cfg st | None -> ());
+      (match l.clank with Some (cfg, st) -> pre_step l cfg st | None -> ());
       let fused =
-        may_fuse
+        fuse
         && (match Machine.block_at machine (Machine.pc machine) with
-           | Some b -> try_block b
+           | Some b -> try_block l ~max_wall_cycles b
            | None -> false)
       in
-      if not fused then step_once ();
-      after_step ();
-      match fast_forward with
+      if not fused then begin
+        if reference then Machine.step_reference machine
+        else Machine.step_fast machine;
+        post_step l
+      end;
+      match on_step with
       | None -> loop ()
-      | Some probe ->
-          (* A skim commit leaves the reference trajectory the probe's
-             certificate came from, so matches are no longer expected;
-             skipping the probe is always sound (the run just keeps
-             stepping) and removes the per-step compare from every
-             commit tail. *)
-          if !skimmed then loop ()
-          else (
-            match probe () with Some ff -> `Fast_forward ff | None -> loop ())
+      | Some f ->
+          l.observing <- true;
+          f l;
+          l.observing <- false;
+          if Option.is_none l.rejoined then loop ()
     end
   in
-  match loop () with
-  | `Done completed ->
-      flush_pending ();
-      region_close ();
-      take_snapshot ();
+  loop ();
+  flush_pending l;
+  match l.rejoined with
+  | None ->
       {
-        completed;
-        skimmed = !skimmed;
-        first_skim_active = !first_skim_active;
-        wall_cycles = wall_elapsed ();
-        active_cycles = !active;
-        overhead_cycles = !overhead;
-        reexecuted_instructions = !reexecuted;
-        outage_count = !outage_count;
-        checkpoint_count = !checkpoint_count;
-        retired = task_retired ();
+        completed = Machine.halted machine;
+        skimmed = l.skimmed;
+        first_skim_active = l.first_skim_active;
+        wall_cycles = wall_elapsed l;
+        active_cycles = l.active;
+        overhead_cycles = l.overhead;
+        reexecuted_instructions = l.reexecuted;
+        outage_count = l.outages;
+        checkpoint_count = l.checkpoints;
+        retired = task_retired l;
       }
-  | `Fast_forward ff ->
-      flush_pending ();
-      (* The machine is left at the matched state, not at halt, and the
-         snapshot hook is not replayed for the skipped tail. *)
+  | Some ff ->
+      (* The machine is left at the matched state, not at halt. *)
+      let at = ff.ff_at and fin = ff.ff_final in
       {
-        completed = ff.ff_final.completed;
-        skimmed = !skimmed || (ff.ff_final.skimmed && not ff.ff_at.rs_skimmed);
+        completed = fin.completed;
+        skimmed = l.skimmed || (fin.skimmed && not at.rs_skimmed);
         first_skim_active =
-          (match !first_skim_active with
-          | Some _ as s -> s
-          | None -> (
-              match
-                (ff.ff_final.first_skim_active, ff.ff_at.rs_first_skim_active)
-              with
-              | Some a, None -> Some (!active + (a - ff.ff_at.rs_active))
-              | _ -> None));
-        wall_cycles =
-          wall_elapsed () + (ff.ff_final.wall_cycles - ff.ff_at.rs_wall);
-        active_cycles =
-          !active + (ff.ff_final.active_cycles - ff.ff_at.rs_active);
-        overhead_cycles =
-          !overhead + (ff.ff_final.overhead_cycles - ff.ff_at.rs_overhead);
+          (match (l.first_skim_active, fin.first_skim_active, at.rs_first_skim_active) with
+          | (Some _ as s), _, _ -> s
+          | None, Some a, None -> Some (l.active + (a - at.rs_active))
+          | None, _, _ -> None);
+        wall_cycles = wall_elapsed l + (fin.wall_cycles - at.rs_wall);
+        active_cycles = l.active + (fin.active_cycles - at.rs_active);
+        overhead_cycles = l.overhead + (fin.overhead_cycles - at.rs_overhead);
         reexecuted_instructions =
-          !reexecuted
-          + (ff.ff_final.reexecuted_instructions - ff.ff_at.rs_reexecuted);
-        outage_count =
-          !outage_count + (ff.ff_final.outage_count - ff.ff_at.rs_outages);
+          l.reexecuted + (fin.reexecuted_instructions - at.rs_reexecuted);
+        outage_count = l.outages + (fin.outage_count - at.rs_outages);
         checkpoint_count =
-          !checkpoint_count
-          + (ff.ff_final.checkpoint_count - ff.ff_at.rs_checkpoints);
-        retired = task_retired () + (ff.ff_final.retired - ff.ff_at.rs_retired);
+          l.checkpoints + (fin.checkpoint_count - at.rs_checkpoints);
+        retired = task_retired l + (fin.retired - at.rs_retired);
       }

@@ -40,17 +40,16 @@ type engine = Block | Reference
     fused straight-line superinstructions
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
     guard passes — step budget covers the run length, watchdog slack
-    and Clank tracking capacity cover the run, the capacitor's usable
-    charge covers the run's worst-case energy, and no snapshot/keyframe
-    boundary lands inside it — with one batched supply consume and one
-    commit; any failed guard (or a hook that must observe every
-    instruction boundary: [on_step], [on_region], [fast_forward]) falls
-    back to per-instruction {!Wn_machine.Machine.step_fast} until the
-    next run entry, so fault injection at any instruction boundary
-    still works.  [Reference] never fuses and steps every instruction
-    through the ISA spec {!Wn_machine.Machine.step_reference}: the
-    independent cross-check.  Both are observably identical (the
-    differential suite asserts it). *)
+    and Clank tracking capacity cover the run, and the capacitor's
+    usable charge covers the run's worst-case energy — with one batched
+    supply consume and one commit; a failed guard falls back to
+    per-instruction {!Wn_machine.Machine.step_fast} until the next run
+    entry, so fault injection at any instruction boundary still works.
+    An [on_step] observer turns fusion off for the whole run.
+    [Reference] never fuses and steps every instruction through the
+    ISA spec {!Wn_machine.Machine.step_reference}: the independent
+    cross-check.  Both are observably identical (the differential suite
+    asserts it). *)
 
 val engine_of_string : string -> engine option
 (** ["block"] or ["reference"]. *)
@@ -70,24 +69,32 @@ type outcome = {
   retired : int;
 }
 
-type snapshot_hook = active_cycles:int -> wall_cycles:int -> unit
-(** Invoked every [snapshot_every] *active* cycles (approximately — at
-    the first instruction boundary past each multiple) and once at task
-    end; used to sample output quality over time. *)
+type event =
+  | Checkpoint  (** a Clank checkpoint committed, its cost spent *)
+  | Outage  (** power died; the restore follows once power is back *)
+  | Restore
+      (** the restore completed by rolling back (Clank) or resuming in
+          place (NVP, always-on); the machine is in exactly the state
+          execution resumes from *)
+  | Skim_restore
+      (** the restore completed by taking the latched skim jump; the
+          machine is in exactly the state execution resumes from *)
+(** Runtime events, reported in order to [on_event].  The constructors
+    are constant, so reporting allocates nothing. *)
 
 type resume_state
 (** Executor-visible state at a clean instruction boundary of an
-    uninterrupted run: the loop's accumulated counters (active,
-    overhead and wall cycles, retired instructions, outage / checkpoint
-    counts, skim bookkeeping) plus, under [Clank], the policy state —
-    the last register-file checkpoint, the read-first/written shadow
-    map and the epoch counters.  Captured via [on_keyframe]; immutable
-    once captured, so one value can seed any number of resumed runs
-    from any number of domains (each [run ~resume] deep-copies the
-    mutable parts).  Pair it with the {!Wn_machine.Machine.snapshot}
-    taken at the same boundary to resume execution as if the run had
-    never stopped: the resumed run's [outcome] is bit-identical to the
-    from-scratch run's. *)
+    uninterrupted run: the policy, the loop's accumulated counters
+    (active, overhead and wall cycles, retired instructions, outage /
+    checkpoint counts, skim bookkeeping) plus, under [Clank], the
+    policy state — the last register-file checkpoint, the
+    read-first/written shadow map and the epoch counters.  Taken with
+    {!capture}; immutable once captured, so one value can seed any
+    number of resumed runs from any number of domains (each
+    [run ~resume] deep-copies the mutable parts).  Pair it with the
+    {!Wn_machine.Machine.snapshot} taken at the same boundary to resume
+    execution as if the run had never stopped: the resumed run's
+    [outcome] is bit-identical to the from-scratch run's. *)
 
 type fast_forward = { ff_at : resume_state; ff_final : outcome }
 (** A rejoin certificate: the caller has observed that the machine's
@@ -98,21 +105,36 @@ type fast_forward = { ff_at : resume_state; ff_final : outcome }
     [resume_state] at the matched boundary; [ff_final] its outcome at
     halt. *)
 
+type live
+(** The run in progress, handed to [on_step]. *)
+
+val capture : live -> resume_state
+(** The run's resume state at this boundary.  Raises [Invalid_argument]
+    outside [on_step] or unless the boundary is clean: machine not
+    halted, power up, no forced outage pending. *)
+
+val rejoin : live -> fast_forward -> unit
+(** End the run after this step, its outcome reconstructed as the live
+    counters plus the reference deltas [ff_final - ff_at].  The caller
+    must only certify a genuine bit-level architectural match
+    ({!Wn_machine.Machine.matches_state}) against the run [ff] came
+    from, on the same supply script — then the reconstruction is exact
+    for [completed], [skimmed], [outage_count] and [retired], while the
+    cycle-accounting fields ([wall], [active], [overhead],
+    [reexecuted], [checkpoint_count]) are exact relative to the
+    reference run's own policy phase (a Clank watchdog realigned by an
+    earlier outage may differ from a literal continuation).  The
+    machine is left at the matched state, not at halt.  Raises
+    [Invalid_argument] outside [on_step]. *)
+
 val run :
   ?policy:policy ->
   ?engine:engine ->
   ?max_wall_cycles:int ->
-  ?snapshot_every:int ->
-  ?snapshot:snapshot_hook ->
   ?halt_at_skim:bool ->
-  ?on_checkpoint:(int -> unit) ->
-  ?on_restore:(int -> unit) ->
-  ?on_region:(cycles:int -> unit) ->
-  ?on_step:(unit -> unit) ->
   ?resume:resume_state ->
-  ?keyframe_every:int ->
-  ?on_keyframe:(resume_state -> unit) ->
-  ?fast_forward:(unit -> fast_forward option) ->
+  ?on_step:(live -> unit) ->
+  ?on_event:(event -> unit) ->
   machine:Wn_machine.Machine.t ->
   supply:Wn_power.Supply.t ->
   unit ->
@@ -127,63 +149,23 @@ val run :
     point is latched: the skim jump is taken immediately, committing the
     earliest available output — the configuration of the paper's
     memoization, small-subword and sampling studies ("when the earliest
-    available output is taken").
+    available output is taken").  No power is lost, so the jump reports
+    no event.
 
-    Fault-injection hooks (either engine): [on_checkpoint n] fires after
-    each Clank checkpoint completes, with [n] the machine's total
-    retired-instruction count at that instant; [on_restore k] fires
-    after the [k]'th outage's restore completes — skim jump taken or
-    rollback applied — with the machine in exactly the state execution
-    resumes from.  Additionally, if the machine's step budget
-    ({!Wn_machine.Machine.set_step_budget}) reaches zero the executor
-    clears it and forces an outage ({!Wn_power.Supply.cut}) at that
-    exact instruction boundary.
-
-    Region metering: [on_region ~cycles] fires at every
-    power-fail-safe point with the number of cycles burned — execution
-    plus runtime overhead (checkpoint, restore) — since the previous
-    such point.  Safe points are: a Clank checkpoint committing (the
-    window includes the checkpoint's own cycles), power dying (the
-    next window opens with the restore), every retired instruction
-    under NVP or always-on (their state commits continuously), and the
-    run ending.  The maximum reported value is the dynamic quantity
-    the static WCEC verifier's per-charge bound
-    ({!Wn_analysis.Progress.max_region_cycles}) must dominate; the
-    soundness oracle in the test suite checks exactly that.  Windows
-    are metered for from-scratch runs only: combining [on_region] with
-    [resume] or [fast_forward] raises [Invalid_argument].
-
-    Observation and keyframes: [on_step] fires after every instruction's
-    post-step accounting, with the machine's [last_*] scratch accessors
-    valid — the streaming profiler in [wn.faults] records store/SKM
-    boundaries and prefix digests through it.  With [keyframe_every = k]
-    and [on_keyframe] set, a {!resume_state} is captured and handed to
-    the hook at every [k]'th retired instruction (counted from task
-    start) that is a clean boundary — machine not halted, power up, no
-    forced outage pending.  [keyframe_every] must be >= 1.
+    Observers (either engine): [on_step] runs after every retired
+    instruction's accounting, with the machine's [last_*] scratch
+    accessors valid, and turns block fusion off; it may {!capture} the
+    run or {!rejoin} a reference run.  [on_event] reports each runtime
+    {!event} the moment it happens and never changes how the run steps.
+    If the machine's step budget ({!Wn_machine.Machine.set_step_budget})
+    reaches zero the executor clears it and forces an outage
+    ({!Wn_power.Supply.cut}) at that exact instruction boundary.
 
     Resume: [resume] seeds the run with a previously captured
     [resume_state]; the caller must first restore the matching
     {!Wn_machine.Machine.snapshot} into [machine] (and may then set a
-    fresh step budget).  The policy must match the one the state was
+    fresh step budget).  The policy must equal the one the state was
     captured under, or [Invalid_argument] is raised.  A resumed run's
     [outcome] reports totals from task start and is bit-identical to
-    running from scratch.
-
-    Fast-forward: [fast_forward] is probed after every instruction's
-    post-step accounting (after [on_step]) until the run skim-commits —
-    a commit leaves the trajectory the certificate describes, so the
-    probe is dropped rather than paid on every commit-tail step;
-    returning [Some ff] ends the run immediately with the outcome
-    reconstructed as the live counters plus the reference deltas
-    [ff_final - ff_at].  The probe must only
-    certify a genuine bit-level architectural match
-    ({!Wn_machine.Machine.matches_state}) against the run [ff] came
-    from, on the same supply script — then the reconstruction is exact
-    for [completed], [skimmed], [outage_count] and [retired], while the
-    cycle-accounting fields ([wall], [active], [overhead],
-    [reexecuted], [checkpoint_count]) are exact relative to the
-    reference run's own policy phase (a Clank watchdog realigned by an
-    earlier outage may differ from a literal continuation).  When it
-    fires, the machine is left at the matched state, not at halt, and
-    the [snapshot] hook does not replay over the skipped tail. *)
+    running from scratch; its events are exactly those from the resume
+    point on. *)

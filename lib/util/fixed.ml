@@ -5,8 +5,6 @@ let make ~width ~frac =
   { width; frac }
 
 let q8_8 = make ~width:16 ~frac:8
-let q16_8 = make ~width:32 ~frac:8
-let q24_8 = make ~width:32 ~frac:8
 
 let scale fmt = float_of_int (1 lsl fmt.frac)
 

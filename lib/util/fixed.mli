@@ -14,13 +14,6 @@ val q8_8 : format
 (** 16-bit values with 8 fractional bits — the format of the 16-bit
     benchmarks (Conv2d, MatMul, Var). *)
 
-val q16_8 : format
-(** 32-bit values with 8 fractional bits — wide accumulators. *)
-
-val q24_8 : format
-(** 32-bit values with 8 fractional bits, alias used by 32-bit
-    benchmarks (Home, NetMotion, MatAdd). *)
-
 val of_float : format -> float -> int
 (** Round-to-nearest conversion, saturating at the format's range. The
     result is the raw two's-complement bit pattern (unsigned int). *)

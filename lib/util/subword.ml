@@ -1,5 +1,3 @@
-let word_bits = 32
-
 let mask bits =
   if bits <= 0 || bits > 62 then invalid_arg "Subword.mask"
   else (1 lsl bits) - 1
@@ -37,20 +35,22 @@ let to_signed = sign_extend
 
 let of_signed ~bits v = truncate ~bits v
 
-let lanes_map2 ~lane_bits ~width f a b =
+(* A plain loop over the lanes: the machine's ASV instructions call
+   these on every step, so nothing here may allocate. *)
+let lanes ~sub ~lane_bits ~width a b =
   let n = count ~bits:lane_bits ~width in
-  let rec loop pos acc =
-    if pos >= n then acc
-    else
-      let la = extract ~bits:lane_bits ~pos a
-      and lb = extract ~bits:lane_bits ~pos b in
-      let r = truncate ~bits:lane_bits (f la lb) in
-      loop (pos + 1) (insert ~bits:lane_bits ~pos ~into:acc r)
-  in
-  loop 0 0
+  let m = mask lane_bits in
+  let acc = ref 0 in
+  for pos = 0 to n - 1 do
+    let shift = pos * lane_bits in
+    let la = (a lsr shift) land m and lb = (b lsr shift) land m in
+    let r = if sub then la - lb else la + lb in
+    acc := !acc lor ((r land m) lsl shift)
+  done;
+  !acc
 
-let lanes_add ~lane_bits ~width a b = lanes_map2 ~lane_bits ~width ( + ) a b
-let lanes_sub ~lane_bits ~width a b = lanes_map2 ~lane_bits ~width ( - ) a b
+let lanes_add ~lane_bits ~width a b = lanes ~sub:false ~lane_bits ~width a b
+let lanes_sub ~lane_bits ~width a b = lanes ~sub:true ~lane_bits ~width a b
 
 let reconstruct_prefix ~bits ~width ~taken v =
   let n = count ~bits ~width in

@@ -5,9 +5,6 @@
     numbered from 0 (least significant) upward.  All values are unsigned
     bit patterns carried in OCaml [int]s; words are at most 32 bits. *)
 
-val word_bits : int
-(** Width of a full machine word (32). *)
-
 val mask : int -> int
 (** [mask bits] is the all-ones pattern of width [bits].
     Raises [Invalid_argument] unless [0 < bits <= 62]. *)
@@ -55,10 +52,6 @@ val lanes_add : lane_bits:int -> width:int -> int -> int -> int
 
 val lanes_sub : lane_bits:int -> width:int -> int -> int -> int
 (** Lane-wise subtraction (borrows cut at lane boundaries). *)
-
-val lanes_map2 : lane_bits:int -> width:int -> (int -> int -> int) -> int -> int -> int
-(** [lanes_map2 ~lane_bits ~width f a b] applies [f] to each pair of
-    lanes, truncating each result to the lane width. *)
 
 val reconstruct_prefix : bits:int -> width:int -> taken:int -> int -> int
 (** [reconstruct_prefix ~bits ~width ~taken v] keeps the [taken] most

@@ -29,9 +29,6 @@ let synthesize_precise rng ~width ~height =
       let v = base +. blob_sum +. noise in
       Float.max 0.0 (Float.min 255.0 v))
 
-let synthesize rng ~width ~height =
-  Array.map int_of_float (synthesize_precise rng ~width ~height)
-
 let gaussian_filter ~k ~weight_sum =
   if k <= 0 || k mod 2 = 0 then invalid_arg "Image.gaussian_filter";
   let sigma = float_of_int k /. 5.0 in

@@ -1,16 +1,12 @@
 (** Synthetic grayscale imagery and PGM output for the Conv2d study
     (Figures 2 and 16). *)
 
-val synthesize : Wn_util.Rng.t -> width:int -> height:int -> int array
-(** A natural-looking test scene: smooth illumination gradient plus a
-    few Gaussian blobs and light sensor noise.  Pixels in [0, 255],
-    row-major. *)
-
 val synthesize_precise :
   Wn_util.Rng.t -> width:int -> height:int -> float array
-(** The same scene before quantisation — Q8.8 sensor pixels keep the
-    fractional bits, so the low byte of each 16-bit sample carries real
-    signal. *)
+(** A natural-looking test scene: smooth illumination gradient plus a
+    few Gaussian blobs and light sensor noise.  Pixels in [0, 255],
+    row-major, unquantised — Q8.8 sensor pixels keep the fractional
+    bits, so the low byte of each 16-bit sample carries real signal. *)
 
 val gaussian_filter : k:int -> weight_sum:int -> int array
 (** A [k]×[k] Gaussian kernel quantised to non-negative integers that

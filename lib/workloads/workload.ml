@@ -4,8 +4,6 @@ type scale = Small | Paper
 
 type cfg = { bits : int; provisioned : bool }
 
-let default_cfg = { bits = 8; provisioned = true }
-
 type t = {
   name : string;
   area : string;

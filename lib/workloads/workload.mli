@@ -16,9 +16,6 @@ type scale = Small | Paper
 
 type cfg = { bits : int; provisioned : bool }
 
-val default_cfg : cfg
-(** 8-bit subwords, provisioned (the paper's headline configuration). *)
-
 type t = {
   name : string;
   area : string;  (** Table I's "Area" column *)

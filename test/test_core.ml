@@ -25,7 +25,31 @@ let test_curve_matadd () =
   let pts = c.Wn_core.Curves.points in
   let first = (List.hd pts).Wn_core.Curves.nrmse in
   let last = (List.nth pts (List.length pts - 1)).Wn_core.Curves.nrmse in
-  if last > first then Alcotest.fail "error grew over the run"
+  if last > first then Alcotest.fail "error grew over the run";
+  (* Sampling cadence: one point at the first instruction boundary past
+     each multiple of the period (the default 48 points spread over
+     three baselines, at least 200 cycles apart), plus the final
+     point. *)
+  let baseline = c.Wn_core.Curves.baseline_cycles in
+  let period = max 200 (baseline * 3 / 48) in
+  let actives =
+    List.map
+      (fun p ->
+        int_of_float (Float.round (p.Wn_core.Curves.runtime *. float_of_int baseline)))
+      pts
+  in
+  Alcotest.(check int) "one point per period crossed, plus the final"
+    ((c.Wn_core.Curves.anytime_cycles / period) + 1)
+    (List.length actives);
+  List.iteri
+    (fun i a ->
+      let mark = (i + 1) * period in
+      if i < List.length actives - 1 && (a < mark || a >= mark + period) then
+        Alcotest.failf "point %d at %d active cycles, period mark %d" i a mark)
+    actives;
+  Alcotest.(check int) "final point at the end of the run"
+    c.Wn_core.Curves.anytime_cycles
+    (List.nth actives (List.length actives - 1))
 
 let test_curve_provisioning_study () =
   (* Figure 14: unprovisioned addition plateaus above zero error while

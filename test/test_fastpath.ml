@@ -296,8 +296,10 @@ let coalescing_regression wname () =
 
 (* ---------------- zero allocation ---------------- *)
 
-(* ALU / load / store / branch / multiply / SKM steady-state loop that
-   cannot halt within the measured window. *)
+(* ALU / lane-parallel ASV / load / store / branch / multiply / SKM
+   steady-state loop that cannot halt within the measured window; the
+   ASV instructions (8- and 16-bit lanes) sit in the fused run after
+   the load. *)
 let alloc_probe_program =
   Asm.assemble_exn
     [
@@ -309,6 +311,10 @@ let alloc_probe_program =
         (Instr.Ldr
            { width = Instr.Word; signed = false; rd = Reg.r 3; base = Reg.r 0; off = 0 });
       Asm.I (Instr.Alu (Instr.Add, Reg.r 3, Reg.r 3, Reg.r 1));
+      Asm.I (Instr.Add_asv (8, Reg.r 5, Reg.r 3, Reg.r 1));
+      Asm.I (Instr.Sub_asv (8, Reg.r 6, Reg.r 5, Reg.r 3));
+      Asm.I (Instr.Add_asv (16, Reg.r 7, Reg.r 6, Reg.r 5));
+      Asm.I (Instr.Sub_asv (16, Reg.r 8, Reg.r 7, Reg.r 1));
       Asm.I (Instr.Str { width = Instr.Word; rs = Reg.r 3; base = Reg.r 0; off = 0 });
       Asm.I (Instr.Mul (Reg.r 4, Reg.r 3, Reg.r 1));
       Asm.I (Instr.Skm "done");

@@ -175,7 +175,11 @@ let test_survey_matches_raw_passes () =
   let m2 = sc.Faults.fresh () in
   let ckpts = ref [] in
   ignore
-    (Executor.run ~policy ~on_checkpoint:(fun r -> ckpts := r :: !ckpts)
+    (Executor.run ~policy
+       ~on_event:(function
+         | Executor.Checkpoint ->
+             ckpts := Machine.instructions_retired m2 :: !ckpts
+         | Executor.Outage | Executor.Restore | Executor.Skim_restore -> ())
        ~machine:m2 ~supply:(Wn_power.Supply.scripted ()) ());
   let s = Faults.survey ~boundaries ~keyframe_interval:16 sc in
   let p = s.Faults.sv_profile in

@@ -1,9 +1,11 @@
 (* Soundness oracle for the static forward-progress verifier: the
    per-charge WCEC bound computed by Wn_analysis.Progress must dominate
-   the largest burn window the executor actually meters (via the
-   [on_region] hook) for every suite benchmark, runtime policy and skim
+   the largest burn window folded from the executor's event stream
+   ({!Event_fold}) for every suite benchmark, runtime policy and skim
    configuration — under a supply scripted to force outages at awkward
-   instants.  Plus the seeded "doomed" configuration: a capacitor too
+   instants.  The same fold must reproduce the executor's own outcome
+   counters, so the stream doubles as a consistency check on its
+   accounting.  Plus the seeded "doomed" configuration: a capacitor too
    small for any region, which the verifier must flag as an error and
    the simulator must confirm makes no progress. *)
 
@@ -33,29 +35,23 @@ let policies =
     ("nvp", Executor.Nvp Executor.default_nvp, Progress.nvp ());
   ]
 
-let run_metered ~policy ~halt_at_skim b =
+let run_metered ?engine ~policy ~halt_at_skim b =
   let w = b.Runner.workload in
   let m = Runner.machine b in
   Runner.load_sample b m (w.Workload.fresh_inputs (Rng.create 11));
   let supply = Wn_power.Supply.scripted ~outages:outage_script () in
-  let max_region = ref 0 in
   let program = Machine.program m in
-  let outcome =
-    Executor.run ~policy ~halt_at_skim
-      ~on_region:(fun ~cycles -> if cycles > !max_region then max_region := cycles)
-      ~on_step:(fun () ->
-        (* Satellite check: the dynamic latency of every retired
-           instruction stays within the static per-instruction
-           ceiling the WCEC sums are built from. *)
-        let pc = Machine.last_pc m in
-        if Machine.last_cycles m > Machine.worst_case_cycles program.(pc)
-        then
-          Alcotest.failf "pc %d: dynamic %d cycles > static ceiling %d" pc
-            (Machine.last_cycles m)
-            (Machine.worst_case_cycles program.(pc)))
-      ~machine:m ~supply ()
+  (* Satellite check: the dynamic latency of every retired instruction
+     stays within the static per-instruction ceiling the WCEC sums are
+     built from. *)
+  let check () =
+    let pc = Machine.last_pc m in
+    if Machine.last_cycles m > Machine.worst_case_cycles program.(pc) then
+      Alcotest.failf "pc %d: dynamic %d cycles > static ceiling %d" pc
+        (Machine.last_cycles m)
+        (Machine.worst_case_cycles program.(pc))
   in
-  (outcome, !max_region)
+  Event_fold.run ?engine ~halt_at_skim ~check ~policy ~machine:m ~supply ()
 
 let test_static_dominates_dynamic () =
   List.iter
@@ -71,7 +67,8 @@ let test_static_dominates_dynamic () =
           in
           List.iter
             (fun halt_at_skim ->
-              let outcome, dynamic = run_metered ~policy ~halt_at_skim b in
+              let outcome, fold = run_metered ~policy ~halt_at_skim b in
+              let dynamic = fold.Event_fold.max_window in
               let name =
                 Printf.sprintf "%s/%s%s" w.Workload.name pname
                   (if halt_at_skim then "/skim" else "")
@@ -83,6 +80,44 @@ let test_static_dominates_dynamic () =
                   "%s: measured region of %d cycles exceeds static bound %d"
                   name dynamic static)
             [ false; true ])
+        policies)
+    (Suite.extended Workload.Small)
+
+(* Folding the observer stream reproduces the executor's outcome
+   counters exactly, on both engines, with and without skim commits. *)
+let test_event_fold_reproduces_outcome () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let b = Runner.build w { Workload.bits = 8; provisioned = true } in
+      List.iter
+        (fun (pname, policy, _) ->
+          List.iter
+            (fun (ename, engine) ->
+              List.iter
+                (fun halt_at_skim ->
+                  let o, f = run_metered ~engine ~policy ~halt_at_skim b in
+                  let name =
+                    Printf.sprintf "%s/%s/%s%s" w.Workload.name pname ename
+                      (if halt_at_skim then "/skim" else "")
+                  in
+                  let field what expected folded =
+                    Alcotest.(check int) (name ^ ": " ^ what) expected folded
+                  in
+                  field "retired" o.Executor.retired f.Event_fold.retired;
+                  field "active" o.Executor.active_cycles f.Event_fold.active;
+                  field "overhead" o.Executor.overhead_cycles
+                    f.Event_fold.overhead;
+                  field "outages" o.Executor.outage_count f.Event_fold.outages;
+                  field "checkpoints" o.Executor.checkpoint_count
+                    f.Event_fold.checkpoints;
+                  field "re-executed" o.Executor.reexecuted_instructions
+                    f.Event_fold.reexecuted;
+                  Alcotest.(check bool) (name ^ ": skimmed") o.Executor.skimmed
+                    f.Event_fold.skimmed;
+                  Alcotest.(check (option int)) (name ^ ": first skim")
+                    o.Executor.first_skim_active f.Event_fold.first_skim_active)
+                [ false; true ])
+            [ ("block", Executor.Block); ("reference", Executor.Reference) ])
         policies)
     (Suite.extended Workload.Small)
 
@@ -171,6 +206,11 @@ let () =
             test_static_dominates_dynamic;
           Alcotest.test_case "whole-program bound dominates always-on" `Quick
             test_total_dominates_always_on;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "event fold reproduces the outcome" `Quick
+            test_event_fold_reproduces_outcome;
         ] );
       ( "doomed",
         [

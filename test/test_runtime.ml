@@ -252,45 +252,64 @@ let test_max_wall_guard () =
   in
   Alcotest.(check bool) "gave up" false o.Executor.completed
 
-let test_snapshots_fire () =
-  let machine, _ = fresh ~program:(loop_program ~iters:500 ()) () in
-  let count = ref 0 in
-  let o =
-    Executor.run ~snapshot_every:500
-      ~snapshot:(fun ~active_cycles:_ ~wall_cycles:_ -> incr count)
-      ~machine ~supply:(Supply.always_on ()) ()
-  in
-  let expected = o.Executor.active_cycles / 500 in
-  if !count < expected - 1 || !count > expected + 2 then
-    Alcotest.failf "snapshot count %d for %d cycles" !count o.Executor.active_cycles
+(* The first state [capture] returns on a run of [fresh ()] under
+   [policy], and the machine snapshot taken with it. *)
+let first_capture policy =
+  let machine, _ = fresh () in
+  let first = ref None in
+  ignore
+    (Executor.run ~policy
+       ~on_step:(fun live ->
+         if Option.is_none !first then
+           first := Some (Machine.snapshot machine, Executor.capture live))
+       ~machine ~supply:(Supply.always_on ()) ());
+  Option.get !first
 
-(* Region metering cannot see a window opened before a resumed prefix
-   or closed inside a fast-forwarded tail, so the combination is
-   rejected rather than silently undercounted. *)
-let test_region_rejects_resume () =
-  let keyframe = ref None in
+(* [capture] only takes clean boundaries from inside [on_step]. *)
+let test_capture_rejects_halted () =
+  Alcotest.check_raises "halted"
+    (Invalid_argument "Executor.capture: not a clean boundary") (fun () ->
+      let machine, _ = fresh () in
+      ignore
+        (Executor.run
+           ~on_step:(fun live ->
+             if Machine.halted machine then ignore (Executor.capture live))
+           ~machine ~supply:(Supply.always_on ()) ()));
+  let kept = ref None in
   let machine, _ = fresh () in
   ignore
-    (Executor.run ~keyframe_every:10
-       ~on_keyframe:(fun rs ->
-         if Option.is_none !keyframe then keyframe := Some rs)
+    (Executor.run
+       ~on_step:(fun live -> kept := Some live)
        ~machine ~supply:(Supply.always_on ()) ());
-  let resume = Option.get !keyframe in
-  let on_region ~cycles:_ = () in
+  Alcotest.check_raises "after the run"
+    (Invalid_argument "Executor.capture: outside on_step") (fun () ->
+      ignore (Executor.capture (Option.get !kept)))
+
+(* A resume state carries the policy it was captured under; resuming it
+   under any other policy is rejected, same-policy resumes go through. *)
+let test_resume_rejects_other_policy () =
   let expected =
-    Invalid_argument "Executor.run: on_region with resume or fast_forward"
+    Invalid_argument "Executor.run: resume state captured under another policy"
   in
-  Alcotest.check_raises "resume" expected (fun () ->
-      let machine, _ = fresh () in
-      ignore
-        (Executor.run ~on_region ~resume ~machine ~supply:(Supply.always_on ())
-           ()));
-  Alcotest.check_raises "fast_forward" expected (fun () ->
-      let machine, _ = fresh () in
-      ignore
-        (Executor.run ~on_region
-           ~fast_forward:(fun () -> None)
-           ~machine ~supply:(Supply.always_on ()) ()))
+  let resume_under policy (snap, resume) =
+    let machine, _ = fresh () in
+    Machine.restore machine snap;
+    Executor.run ~policy ~resume ~machine ~supply:(Supply.always_on ()) ()
+  in
+  let nvp = Executor.Nvp Executor.default_nvp in
+  let tight =
+    Executor.Clank { Executor.default_clank with watchdog_period = 50 }
+  in
+  let from_nvp = first_capture nvp and from_tight = first_capture tight in
+  Alcotest.check_raises "nvp state under always-on" expected (fun () ->
+      ignore (resume_under Executor.Always_on from_nvp));
+  Alcotest.check_raises "watchdog-50 state under default clank" expected
+    (fun () ->
+      ignore (resume_under (Executor.Clank Executor.default_clank) from_tight));
+  Alcotest.(check bool) "same policy resumes" true
+    (resume_under nvp from_nvp).Executor.completed;
+  Alcotest.(check bool) "same clank config resumes" true
+    (resume_under tight from_tight).Executor.completed
 
 let () =
   Alcotest.run "wn.runtime"
@@ -301,7 +320,6 @@ let () =
           Alcotest.test_case "runs to precise without outage" `Quick
             test_no_skim_runs_to_precise;
           Alcotest.test_case "max wall guard" `Quick test_max_wall_guard;
-          Alcotest.test_case "snapshots" `Quick test_snapshots_fire;
         ] );
       ( "nvp",
         [
@@ -320,9 +338,11 @@ let () =
         ] );
       ( "skim",
         [ Alcotest.test_case "halt at skim" `Quick test_halt_at_skim ] );
-      ( "hooks",
+      ( "observers",
         [
-          Alcotest.test_case "region metering rejects resume and fast-forward"
-            `Quick test_region_rejects_resume;
+          Alcotest.test_case "capture rejects a halted machine" `Quick
+            test_capture_rejects_halted;
+          Alcotest.test_case "resume rejects another policy" `Quick
+            test_resume_rejects_other_policy;
         ] );
     ]

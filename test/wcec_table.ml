@@ -1,8 +1,9 @@
 (* Prints the WCEC-vs-measured table in EXPERIMENTS.md: for every suite
    benchmark, the static per-charge bound under Clank and NVP next to
-   the largest burn window the executor actually meters under a supply
-   scripted to force outages at awkward instants.  Regenerate with
-   [dune exec test/wcec_table.exe]. *)
+   the largest burn window folded from the executor's event stream
+   ({!Event_fold}) under a supply scripted to force outages at awkward
+   instants.  Regenerate with [dune exec test/wcec_table.exe]; CI fails
+   when a printed row is missing from EXPERIMENTS.md. *)
 
 open Wn_runtime
 module Workload = Wn_workloads.Workload
@@ -19,15 +20,9 @@ let measured ~policy b =
   let m = Runner.machine b in
   Runner.load_sample b m (w.Workload.fresh_inputs (Rng.create 11));
   let supply = Wn_power.Supply.scripted ~outages:outage_script () in
-  let max_region = ref 0 in
-  let outcome =
-    Executor.run ~policy
-      ~on_region:(fun ~cycles ->
-        if cycles > !max_region then max_region := cycles)
-      ~machine:m ~supply ()
-  in
+  let outcome, fold = Event_fold.run ~policy ~machine:m ~supply () in
   assert outcome.Executor.completed;
-  !max_region
+  fold.Event_fold.max_window
 
 let bound = function
   | Progress.Finite c -> string_of_int c
