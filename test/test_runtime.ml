@@ -252,6 +252,27 @@ let test_max_wall_guard () =
   in
   Alcotest.(check bool) "gave up" false o.Executor.completed
 
+(* An [on_step] observer sampling every 500 active cycles, the way
+   [Curves] does: always-on spends no overhead, so the retired latency
+   sum is the active count and the samples track it. *)
+let test_snapshots_fire () =
+  let machine, _ = fresh ~program:(loop_program ~iters:500 ()) () in
+  let count = ref 0 and active = ref 0 and next = ref 500 in
+  let o =
+    Executor.run
+      ~on_step:(fun _ ->
+        active := !active + Machine.last_cycles machine;
+        if !active >= !next then begin
+          incr count;
+          next := !next + 500
+        end)
+      ~machine ~supply:(Supply.always_on ()) ()
+  in
+  Alcotest.(check int) "latency sum = active" o.Executor.active_cycles !active;
+  let expected = o.Executor.active_cycles / 500 in
+  if !count < expected - 1 || !count > expected + 2 then
+    Alcotest.failf "snapshot count %d for %d cycles" !count o.Executor.active_cycles
+
 (* The first state [capture] returns on a run of [fresh ()] under
    [policy], and the machine snapshot taken with it. *)
 let first_capture policy =
@@ -320,6 +341,7 @@ let () =
           Alcotest.test_case "runs to precise without outage" `Quick
             test_no_skim_runs_to_precise;
           Alcotest.test_case "max wall guard" `Quick test_max_wall_guard;
+          Alcotest.test_case "snapshots" `Quick test_snapshots_fire;
         ] );
       ( "nvp",
         [
