@@ -28,14 +28,11 @@ let fusible ~memoizable (i : 'lbl Instr.t) =
   | Instr.Bx_lr | Instr.Skm _ ->
       false
 
-let is_load = function Instr.Ldr _ | Instr.Ldr_reg _ -> true | _ -> false
-
 type run = {
   r_first : int;
   r_len : int;
   r_cycles : int;
   r_loads : int;
-  r_wn : int;
 }
 
 let min_run_len = 2
@@ -54,16 +51,14 @@ let plan ~memoizable program =
   let emit first last =
     let len = last - first + 1 in
     if len >= min_run_len then begin
-      let cycles = ref 0 and loads = ref 0 and wn = ref 0 in
+      let cycles = ref 0 and loads = ref 0 in
       for pc = first to last do
         let i = program.(pc) in
         cycles := !cycles + Instr.worst_cycles i;
-        if is_load i then incr loads;
-        if Instr.is_wn_extension i then incr wn
+        if Instr.reads_memory i then incr loads
       done;
       runs :=
-        { r_first = first; r_len = len; r_cycles = !cycles; r_loads = !loads;
-          r_wn = !wn }
+        { r_first = first; r_len = len; r_cycles = !cycles; r_loads = !loads }
         :: !runs
     end
   in

@@ -24,7 +24,6 @@ type run = {
   r_cycles : int;  (** total latency: sum of [Instr.worst_cycles], exact
                        for fusible instructions *)
   r_loads : int;  (** number of load instructions in the run *)
-  r_wn : int;  (** number of WN-extension instructions in the run *)
 }
 
 val min_run_len : int

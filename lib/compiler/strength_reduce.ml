@@ -4,53 +4,10 @@ open Ast
 let pass_name = "strength-reduce"
 let iv_prefix = "__sr_iv"
 
-module Names = Set.Make (String)
-
 (* The code generator's local pool holds 7 registers (r5-r11). *)
 let local_pool_size = 7
 
 let u32 v = v land 0xFFFF_FFFF
-
-(* ------------------------------------------------------------------ *)
-(* Generic IR queries                                                  *)
-
-let names_of_expr e =
-  let acc = ref Names.empty in
-  iter_expr (function Var v -> acc := Names.add v !acc | _ -> ()) e;
-  !acc
-
-(* Every scalar a statement list can write: declarations (which assign
-   an existing binding under the no-shadowing [Decl] rule), scalar
-   assignments and loop variables of contained loops. *)
-let writes_of_stmts stmts =
-  let acc = ref Names.empty in
-  let add n = acc := Names.add n !acc in
-  let rec go = function
-    | Decl (n, _) -> add n
-    | Assign (Lvar v, _) | Aug_assign (Lvar v, _, _) -> add v
-    | Assign (Larr _, _) | Aug_assign (Larr _, _, _) | Skim_here -> ()
-    | For l ->
-        add l.var;
-        List.iter go l.body
-    | If (_, a, b) ->
-        List.iter go a;
-        List.iter go b
-    | Anytime { body; commit } ->
-        List.iter go body;
-        List.iter go commit
-  in
-  List.iter go stmts;
-  !acc
-
-(* Pure integer arithmetic: safe to duplicate, delete or reorder. *)
-let rec pure_arith e =
-  match e with
-  | Int _ | Var _ -> true
-  | Neg a | Bnot a -> pure_arith a
-  | Binop (op, a, b) -> (not (is_comparison op)) && pure_arith a && pure_arith b
-  | Load _ | Sub_load _ | Mul_asp _ | Asv_op _ | Sqrt _ | Sqrt_asp _
-  | Raw_off _ ->
-      false
 
 (* Exact mirror of the code generator's local-register accounting:
    blocks free their declarations on exit, a [Decl] whose name is bound

@@ -19,8 +19,6 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Shared helpers                                                      *)
 
-module Names = Set.Make (String)
-
 let expr_names e =
   let acc = ref Names.empty in
   let record = function

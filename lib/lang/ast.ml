@@ -125,6 +125,42 @@ let rec iter_exprs_stmt f stmt =
       List.iter (iter_exprs_stmt f) commit
   | Skim_here -> ()
 
+module Names = Set.Make (String)
+
+let names_of_expr e =
+  let acc = ref Names.empty in
+  iter_expr (function Var v -> acc := Names.add v !acc | _ -> ()) e;
+  !acc
+
+let writes_of_stmts stmts =
+  let acc = ref Names.empty in
+  let add n = acc := Names.add n !acc in
+  let rec go = function
+    | Decl (n, _) -> add n
+    | Assign (Lvar v, _) | Aug_assign (Lvar v, _, _) -> add v
+    | Assign (Larr _, _) | Aug_assign (Larr _, _, _) | Skim_here -> ()
+    | For l ->
+        add l.var;
+        List.iter go l.body
+    | If (_, a, b) ->
+        List.iter go a;
+        List.iter go b
+    | Anytime { body; commit } ->
+        List.iter go body;
+        List.iter go commit
+  in
+  List.iter go stmts;
+  !acc
+
+let rec pure_arith e =
+  match e with
+  | Int _ | Var _ -> true
+  | Neg a | Bnot a -> pure_arith a
+  | Binop (op, a, b) -> (not (is_comparison op)) && pure_arith a && pure_arith b
+  | Load _ | Sub_load _ | Mul_asp _ | Asv_op _ | Sqrt _ | Sqrt_asp _
+  | Raw_off _ ->
+      false
+
 let rec map_expr f e =
   let e =
     match e with

@@ -129,6 +129,21 @@ val map_expr : (expr -> expr) -> expr -> expr
 val iter_exprs_stmt : (expr -> unit) -> stmt -> unit
 (** Visit every expression in a statement tree. *)
 
+module Names : Set.S with type elt = string
+
+val names_of_expr : expr -> Names.t
+(** Scalar variables an expression reads (array names excluded). *)
+
+val writes_of_stmts : stmt list -> Names.t
+(** Every scalar a statement list can write: declarations (which assign
+    an existing binding under the no-shadowing [Decl] rule), scalar
+    assignments and loop variables of contained loops.  Array stores
+    are excluded. *)
+
+val pure_arith : expr -> bool
+(** Pure integer arithmetic over constants and scalars (no comparison,
+    load or WN operation): safe to duplicate, delete or reorder. *)
+
 val map_exprs_stmt : (expr -> expr) -> stmt -> stmt
 (** Rewrite every expression in a statement tree (applied bottom-up to
     sub-expressions first). *)

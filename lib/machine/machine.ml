@@ -7,13 +7,16 @@ let default_config = { memo_entries = None; zero_skip = false }
 
 (* The core keeps two representations of the program: the [int Instr.t]
    array (the architectural instruction memory, used for disassembly,
-   static analysis and the reference interpreter) and a predecoded
-   dispatch table [code] built once at [create] — one closure per PC,
-   capturing only immutable operand data (register indices, immediates,
-   precomputed latencies).  [step_fast] dispatches through [code] and
-   reports its effects in the [last_*] scratch fields without
-   allocating; [step_reference] interprets the [int Instr.t] array
-   directly and leaves the same scratch.
+   static analysis and the reference interpreter) and the compiled table
+   [code] built once at [create] — one closure per PC holding only the
+   instruction's effect on architectural state, capturing only immutable
+   operand data.  [step_fast] presets the fall-through pc and the static
+   latency [cost.(pc)] and calls the closure, which overrides them only
+   where the instruction decides otherwise; [exec_block] calls the
+   closures of a fused run back to back.  Both report effects in the
+   [last_*] scratch fields without allocating; [step_reference]
+   interprets the [int Instr.t] array directly and leaves the same
+   scratch.
 
    Flags are four mutable bools (not a [Cond.flags] record) so [Cmp]
    does not allocate; [flags] materialises the record on demand. *)
@@ -40,6 +43,12 @@ type t = {
      without per-step overhead beyond one int compare. *)
   mutable steps_left : int;
   code : (t -> unit) array;
+  cost : int array;  (* [Instr.cycles ~taken:false] per pc *)
+  (* Effective address of the latest execution of the load at each pc
+     (other slots unused): the loads of one fused run sit at distinct
+     pcs, so the executor reads them back after the run commits to
+     replay Clank read tracking. *)
+  load_addr : int array;
   (* step_fast scratch: effects of the last instruction, encoded without
      allocation.  Addresses are -1 when the instruction made no access
      of that kind; the byte counts are only meaningful when the
@@ -50,36 +59,24 @@ type t = {
   mutable last_read_bytes : int;
   mutable last_wrote_addr : int;
   mutable last_wrote_bytes : int;
-  mutable last_memo_hit : bool;
-  mutable last_zero_skipped : bool;
   mutable last_skm : bool;
-  (* Block-compiled execution: per-pc table of fused superinstructions
-     (entries only at run-start pcs), built lazily on first use because
-     it needs a CFG pass over the program.  [blk_reads] is the scratch
-     ring fused load closures record their effective addresses into —
-     fixed slots, one per load of the executing run, so the executor can
-     replay Clank read tracking after the block commits. *)
+  (* Block-compiled execution: per-pc table of fused runs (entries only
+     at run-start pcs), built lazily on first use because it needs a CFG
+     pass over the program. *)
   mutable fused_table : fused option array;
-  mutable blk_reads : int array;
   mutable blocks_built : bool;
 }
 
 (* One fused run: straight-line, store-free, [Skm]-free, statically
-   timed (see [Wn_analysis.Fuse]).  [b_code] holds one bare closure per
-   instruction — the architectural effect only, none of the per-step
-   scratch/pc/statistics writes, which [exec_block] batches. *)
+   timed (see [Wn_analysis.Fuse]). *)
 and fused = {
   b_first : int;
   b_len : int;
-  b_cycles : int;  (* total latency: sum of [Instr.worst_cycles], exact *)
+  b_cycles : int;  (* total latency, exact *)
   b_pre_cycles : int;  (* cycles before the last instruction *)
-  b_last_cost : int;
-  b_costs : int array;  (* static per-instruction latency, in order *)
-  b_loads : int;  (* load instructions in the run *)
-  b_wn : int;  (* WN-extension instructions in the run *)
+  b_costs : int array;  (* [cost] over the run, in order *)
+  b_load_pcs : int array;  (* pcs of the run's loads, in order *)
   b_last_is_load : bool;
-  b_read_bytes : int;  (* bytes of the run's last load; 0 if no load *)
-  b_code : (t -> unit) array;
 }
 
 let u32 v = v land 0xFFFF_FFFF
@@ -159,265 +156,164 @@ let writer (width : Instr.width) =
 let access_bytes (width : Instr.width) =
   match width with Instr.Byte -> 1 | Instr.Half -> 2 | Instr.Word -> 4
 
+(* Register accesses skip the bounds check: [Reg.t] is a private int
+   that [Reg.r] validates to [0 <= i < Reg.count], and the register file
+   is always [Reg.count] long.  Top-level so that they inline into the
+   closures below. *)
+let[@inline] get t r = Array.unsafe_get t.regs r
+let[@inline] set t r v = Array.unsafe_set t.regs r v
+
+let[@inline] loaded t pc addr bytes =
+  Array.unsafe_set t.load_addr pc addr;
+  t.last_read_addr <- addr;
+  t.last_read_bytes <- bytes
+
+let[@inline] stored t addr bytes =
+  t.last_wrote_addr <- addr;
+  t.last_wrote_bytes <- bytes
+
 (* Multiply front end (zero-skip / memoization), specialized per machine
-   configuration at predecode time.  Decides the latency actually paid
-   and the hit/skip statistics; the caller writes the product. *)
-let mul_front ~zero_skip ~memo_table ~full =
+   configuration at predecode time.  Overrides the preset full latency
+   when a shortcut applies; the caller writes the product. *)
+let mul_front ~zero_skip ~memo_table =
   match (memo_table, zero_skip) with
-  | None, false -> fun t _a _b -> t.last_cycles <- full
-  | None, true ->
-      fun t a b ->
-        if a = 0 || b = 0 then begin
-          t.last_cycles <- 1;
-          t.last_zero_skipped <- true
-        end
-        else t.last_cycles <- full
+  | None, false -> fun _t _a _b -> ()
+  | None, true -> fun t a b -> if a = 0 || b = 0 then t.last_cycles <- 1
   | Some table, zs ->
       fun t a b ->
-        if zs && (a = 0 || b = 0) then begin
-          t.last_cycles <- 1;
-          t.last_zero_skipped <- true
-        end
+        if zs && (a = 0 || b = 0) then t.last_cycles <- 1
         else begin
           ignore (Memo.find_or_add table ~a ~b ~miss:(u32 (a * b)));
-          if Memo.last_was_hit table then begin
-            t.last_cycles <- 1;
-            t.last_memo_hit <- true
-          end
-          else t.last_cycles <- full
+          if Memo.last_was_hit table then t.last_cycles <- 1
         end
 
-(* One dispatch closure per PC.  Closures never capture the machine
-   itself, only operand data, so a single predecoded table serves the
-   machine for its whole lifetime — [reset_for_new_task] and
-   [scrub_volatile] need no re-decode. *)
+(* One closure per PC: the instruction's effect on architectural state.
+   The caller has already set [pcv] to the fall-through pc and
+   [last_cycles] to [cost.(pc)]; a closure writes them only to override
+   that preset, for a taken branch, a call or return, or a multiply
+   shortcut.  Closures never capture the machine itself, only operand
+   data, so a single table serves the machine for its whole lifetime —
+   [reset_for_new_task] and [scrub_volatile] need no re-decode. *)
 let compile_op ~zero_skip ~memo_table pc (i : int Instr.t) : t -> unit =
-  let next = pc + 1 in
   let idx = Reg.index in
   match i with
-  | Instr.Nop ->
-      fun t ->
-        t.last_cycles <- 1;
-        t.pcv <- next
-  | Instr.Halt ->
-      fun t ->
-        t.halt <- true;
-        t.last_cycles <- 1;
-        t.pcv <- next
+  | Instr.Nop -> fun _ -> ()
+  | Instr.Halt -> fun t -> t.halt <- true
   | Instr.Mov_imm (rd, imm) ->
       let rd = idx rd and imm = u32 imm in
-      fun t ->
-        t.regs.(rd) <- imm;
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set t rd imm
   | Instr.Movt (rd, imm) ->
       let rd = idx rd and hi = imm lsl 16 in
-      fun t ->
-        t.regs.(rd) <- u32 ((t.regs.(rd) land 0xFFFF) lor hi);
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set t rd (u32 ((get t rd land 0xFFFF) lor hi))
   | Instr.Mov (rd, rn) ->
       let rd = idx rd and rn = idx rn in
-      fun t ->
-        t.regs.(rd) <- t.regs.(rn);
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set t rd (get t rn)
   | Instr.Alu (op, rd, rn, rm) ->
       let rd = idx rd and rn = idx rn and rm = idx rm in
-      fun t ->
-        t.regs.(rd) <- u32 (alu_eval op t.regs.(rn) t.regs.(rm));
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set t rd (u32 (alu_eval op (get t rn) (get t rm)))
   | Instr.Alu_imm (op, rd, rn, imm) ->
       let rd = idx rd and rn = idx rn in
-      fun t ->
-        t.regs.(rd) <- u32 (alu_eval op t.regs.(rn) imm);
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set t rd (u32 (alu_eval op (get t rn) imm))
   | Instr.Shift (op, rd, rn, sh) -> (
       let rd = idx rd and rn = idx rn in
       match op with
-      | Instr.Lsl ->
-          fun t ->
-            t.regs.(rd) <- u32 (t.regs.(rn) lsl sh);
-            t.last_cycles <- 1;
-            t.pcv <- next
-      | Instr.Lsr ->
-          fun t ->
-            t.regs.(rd) <- u32 (t.regs.(rn) lsr sh);
-            t.last_cycles <- 1;
-            t.pcv <- next
-      | Instr.Asr ->
-          fun t ->
-            t.regs.(rd) <- u32 (signed32 t.regs.(rn) asr sh);
-            t.last_cycles <- 1;
-            t.pcv <- next)
-  | Instr.Mul (rd, rn, rm) -> (
+      | Instr.Lsl -> fun t -> set t rd (u32 (get t rn lsl sh))
+      | Instr.Lsr -> fun t -> set t rd (u32 (get t rn lsr sh))
+      | Instr.Asr -> fun t -> set t rd (u32 (signed32 (get t rn) asr sh)))
+  | Instr.Mul (rd, rn, rm) ->
+      (* The product is recomputed even on a memo hit: the table holds
+         [u32 (a * b)] under the exact operand pair, so the two agree. *)
       let rd = idx rd and rn = idx rn and rm = idx rm in
-      match (memo_table, zero_skip) with
-      | None, false ->
-          fun t ->
-            t.regs.(rd) <- u32 (t.regs.(rn) * t.regs.(rm));
-            t.last_cycles <- 16;
-            t.pcv <- next
-      | None, true ->
-          fun t ->
-            let a = t.regs.(rn) and b = t.regs.(rm) in
-            if a = 0 || b = 0 then begin
-              t.regs.(rd) <- 0;
-              t.last_cycles <- 1;
-              t.last_zero_skipped <- true
-            end
-            else begin
-              t.regs.(rd) <- u32 (a * b);
-              t.last_cycles <- 16
-            end;
-            t.pcv <- next
-      | Some table, zs ->
-          fun t ->
-            let a = t.regs.(rn) and b = t.regs.(rm) in
-            if zs && (a = 0 || b = 0) then begin
-              t.regs.(rd) <- 0;
-              t.last_cycles <- 1;
-              t.last_zero_skipped <- true
-            end
-            else begin
-              (* On a hit the cached product is written (it equals the
-                 recomputed one for any table the machine itself filled). *)
-              t.regs.(rd) <- Memo.find_or_add table ~a ~b ~miss:(u32 (a * b));
-              if Memo.last_was_hit table then begin
-                t.last_cycles <- 1;
-                t.last_memo_hit <- true
-              end
-              else t.last_cycles <- 16
-            end;
-            t.pcv <- next)
+      let front = mul_front ~zero_skip ~memo_table in
+      fun t ->
+        let a = get t rn and b = get t rm in
+        front t a b;
+        set t rd (u32 (a * b))
   | Instr.Mul_asp { bits; signed; rd; rn; shift } ->
       (* rd := rd * subword, shifted into place.  The subword sits in
          the low [bits] bits of rn (a byte load or shift put it there);
          the most significant subword of signed data multiplies
          signed. *)
       let rd = idx rd and rn = idx rn in
-      let front = mul_front ~zero_skip ~memo_table ~full:bits in
+      let front = mul_front ~zero_skip ~memo_table in
       fun t ->
-        let sub_raw = Subword.truncate ~bits t.regs.(rn) in
-        let multiplicand = signed32 t.regs.(rd) in
+        let sub_raw = Subword.truncate ~bits (get t rn) in
+        let multiplicand = signed32 (get t rd) in
         let sub = if signed then Subword.to_signed ~bits sub_raw else sub_raw in
         (* The memo table and zero-skip front end decide the latency; the
            product itself is recomputed signed (the cached pattern equals
            it bit-for-bit). *)
         front t (u32 multiplicand) (u32 sub);
-        t.regs.(rd) <- u32 ((multiplicand * sub) lsl shift);
-        t.wn_retired <- t.wn_retired + 1;
-        t.pcv <- next
+        set t rd (u32 ((multiplicand * sub) lsl shift));
+        t.wn_retired <- t.wn_retired + 1
   | Instr.Add_asv (w, rd, rn, rm) ->
       let rd = idx rd and rn = idx rn and rm = idx rm in
       fun t ->
-        t.regs.(rd) <- Subword.lanes_add ~lane_bits:w ~width:32 t.regs.(rn) t.regs.(rm);
-        t.wn_retired <- t.wn_retired + 1;
-        t.last_cycles <- 1;
-        t.pcv <- next
+        set t rd (Subword.lanes_add ~lane_bits:w ~width:32 (get t rn) (get t rm));
+        t.wn_retired <- t.wn_retired + 1
   | Instr.Sub_asv (w, rd, rn, rm) ->
       let rd = idx rd and rn = idx rn and rm = idx rm in
       fun t ->
-        t.regs.(rd) <- Subword.lanes_sub ~lane_bits:w ~width:32 t.regs.(rn) t.regs.(rm);
-        t.wn_retired <- t.wn_retired + 1;
-        t.last_cycles <- 1;
-        t.pcv <- next
+        set t rd (Subword.lanes_sub ~lane_bits:w ~width:32 (get t rn) (get t rm));
+        t.wn_retired <- t.wn_retired + 1
   | Instr.Sqrt (rd, rn) ->
       let rd = idx rd and rn = idx rn in
-      fun t ->
-        t.regs.(rd) <- isqrt_top ~bits:16 t.regs.(rn);
-        t.last_cycles <- 16;
-        t.pcv <- next
+      fun t -> set t rd (isqrt_top ~bits:16 (get t rn))
   | Instr.Sqrt_asp { bits; rd; rn } ->
       let rd = idx rd and rn = idx rn in
       fun t ->
-        t.regs.(rd) <- isqrt_top ~bits t.regs.(rn);
-        t.wn_retired <- t.wn_retired + 1;
-        t.last_cycles <- bits;
-        t.pcv <- next
+        set t rd (isqrt_top ~bits (get t rn));
+        t.wn_retired <- t.wn_retired + 1
   | Instr.Cmp (rn, rm) ->
       let rn = idx rn and rm = idx rm in
-      fun t ->
-        set_compare_flags t t.regs.(rn) t.regs.(rm);
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set_compare_flags t (get t rn) (get t rm)
   | Instr.Cmp_imm (rn, imm) ->
       let rn = idx rn in
-      fun t ->
-        set_compare_flags t t.regs.(rn) imm;
-        t.last_cycles <- 1;
-        t.pcv <- next
+      fun t -> set_compare_flags t (get t rn) imm
   | Instr.Ldr { width; signed; rd; base; off } ->
       let rd = idx rd and base = idx base in
       let read = reader width ~signed and bytes = access_bytes width in
       fun t ->
-        let addr = t.regs.(base) + off in
-        t.regs.(rd) <- read t.mem addr;
-        t.last_read_addr <- addr;
-        t.last_read_bytes <- bytes;
-        t.last_cycles <- 2;
-        t.pcv <- next
+        let addr = get t base + off in
+        set t rd (read t.mem addr);
+        loaded t pc addr bytes
   | Instr.Str { width; rs; base; off } ->
       let rs = idx rs and base = idx base in
       let write = writer width and bytes = access_bytes width in
       fun t ->
-        let addr = t.regs.(base) + off in
-        write t.mem addr t.regs.(rs);
-        t.last_wrote_addr <- addr;
-        t.last_wrote_bytes <- bytes;
-        t.last_cycles <- 2;
-        t.pcv <- next
+        let addr = get t base + off in
+        write t.mem addr (get t rs);
+        stored t addr bytes
   | Instr.Ldr_reg { width; signed; rd; base; idx = ix } ->
       let rd = idx rd and base = idx base and ix = idx ix in
       let read = reader width ~signed and bytes = access_bytes width in
       fun t ->
-        let addr = t.regs.(base) + t.regs.(ix) in
-        t.regs.(rd) <- read t.mem addr;
-        t.last_read_addr <- addr;
-        t.last_read_bytes <- bytes;
-        t.last_cycles <- 2;
-        t.pcv <- next
+        let addr = get t base + get t ix in
+        set t rd (read t.mem addr);
+        loaded t pc addr bytes
   | Instr.Str_reg { width; rs; base; idx = ix } ->
       let rs = idx rs and base = idx base and ix = idx ix in
       let write = writer width and bytes = access_bytes width in
       fun t ->
-        let addr = t.regs.(base) + t.regs.(ix) in
-        write t.mem addr t.regs.(rs);
-        t.last_wrote_addr <- addr;
-        t.last_wrote_bytes <- bytes;
-        t.last_cycles <- 2;
-        t.pcv <- next
-  | Instr.B (c, tgt) -> (
+        let addr = get t base + get t ix in
+        write t.mem addr (get t rs);
+        stored t addr bytes
+  | Instr.B (Cond.Al, tgt) -> fun t -> t.pcv <- tgt
+  | Instr.B (c, tgt) ->
       let taken = Instr.cycles ~taken:true i in
-      let fall = Instr.cycles ~taken:false i in
-      match c with
-      | Cond.Al ->
-          fun t ->
-            t.last_cycles <- taken;
-            t.pcv <- tgt
-      | _ ->
-          fun t ->
-            if holds c t then begin
-              t.last_cycles <- taken;
-              t.pcv <- tgt
-            end
-            else begin
-              t.last_cycles <- fall;
-              t.pcv <- next
-            end)
-  | Instr.Bl tgt ->
-      let lr = Reg.index Reg.lr in
       fun t ->
-        t.regs.(lr) <- u32 next;
-        t.last_cycles <- 2;
+        if holds c t then begin
+          t.last_cycles <- taken;
+          t.pcv <- tgt
+        end
+  | Instr.Bl tgt ->
+      let lr = idx Reg.lr and ret = u32 (pc + 1) in
+      fun t ->
+        set t lr ret;
         t.pcv <- tgt
   | Instr.Bx_lr ->
-      let lr = Reg.index Reg.lr in
-      fun t ->
-        t.last_cycles <- 2;
-        t.pcv <- t.regs.(lr)
+      let lr = idx Reg.lr in
+      fun t -> t.pcv <- get t lr
   | Instr.Skm tgt ->
       (* The option cell is built once here, so latching allocates
          nothing per execution. *)
@@ -425,12 +321,7 @@ let compile_op ~zero_skip ~memo_table pc (i : int Instr.t) : t -> unit =
       fun t ->
         t.skim <- latched;
         t.last_skm <- true;
-        t.wn_retired <- t.wn_retired + 1;
-        t.last_cycles <- 1;
-        t.pcv <- next
-
-let predecode ~zero_skip ~memo_table program =
-  Array.mapi (compile_op ~zero_skip ~memo_table) program
+        t.wn_retired <- t.wn_retired + 1
 
 let create ?(config = default_config) ~program ~mem () =
   let memo_table =
@@ -453,18 +344,18 @@ let create ?(config = default_config) ~program ~mem () =
     wn_retired = 0;
     cycles = 0;
     steps_left = -1;
-    code = predecode ~zero_skip:config.zero_skip ~memo_table program;
+    code =
+      Array.mapi (compile_op ~zero_skip:config.zero_skip ~memo_table) program;
+    cost = Array.map (Instr.cycles ~taken:false) program;
+    load_addr = Array.make (Array.length program) 0;
     last_pc = -1;
     last_cycles = 0;
     last_read_addr = -1;
     last_read_bytes = 0;
     last_wrote_addr = -1;
     last_wrote_bytes = 0;
-    last_memo_hit = false;
-    last_zero_skipped = false;
     last_skm = false;
     fused_table = [||];
-    blk_reads = [||];
     blocks_built = false;
   }
 
@@ -510,9 +401,9 @@ let step_fast t =
   t.last_pc <- pc;
   t.last_read_addr <- -1;
   t.last_wrote_addr <- -1;
-  t.last_memo_hit <- false;
-  t.last_zero_skipped <- false;
   t.last_skm <- false;
+  t.pcv <- pc + 1;
+  t.last_cycles <- Array.unsafe_get t.cost pc;
   (Array.unsafe_get t.code pc) t;
   t.retired <- t.retired + 1;
   t.cycles <- t.cycles + t.last_cycles;
@@ -525,151 +416,37 @@ let last_read_addr t = t.last_read_addr
 let last_read_bytes t = t.last_read_bytes
 let last_wrote_addr t = t.last_wrote_addr
 let last_wrote_bytes t = t.last_wrote_bytes
-let last_memo_hit t = t.last_memo_hit
-let last_zero_skipped t = t.last_zero_skipped
 let last_was_skm t = t.last_skm
 
 (* ---------------- block-compiled execution ---------------- *)
 
-(* Bare closure: the architectural effect of one fused instruction and
-   nothing else.  No [pcv] write (the run's exit pc is static), no
-   [last_*] scratch, no statistics — [exec_block] batches all of those.
-   Loads record their effective address into a fixed [blk_reads] slot so
-   the executor can replay Clank read-set tracking post-commit.  Only
-   instructions [Wn_analysis.Fuse.fusible] accepts reach this compiler;
-   multiplies arrive only in the fixed-latency (no memo, no zero-skip)
-   configuration.  Register accesses skip the bounds check: [Reg.t] is a
-   private int validated to [0 <= i < Reg.count] at construction and the
-   register file is always [Reg.count] long. *)
-let compile_bare ~ring ~slot (i : int Instr.t) : t -> unit =
-  let idx = Reg.index in
-  match i with
-  | Instr.Nop -> fun _ -> ()
-  | Instr.Mov_imm (rd, imm) ->
-      let rd = idx rd and imm = u32 imm in
-      fun t -> Array.unsafe_set t.regs rd (imm)
-  | Instr.Movt (rd, imm) ->
-      let rd = idx rd and hi = imm lsl 16 in
-      fun t -> Array.unsafe_set t.regs rd (u32 (((Array.unsafe_get t.regs rd) land 0xFFFF) lor hi))
-  | Instr.Mov (rd, rn) ->
-      let rd = idx rd and rn = idx rn in
-      fun t -> Array.unsafe_set t.regs rd ((Array.unsafe_get t.regs rn))
-  | Instr.Alu (op, rd, rn, rm) ->
-      let rd = idx rd and rn = idx rn and rm = idx rm in
-      fun t -> Array.unsafe_set t.regs rd (u32 (alu_eval op (Array.unsafe_get t.regs rn) (Array.unsafe_get t.regs rm)))
-  | Instr.Alu_imm (op, rd, rn, imm) ->
-      let rd = idx rd and rn = idx rn in
-      fun t -> Array.unsafe_set t.regs rd (u32 (alu_eval op (Array.unsafe_get t.regs rn) imm))
-  | Instr.Shift (op, rd, rn, sh) -> (
-      let rd = idx rd and rn = idx rn in
-      match op with
-      | Instr.Lsl -> fun t -> Array.unsafe_set t.regs rd (u32 ((Array.unsafe_get t.regs rn) lsl sh))
-      | Instr.Lsr -> fun t -> Array.unsafe_set t.regs rd (u32 ((Array.unsafe_get t.regs rn) lsr sh))
-      | Instr.Asr -> fun t -> Array.unsafe_set t.regs rd (u32 (signed32 (Array.unsafe_get t.regs rn) asr sh)))
-  | Instr.Mul (rd, rn, rm) ->
-      let rd = idx rd and rn = idx rn and rm = idx rm in
-      fun t -> Array.unsafe_set t.regs rd (u32 ((Array.unsafe_get t.regs rn) * (Array.unsafe_get t.regs rm)))
-  | Instr.Mul_asp { bits; signed; rd; rn; shift } ->
-      let rd = idx rd and rn = idx rn in
-      fun t ->
-        let sub_raw = Subword.truncate ~bits (Array.unsafe_get t.regs rn) in
-        let multiplicand = signed32 (Array.unsafe_get t.regs rd) in
-        let sub = if signed then Subword.to_signed ~bits sub_raw else sub_raw in
-        Array.unsafe_set t.regs rd (u32 ((multiplicand * sub) lsl shift))
-  | Instr.Add_asv (w, rd, rn, rm) ->
-      let rd = idx rd and rn = idx rn and rm = idx rm in
-      fun t ->
-        Array.unsafe_set t.regs rd (Subword.lanes_add ~lane_bits:w ~width:32 (Array.unsafe_get t.regs rn) (Array.unsafe_get t.regs rm))
-  | Instr.Sub_asv (w, rd, rn, rm) ->
-      let rd = idx rd and rn = idx rn and rm = idx rm in
-      fun t ->
-        Array.unsafe_set t.regs rd (Subword.lanes_sub ~lane_bits:w ~width:32 (Array.unsafe_get t.regs rn) (Array.unsafe_get t.regs rm))
-  | Instr.Sqrt (rd, rn) ->
-      let rd = idx rd and rn = idx rn in
-      fun t -> Array.unsafe_set t.regs rd (isqrt_top ~bits:16 (Array.unsafe_get t.regs rn))
-  | Instr.Sqrt_asp { bits; rd; rn } ->
-      let rd = idx rd and rn = idx rn in
-      fun t -> Array.unsafe_set t.regs rd (isqrt_top ~bits (Array.unsafe_get t.regs rn))
-  | Instr.Cmp (rn, rm) ->
-      let rn = idx rn and rm = idx rm in
-      fun t -> set_compare_flags t (Array.unsafe_get t.regs rn) (Array.unsafe_get t.regs rm)
-  | Instr.Cmp_imm (rn, imm) ->
-      let rn = idx rn in
-      fun t -> set_compare_flags t (Array.unsafe_get t.regs rn) imm
-  | Instr.Ldr { width; signed; rd; base; off } ->
-      let rd = idx rd and base = idx base in
-      let read = reader width ~signed in
-      fun t ->
-        let addr = (Array.unsafe_get t.regs base) + off in
-        Array.unsafe_set t.regs rd (read t.mem addr);
-        Array.unsafe_set ring slot addr
-  | Instr.Ldr_reg { width; signed; rd; base; idx = ix } ->
-      let rd = idx rd and base = idx base and ix = idx ix in
-      let read = reader width ~signed in
-      fun t ->
-        let addr = (Array.unsafe_get t.regs base) + (Array.unsafe_get t.regs ix) in
-        Array.unsafe_set t.regs rd (read t.mem addr);
-        Array.unsafe_set ring slot addr
-  | Instr.Halt | Instr.Str _ | Instr.Str_reg _ | Instr.B _ | Instr.Bl _
-  | Instr.Bx_lr | Instr.Skm _ ->
-      invalid_arg "Machine.compile_bare: not fusible"
-
-let is_load_instr = function
-  | Instr.Ldr _ | Instr.Ldr_reg _ -> true
-  | _ -> false
-
 let build_blocks t =
   let memoizable = t.memo_table <> None || t.zero_skip in
-  let runs = Wn_analysis.Fuse.plan ~memoizable t.program in
   let table = Array.make (Array.length t.program) None in
-  let max_loads =
-    List.fold_left
-      (fun m (r : Wn_analysis.Fuse.run) -> max m r.Wn_analysis.Fuse.r_loads)
-      1 runs
-  in
-  let ring = Array.make max_loads 0 in
   List.iter
     (fun (r : Wn_analysis.Fuse.run) ->
-      let open Wn_analysis.Fuse in
-      let costs =
-        Array.init r.r_len (fun k ->
-            Instr.worst_cycles t.program.(r.r_first + k))
+      let first = r.Wn_analysis.Fuse.r_first and len = r.Wn_analysis.Fuse.r_len in
+      let last = first + len - 1 in
+      let costs = Array.sub t.cost first len in
+      let cycles = Array.fold_left ( + ) 0 costs in
+      let load_pcs =
+        List.init len (( + ) first)
+        |> List.filter (fun pc -> Instr.reads_memory t.program.(pc))
+        |> Array.of_list
       in
-      let slot = ref 0 in
-      let read_bytes = ref 0 in
-      let code =
-        Array.init r.r_len (fun k ->
-            let i = t.program.(r.r_first + k) in
-            let s = !slot in
-            if is_load_instr i then begin
-              incr slot;
-              (read_bytes :=
-                 match i with
-                 | Instr.Ldr { width; _ } | Instr.Ldr_reg { width; _ } ->
-                     access_bytes width
-                 | _ -> !read_bytes)
-            end;
-            compile_bare ~ring ~slot:s i)
-      in
-      let last_cost = costs.(r.r_len - 1) in
-      table.(r.r_first) <-
+      table.(first) <-
         Some
           {
-            b_first = r.r_first;
-            b_len = r.r_len;
-            b_cycles = r.r_cycles;
-            b_pre_cycles = r.r_cycles - last_cost;
-            b_last_cost = last_cost;
+            b_first = first;
+            b_len = len;
+            b_cycles = cycles;
+            b_pre_cycles = cycles - t.cost.(last);
             b_costs = costs;
-            b_loads = r.r_loads;
-            b_wn = r.r_wn;
-            b_last_is_load = is_load_instr t.program.(r.r_first + r.r_len - 1);
-            b_read_bytes = !read_bytes;
-            b_code = code;
+            b_load_pcs = load_pcs;
+            b_last_is_load = Instr.reads_memory t.program.(last);
           })
-    runs;
+    (Wn_analysis.Fuse.plan ~memoizable t.program);
   t.fused_table <- table;
-  t.blk_reads <- ring;
   t.blocks_built <- true
 
 let block_at t pc =
@@ -682,46 +459,33 @@ let block_len b = b.b_len
 let block_cycles b = b.b_cycles
 let block_pre_cycles b = b.b_pre_cycles
 let block_costs b = b.b_costs
-let block_loads b = b.b_loads
-let block_wn b = b.b_wn
-let block_read_addr t i = t.blk_reads.(i)
+let block_loads b = Array.length b.b_load_pcs
+let block_read_addr t b i = t.load_addr.(b.b_load_pcs.(i))
 
 let budget_covers t n = t.steps_left < 0 || t.steps_left >= n
 
 (* Execute one fused run in a single call.  Preconditions (the executor
    and [step_block] enforce them): machine not halted, [pcv = b.b_first],
-   and the step budget covers the whole run.  Afterwards the machine is
-   bit-identical — architectural state, statistics, step budget and the
-   [last_*] scratch — to [b_len] successive [step_fast] calls:
-
-   - the scratch reflects the run's final instruction, with one
-     subtlety inherited from [step_fast]: [last_read_bytes] /
-     [last_wrote_bytes] are not reset per step, so they keep the bytes
-     of the most recent access *anywhere* before the boundary.  No run
-     contains a store, so [last_wrote_bytes] is left untouched;
-     [last_read_bytes] is overwritten only if the run loaded at all.
-   - an exception from a closure (out-of-bounds load) leaves the batched
-     counters not yet applied, mirroring [step_fast]'s partial-commit
-     behaviour mid-instruction; both engines only diverge on runs that
-     crash, which no lint-clean program does. *)
+   and the step budget covers the whole run.  The run's closures are the
+   ones [step_fast] calls; none of them redirects control or takes a
+   multiply shortcut, so they never read or override the per-step
+   presets, and the bookkeeping [b_len] [step_fast] calls would have
+   done is written once afterwards.  The machine is then bit-identical —
+   architectural state, statistics, step budget and the [last_*]
+   scratch — to those calls: the loads already left the sticky
+   [last_read_bytes], and no run contains a store. *)
 let exec_block t b =
-  let code = b.b_code in
-  for i = 0 to b.b_len - 1 do
-    (Array.unsafe_get code i) t
+  let last = b.b_first + b.b_len - 1 in
+  for pc = b.b_first to last do
+    (Array.unsafe_get t.code pc) t
   done;
-  t.last_pc <- b.b_first + b.b_len - 1;
-  t.last_cycles <- b.b_last_cost;
-  t.last_read_addr <-
-    (if b.b_last_is_load then Array.unsafe_get t.blk_reads (b.b_loads - 1)
-     else -1);
-  if b.b_loads > 0 then t.last_read_bytes <- b.b_read_bytes;
+  t.last_pc <- last;
+  t.last_cycles <- Array.unsafe_get t.cost last;
+  if not b.b_last_is_load then t.last_read_addr <- -1;
   t.last_wrote_addr <- -1;
-  t.last_memo_hit <- false;
-  t.last_zero_skipped <- false;
   t.last_skm <- false;
-  t.pcv <- b.b_first + b.b_len;
+  t.pcv <- last + 1;
   t.retired <- t.retired + b.b_len;
-  t.wn_retired <- t.wn_retired + b.b_wn;
   t.cycles <- t.cycles + b.b_cycles;
   if t.steps_left > 0 then begin
     let r = t.steps_left - b.b_len in
@@ -761,17 +525,17 @@ let store t (width : Instr.width) addr v =
    raw product and the latency actually paid.  (Kept on the reference
    path; exercises the split lookup/insert Memo API.) *)
 let multiply t ~full_cycles a b =
-  if t.zero_skip && (a = 0 || b = 0) then (0, 1, false, true)
+  if t.zero_skip && (a = 0 || b = 0) then (0, 1)
   else
     match t.memo_table with
     | Some table -> (
         match Memo.lookup table ~a ~b with
-        | Some r -> (r, 1, true, false)
+        | Some r -> (r, 1)
         | None ->
             let r = u32 (a * b) in
             Memo.insert table ~a ~b ~result:r;
-            (r, full_cycles, false, false))
-    | None -> (u32 (a * b), full_cycles, false, false)
+            (r, full_cycles))
+    | None -> (u32 (a * b), full_cycles)
 
 (* The direct interpreter over [int Instr.t], kept as the executable
    specification of the ISA: it shares only the ALU, compare and
@@ -792,7 +556,6 @@ let step_reference t =
   let cycles = ref (Instr.cycles ~taken:false i) in
   let pc' = ref next in
   let read_addr = ref (-1) and wrote_addr = ref (-1) in
-  let memo_hit = ref false and zero_skipped = ref false in
   (match i with
   | Instr.Nop -> ()
   | Instr.Halt -> t.halt <- true
@@ -811,22 +574,18 @@ let step_reference t =
       in
       rd_set rd r
   | Instr.Mul (rd, rn, rm) ->
-      let r, c, hit, zs = multiply t ~full_cycles:16 (rv rn) (rv rm) in
+      let r, c = multiply t ~full_cycles:16 (rv rn) (rv rm) in
       rd_set rd r;
-      cycles := c;
-      memo_hit := hit;
-      zero_skipped := zs
+      cycles := c
   | Instr.Mul_asp { bits; signed; rd; rn; shift } ->
       let sub_raw = Subword.truncate ~bits (rv rn) in
       let multiplicand = signed32 (rv rd) in
       let sub = if signed then Subword.to_signed ~bits sub_raw else sub_raw in
       let a = u32 multiplicand and b = u32 sub in
-      let _pattern, c, hit, zs = multiply t ~full_cycles:bits a b in
+      let _pattern, c = multiply t ~full_cycles:bits a b in
       let product = multiplicand * sub in
       rd_set rd (u32 (product lsl shift));
-      cycles := c;
-      memo_hit := hit;
-      zero_skipped := zs
+      cycles := c
   | Instr.Add_asv (w, rd, rn, rm) ->
       rd_set rd (Subword.lanes_add ~lane_bits:w ~width:32 (rv rn) (rv rm))
   | Instr.Sub_asv (w, rd, rn, rm) ->
@@ -876,8 +635,6 @@ let step_reference t =
   t.last_cycles <- !cycles;
   t.last_read_addr <- !read_addr;
   t.last_wrote_addr <- !wrote_addr;
-  t.last_memo_hit <- !memo_hit;
-  t.last_zero_skipped <- !zero_skipped;
   t.last_skm <- (match i with Instr.Skm _ -> true | _ -> false)
 
 (* ---------------- whole-state snapshot ---------------- *)
@@ -923,8 +680,6 @@ type snapshot = {
   s_last_read_bytes : int;
   s_last_wrote_addr : int;
   s_last_wrote_bytes : int;
-  s_last_memo_hit : bool;
-  s_last_zero_skipped : bool;
   s_last_skm : bool;
 }
 
@@ -957,8 +712,6 @@ let snapshot ?(full = false) t =
     s_last_read_bytes = t.last_read_bytes;
     s_last_wrote_addr = t.last_wrote_addr;
     s_last_wrote_bytes = t.last_wrote_bytes;
-    s_last_memo_hit = t.last_memo_hit;
-    s_last_zero_skipped = t.last_zero_skipped;
     s_last_skm = t.last_skm;
   }
 
@@ -992,8 +745,6 @@ let restore t s =
   t.last_read_bytes <- s.s_last_read_bytes;
   t.last_wrote_addr <- s.s_last_wrote_addr;
   t.last_wrote_bytes <- s.s_last_wrote_bytes;
-  t.last_memo_hit <- s.s_last_memo_hit;
-  t.last_zero_skipped <- s.s_last_zero_skipped;
   t.last_skm <- s.s_last_skm
 
 let snapshot_retired s = s.s_retired
@@ -1064,9 +815,3 @@ let instructions_retired (t : t) = t.retired
 let wn_instructions t = t.wn_retired
 let cycles_executed (t : t) = t.cycles
 let memo t = t.memo_table
-
-let reset_stats t =
-  t.retired <- 0;
-  t.wn_retired <- 0;
-  t.cycles <- 0;
-  Option.iter Memo.clear t.memo_table

@@ -10,7 +10,22 @@
     The machine executes one instruction per step and reports its
     latency plus the memory effects the intermittency runtimes need
     (Clank tracks read/write sets for idempotency violations) in
-    scratch fields read through the [last_*] accessors. *)
+    scratch fields read through the [last_*] accessors.
+
+    {!create} compiles the program once into a table of one closure per
+    PC, the only compiled form: the closure holds just the instruction's
+    effect on architectural state, while static latencies come from
+    {!Wn_isa.Instr.cycles}.  {!step_fast} runs one closure and
+    {!exec_block} runs a fused run's closures back to back;
+    {!step_reference} is the independent ISA specification both are
+    tested against.
+
+    A memory access out of bounds raises [Invalid_argument] from
+    {!Wn_mem.Memory}.  By then {!step_fast} has already advanced the PC
+    past the faulting instruction, and {!exec_block} has applied part of
+    the run without its batched bookkeeping, so the machine's state
+    after such a raise is unspecified; every caller propagates the
+    exception. *)
 
 open Wn_isa
 
@@ -58,14 +73,16 @@ val reset_for_new_task : t -> unit
 
 (** {2 Allocation-free fast path}
 
-    [step_fast] executes through a dispatch table predecoded once at
-    {!create} (one closure per PC, capturing only operand data) and
-    reports the instruction's effects in scratch fields on the machine.
-    Observable behaviour — register file, flags, memory, PC, SKM latch,
+    [step_fast] presets the fall-through PC and the instruction's static
+    latency ([Instr.cycles ~taken:false]), then calls the PC's compiled
+    closure, which overrides them only for a taken branch, a call or
+    return, or a memo/zero-skip multiply shortcut.  It reports the
+    instruction's effects in scratch fields on the machine.  Observable
+    behaviour — register file, flags, memory, PC, SKM latch,
     statistics, memo-table contents and counters, and the scratch — is
-    bit-identical to {!step_reference}; the per-instruction cost is an
-    array load, an indirect call and integer field writes, with no heap
-    allocation.
+    bit-identical to {!step_reference}; the per-instruction cost is two
+    array loads, an indirect call and integer field writes, with no
+    heap allocation.
 
     The scratch accessors below are valid until the next step.
     Addresses are [-1] when the instruction made no such access; byte
@@ -93,8 +110,6 @@ val last_read_addr : t -> int
 val last_read_bytes : t -> int
 val last_wrote_addr : t -> int
 val last_wrote_bytes : t -> int
-val last_memo_hit : t -> bool
-val last_zero_skipped : t -> bool
 
 val last_was_skm : t -> bool
 (** Whether the last instruction was [Skm] (latched a skim target). *)
@@ -120,23 +135,21 @@ val budget_exhausted : t -> bool
 
 (** {2 Block-compiled execution — fused superinstructions}
 
-    The machine lazily partitions its predecoded program into maximal
-    fusible runs ({!Wn_analysis.Fuse.plan}: straight-line, no store, no
-    [Skm], no memoizable multiply, statically known latency) and
-    compiles each into a {!fused} superinstruction: one bare closure per
-    instruction carrying only the architectural effect, with the
-    per-step bookkeeping — scratch resets, PC advance, retired/cycle
-    statistics, budget decrement — precomputed and applied once per run
-    by {!exec_block}.  Executing a run is bit-identical to the same
-    number of {!step_fast} calls, including the [last_*] scratch left at
-    the boundary, and allocates nothing.
+    The machine lazily partitions its program into maximal fusible runs
+    ({!Wn_analysis.Fuse.plan}: straight-line, no store, no [Skm], no
+    memoizable multiply, statically known latency).  A {!fused} run is
+    a pc range of the compiled table: {!exec_block} calls the same
+    closures {!step_fast} does, back to back, and applies the per-step
+    bookkeeping — scratch, PC advance, retired/cycle statistics, budget
+    decrement — once per run.  Executing a run is bit-identical to the
+    same number of {!step_fast} calls, including the [last_*] scratch
+    left at the boundary, and allocates nothing.
 
     Runs never contain a store or a skim latch, so a power failure at
     the run boundary tears nothing a mid-run failure wouldn't; the
     per-instruction effects an intermittency runtime must still observe
-    are exposed statically ({!block_costs}) or replayed from scratch
-    ({!block_read_addr}: the effective address of each load, in order,
-    valid until the next [exec_block]). *)
+    are exposed statically ({!block_costs}) or read back after the run
+    ({!block_read_addr}: the effective address of each load). *)
 
 type fused
 
@@ -150,24 +163,27 @@ val block_at : t -> int -> fused option
 val block_len : fused -> int
 
 val block_cycles : fused -> int
-(** Total latency of the run — the sum of {!worst_case_cycles} over its
-    pc range, exact (not a bound) because fusible instructions have
-    static latency.  This is the run's worst-case energy in cycles, the
-    quantity the executor's entry guard prices against the capacitor. *)
+(** Total latency of the run — the sum of {!block_costs}, which equals
+    the sum of {!worst_case_cycles} over its pc range because fusible
+    instructions have static latency.  This is the run's worst-case
+    energy in cycles, the quantity the executor's entry guard prices
+    against the capacitor. *)
 
 val block_pre_cycles : fused -> int
 (** [block_cycles] minus the last instruction's latency: the watchdog
     slack needed so no interior boundary can trip a Clank checkpoint. *)
 
 val block_costs : fused -> int array
-(** Per-instruction latency, in order.  Shared, do not mutate. *)
+(** Per-instruction latency ([Instr.cycles ~taken:false]), in order.
+    Shared, do not mutate. *)
 
 val block_loads : fused -> int
-val block_wn : fused -> int
 
-val block_read_addr : t -> int -> int
-(** Effective address of the [i]'th load (0-based, program order) of
-    the most recently {!exec_block}-executed run. *)
+val block_read_addr : t -> fused -> int -> int
+(** [block_read_addr m b i]: effective address of the [i]'th load
+    (0-based, program order) of run [b] at its latest execution.  Read
+    it right after {!exec_block}[ m b]: any later step through one of
+    the run's loads overwrites it. *)
 
 val budget_covers : t -> int -> bool
 (** Whether the step budget is unlimited or at least [n]:
@@ -268,5 +284,3 @@ val cycles_executed : t -> int
 (** Active cycles spent executing (excludes powered-off time). *)
 
 val memo : t -> Memo.t option
-
-val reset_stats : t -> unit

@@ -416,7 +416,7 @@ let try_block l ~max_wall_cycles b =
               transitions equal the per-step ones, and the entry guard
               ruled out an overflow checkpoint. *)
            for i = 0 to Machine.block_loads b - 1 do
-             track_read l cfg st (Machine.block_read_addr m i)
+             track_read l cfg st (Machine.block_read_addr m b i)
            done
        | None -> ());
        (* Runs latch no skim point, so only the shared tail remains. *)

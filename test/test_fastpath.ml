@@ -40,17 +40,8 @@ let check_scratch_equal name step m_ref m =
     (fun (field, get) ->
       if get m_ref <> get m then fail "%s %d vs %d" field (get m_ref) (get m))
     ints;
-  let bools =
-    [
-      ("memo_hit", Machine.last_memo_hit);
-      ("zero_skipped", Machine.last_zero_skipped);
-      ("skm flag", Machine.last_was_skm);
-    ]
-  in
-  List.iter
-    (fun (field, get) ->
-      if get m_ref <> get m then fail "%s %b vs %b" field (get m_ref) (get m))
-    bools
+  if Machine.last_was_skm m_ref <> Machine.last_was_skm m then
+    fail "skm flag %b vs %b" (Machine.last_was_skm m_ref) (Machine.last_was_skm m)
 
 let check_machines_equal name m_ref m_fast =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
@@ -120,6 +111,29 @@ let lockstep_workload wname (cfg_name, mcfg) () =
    is checked, and per-instruction fallback steps degenerate to the
    per-step lockstep above. *)
 
+(* Drives [m_blk] to halt with [step_block] and [m_ref] along with it;
+   returns the number of instructions each dispatch retired, in
+   order. *)
+let block_lockstep name m_ref m_blk =
+  let dispatches = ref 0 in
+  let retired = ref [] in
+  while (not (Machine.halted m_blk)) && !dispatches < max_lockstep_steps do
+    incr dispatches;
+    let before = Machine.instructions_retired m_blk in
+    Machine.step_block m_blk;
+    let n = Machine.instructions_retired m_blk - before in
+    retired := n :: !retired;
+    for _ = 1 to n do
+      Machine.step_reference m_ref
+    done;
+    if Machine.pc m_ref <> Machine.pc m_blk then
+      Alcotest.failf "%s dispatch %d: pc %d vs %d" name !dispatches
+        (Machine.pc m_ref) (Machine.pc m_blk);
+    check_scratch_equal name !dispatches m_ref m_blk
+  done;
+  check_machines_equal name m_ref m_blk;
+  List.rev !retired
+
 let lockstep_block_workload wname (cfg_name, mcfg) () =
   let w = Suite.find Workload.Small wname in
   let b = Wn_core.Runner.build w wcfg in
@@ -129,25 +143,101 @@ let lockstep_block_workload wname (cfg_name, mcfg) () =
   Wn_core.Runner.load_sample b m_ref inputs;
   Wn_core.Runner.load_sample b m_blk inputs;
   let name = Printf.sprintf "%s/%s/block" wname cfg_name in
-  let dispatches = ref 0 in
-  let fused_dispatches = ref 0 in
-  while (not (Machine.halted m_blk)) && !dispatches < max_lockstep_steps do
-    incr dispatches;
-    let before = Machine.instructions_retired m_blk in
-    Machine.step_block m_blk;
-    let after = Machine.instructions_retired m_blk in
-    if after - before > 1 then incr fused_dispatches;
-    for _ = 1 to after - before do
-      Machine.step_reference m_ref
-    done;
-    if Machine.pc m_ref <> Machine.pc m_blk then
-      Alcotest.failf "%s dispatch %d: pc %d vs %d" name !dispatches
-        (Machine.pc m_ref) (Machine.pc m_blk);
-    check_scratch_equal name !dispatches m_ref m_blk
-  done;
-  check_machines_equal name m_ref m_blk;
-  if !fused_dispatches = 0 then
+  let retired = block_lockstep name m_ref m_blk in
+  if not (List.exists (fun n -> n > 1) retired) then
     Alcotest.failf "%s: no fused block was ever dispatched" name
+
+(* Every constructor [Fuse.fusible] accepts, inside a fused run.  The
+   suite's kernels never fuse some of them (Nop, most logical ALU ops,
+   Sub_asv, compares, immediate-offset loads), so random straight-line
+   runs ending in [Halt] cover them here.  Loads address [base + off]
+   or [base + idx] in bounds: no generated instruction writes the base
+   and index registers. *)
+let fuzz_mem_bytes = 256
+let addr_span = 100
+let base_reg = Reg.r 12
+let idx_reg = Reg.r 11
+
+let gen_fusible : int Instr.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let src = map Reg.r (int_range 0 12) in
+  let dst = map Reg.r (int_range 0 10) in
+  let alu = oneofl Instr.[ Add; Sub; And; Orr; Eor; Bic; Adc; Sbc ] in
+  let lanes = oneofl [ 1; 2; 4; 8; 16 ] in
+  let access = pair (oneofl Instr.[ Byte; Half; Word ]) bool in
+  oneof
+    [
+      return Instr.Nop;
+      map2 (fun rd i -> Instr.Mov_imm (rd, i)) dst (int_bound 0xFFFF);
+      map2 (fun rd i -> Instr.Movt (rd, i)) dst (int_bound 0xFFFF);
+      map2 (fun rd rn -> Instr.Mov (rd, rn)) dst src;
+      map3 (fun op rd (rn, rm) -> Instr.Alu (op, rd, rn, rm)) alu dst (pair src src);
+      map3 (fun op rd (rn, i) -> Instr.Alu_imm (op, rd, rn, i)) alu dst
+        (pair src (int_bound 0xFFF));
+      map3 (fun op (rd, rn) sh -> Instr.Shift (op, rd, rn, sh))
+        (oneofl Instr.[ Lsl; Lsr; Asr ])
+        (pair dst src) (int_bound 31);
+      map3 (fun rd rn rm -> Instr.Mul (rd, rn, rm)) dst src src;
+      map3
+        (fun (bits, signed) (rd, rn) shift ->
+          Instr.Mul_asp { bits; signed; rd; rn; shift })
+        (pair (int_range 1 16) bool)
+        (pair dst src) (int_bound 31);
+      map3 (fun w rd (rn, rm) -> Instr.Add_asv (w, rd, rn, rm)) lanes dst (pair src src);
+      map3 (fun w rd (rn, rm) -> Instr.Sub_asv (w, rd, rn, rm)) lanes dst (pair src src);
+      map2 (fun rd rn -> Instr.Sqrt (rd, rn)) dst src;
+      map3 (fun bits rd rn -> Instr.Sqrt_asp { bits; rd; rn }) (int_range 1 16) dst src;
+      map2 (fun rn rm -> Instr.Cmp (rn, rm)) src src;
+      map2 (fun rn i -> Instr.Cmp_imm (rn, i)) src (int_bound 0xFFFF);
+      map3
+        (fun (width, signed) rd off ->
+          Instr.Ldr { width; signed; rd; base = base_reg; off })
+        access dst (int_bound addr_span);
+      map2
+        (fun (width, signed) rd ->
+          Instr.Ldr_reg { width; signed; rd; base = base_reg; idx = idx_reg })
+        access dst;
+    ]
+
+(* A run, the initial r0-r10, index and base registers, and the initial
+   memory bytes.  Register values favour zero and small operands so the
+   multiply shortcuts fire. *)
+let arb_fused_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (1, return 0); (2, int_bound 0xFF); (2, int_bound 0xFFFF); (3, int_bound 0xFFFF_FFFF) ]
+  in
+  let gen =
+    triple
+      (list_size (int_range 2 40) gen_fusible)
+      (pair (list_repeat 11 value) (pair (int_bound addr_span) (int_bound addr_span)))
+      (array_repeat fuzz_mem_bytes (int_bound 0xFF))
+  in
+  let print (instrs, _, _) =
+    String.concat "; " (List.map (Format.asprintf "%a" Instr.pp_resolved) instrs)
+  in
+  QCheck.make ~print gen
+
+let prop_fused_opcodes (cfg_name, mcfg) =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "every fusible opcode, %s" cfg_name)
+    arb_fused_case
+    (fun (instrs, (values, (idx, base)), bytes) ->
+      let program = Array.of_list (instrs @ [ Instr.Halt ]) in
+      let machine () =
+        let mem = Wn_mem.Memory.create ~size:fuzz_mem_bytes in
+        Array.iteri (Wn_mem.Memory.write8 mem) bytes;
+        let m = Machine.create ~config:mcfg ~program ~mem () in
+        List.iteri (fun i v -> Machine.set_reg m (Reg.r i) v) values;
+        Machine.set_reg m idx_reg idx;
+        Machine.set_reg m base_reg base;
+        m
+      in
+      let retired = block_lockstep cfg_name (machine ()) (machine ()) in
+      (* Under the default configuration every generated instruction is
+         fusible, so the first dispatch retires the whole run. *)
+      mcfg <> Machine.default_config || List.hd retired = List.length instrs)
 
 (* Fused-run metadata must agree with the planner it was compiled from:
    same runs, same worst-case cycle totals, same load counts. *)
@@ -171,9 +261,7 @@ let test_block_table_matches_plan () =
               Alcotest.(check int) "cycles" r.Wn_analysis.Fuse.r_cycles
                 (Machine.block_cycles blk);
               Alcotest.(check int) "loads" r.Wn_analysis.Fuse.r_loads
-                (Machine.block_loads blk);
-              Alcotest.(check int) "wn" r.Wn_analysis.Fuse.r_wn
-                (Machine.block_wn blk))
+                (Machine.block_loads blk))
         plan)
     Suite.names
 
@@ -349,9 +437,9 @@ let test_step_fast_no_alloc () =
       allocated;
   if Machine.halted m then Alcotest.fail "probe program halted inside window"
 
-(* Block dispatch must stay allocation-free too: the fused table and
-   read ring are built once on the first dispatch (inside the warm-up),
-   after which executing a block is pure mutation. *)
+(* Block dispatch must stay allocation-free too: the fused table is
+   built once on the first dispatch (inside the warm-up), after which
+   executing a block is pure mutation. *)
 let test_step_block_no_alloc () =
   let mem = Wn_mem.Memory.create ~size:256 in
   let config = { Machine.memo_entries = Some 16; Machine.zero_skip = true } in
@@ -424,6 +512,10 @@ let () =
     [
       ("machine lockstep", lockstep_cases);
       ("block lockstep", block_lockstep_cases);
+      ( "fused opcodes",
+        List.map
+          (fun c -> QCheck_alcotest.to_alcotest (prop_fused_opcodes c))
+          machine_configs );
       ( "block table",
         [
           Alcotest.test_case "matches fusion plan" `Quick
