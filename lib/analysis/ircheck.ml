@@ -4,6 +4,76 @@ open Ast
 (* Size of the code generator's local pool (r5-r11). *)
 let local_pool_size = 7
 
+(* Exact mirror of the code generator's local-register accounting:
+   blocks free their declarations on exit, a [Decl] whose name is bound
+   anywhere in the environment reuses that binding, [for] allocates its
+   variable in a scope of its own, and top-level declarations live to
+   the end of the kernel.  Keeping this in lock-step with
+   [Codegen.alloc_local] is what lets [fit_pool] promise that a
+   rewritten kernel still code-generates. *)
+let max_locals stmts =
+  let worst = ref 0 in
+  let push env n =
+    let env = n :: env in
+    if List.length env > !worst then worst := List.length env;
+    env
+  in
+  let declare env n = if List.mem n env then env else push env n in
+  let rec block env stmts = ignore (List.fold_left stmt env stmts)
+  and stmt env s =
+    match s with
+    | Decl (n, _) -> declare env n
+    | Assign _ | Aug_assign _ | Skim_here -> env
+    | For l ->
+        (* gen_for allocates its variable unconditionally (no reuse) *)
+        block (push env l.var) l.body;
+        env
+    | If (_, a, b) ->
+        block env a;
+        block env b;
+        env
+    | Anytime { body; commit } ->
+        (* precise lowering shares one scope across body and commit *)
+        ignore (List.fold_left stmt (List.fold_left stmt env body) commit);
+        env
+  in
+  block [] stmts;
+  !worst
+
+(* Pre-order (id, depth) of every loop, shallowest first: the order in
+   which [fit_pool] gives loops up. *)
+let loop_depths stmts =
+  let acc = ref [] in
+  let id = ref 0 in
+  let rec go depth = function
+    | For l ->
+        acc := (!id, depth) :: !acc;
+        incr id;
+        List.iter (go (depth + 1)) l.body
+    | If (_, a, b) ->
+        List.iter (go depth) a;
+        List.iter (go depth) b
+    | Anytime { body; commit } ->
+        List.iter (go depth) body;
+        List.iter (go depth) commit
+    | _ -> ()
+  in
+  List.iter (go 0) stmts;
+  List.stable_sort (fun (_, a) (_, b) -> compare a b) (List.rev !acc)
+
+let fit_pool ~attempt stmts =
+  if max_locals stmts > local_pool_size then stmts
+  else
+    let rec try_with skip drops =
+      let out = attempt skip in
+      if max_locals out <= local_pool_size then out
+      else
+        match drops with
+        | [] -> stmts
+        | id :: drops -> try_with (id :: skip) drops
+    in
+    try_with [] (List.map fst (loop_depths stmts))
+
 let stmts ~globals body =
   let diags = ref [] in
   let report d = diags := d :: !diags in
@@ -11,7 +81,6 @@ let stmts ~globals body =
     Printf.ksprintf (fun m -> report (Diag.error ~rule m)) fmt
   in
   let global name = List.find_opt (fun g -> g.g_name = name) globals in
-  let pressure = ref 0 in
   (* --- expressions ---------------------------------------------- *)
   let check_array_ref arr =
     match global arr with
@@ -83,20 +152,12 @@ let stmts ~globals body =
     | Neg a | Bnot a | Sqrt a | Sqrt_asp (a, _) -> expr env a
   in
   (* --- statements: the code generator's exact scoping ------------ *)
-  let bump env =
-    if List.length env > !pressure then pressure := List.length env
-  in
   let rec block env stmts = ignore (List.fold_left stmt env stmts)
   and stmt env s =
     match s with
     | Decl (n, e) ->
         expr env e;
-        if List.mem n env then env
-        else begin
-          let env = n :: env in
-          bump env;
-          env
-        end
+        if List.mem n env then env else n :: env
     | Assign (Lvar v, e) ->
         if not (List.mem v env) then
           err "ir-scope" "assignment to undeclared variable %S" v;
@@ -125,9 +186,7 @@ let stmts ~globals body =
         expr env l.lo;
         expr env l.hi;
         (* the loop variable shadows: gen_for allocates unconditionally *)
-        let env' = l.var :: env in
-        bump env';
-        block env' l.body;
+        block (l.var :: env) l.body;
         env
     | If (c, a, b) ->
         (match c with
@@ -145,7 +204,8 @@ let stmts ~globals body =
     | Skim_here -> env
   in
   block [] body;
-  if !pressure > local_pool_size then
+  let pressure = max_locals body in
+  if pressure > local_pool_size then
     err "ir-pressure" "local-register pressure %d exceeds the %d-register pool"
-      !pressure local_pool_size;
+      pressure local_pool_size;
   List.rev !diags

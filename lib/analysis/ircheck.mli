@@ -29,3 +29,27 @@ val stmts :
   Diag.t list
 (** [stmts ~globals body] checks a kernel body against the
     storage-level global declarations. *)
+
+(** {2 The register budget}
+
+    One model of the code generator's local-register pool, shared by
+    [ir-pressure] and by the IR passes whose rewrites lengthen live
+    ranges. *)
+
+val local_pool_size : int
+(** Size of the code generator's local register pool (r5-r11): 7. *)
+
+val max_locals : Wn_lang.Ast.stmt list -> int
+(** Peak local-register pressure of a kernel body, simulated with the
+    code generator's exact scoping and name-reuse rules. *)
+
+val fit_pool :
+  attempt:(int list -> Wn_lang.Ast.stmt list) ->
+  Wn_lang.Ast.stmt list ->
+  Wn_lang.Ast.stmt list
+(** [fit_pool ~attempt body] keeps a rewrite only while the kernel fits
+    the pool.  [attempt skip] rewrites [body] leaving alone the loops
+    whose pre-order ids are in [skip].  Loops are dropped shallowest
+    first until the result fits; if none fits, [body] comes back
+    unchanged.  A [body] that already exceeds the pool is returned
+    unchanged without an attempt. *)

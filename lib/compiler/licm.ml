@@ -91,40 +91,6 @@ and hoist_stmt ctx outer s =
        Names.empty)
   | s -> ([ s ], Names.empty)
 
-let loop_depths stmts =
-  let acc = ref [] in
-  let id = ref 0 in
-  let rec go depth = function
-    | For l ->
-        acc := (!id, depth) :: !acc;
-        incr id;
-        List.iter (go (depth + 1)) l.body
-    | If (_, a, b) ->
-        List.iter (go depth) a;
-        List.iter (go depth) b
-    | Anytime { body; commit } ->
-        List.iter (go depth) body;
-        List.iter (go depth) commit
-    | _ -> ()
-  in
-  List.iter (go 0) stmts;
-  List.stable_sort (fun (_, a) (_, b) -> compare a b) (List.rev !acc)
-
 let run stmts =
-  let budget = Strength_reduce.local_pool_size in
-  let attempt skip =
-    let ctx = { fresh = 0; skip; next_loop = 0 } in
-    hoist_block ctx Names.empty stmts
-  in
-  if Strength_reduce.max_locals stmts > budget then stmts
-  else
-    let by_depth = List.map fst (loop_depths stmts) in
-    let rec try_with skip drops =
-      let out = attempt skip in
-      if Strength_reduce.max_locals out <= budget then out
-      else
-        match drops with
-        | [] -> stmts
-        | id :: drops -> try_with (id :: skip) drops
-    in
-    try_with [] by_depth
+  Wn_analysis.Ircheck.fit_pool stmts ~attempt:(fun skip ->
+      hoist_block { fresh = 0; skip; next_loop = 0 } Names.empty stmts)

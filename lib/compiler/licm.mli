@@ -14,8 +14,9 @@
       iteration, per the interpreter, and is left alone.)
 
     Hoisting extends live ranges, so each motion is kept only if the
-    code generator's simulated local-pool pressure stays within budget
-    ({!Strength_reduce.local_pool_size}). *)
+    code generator's simulated local-pool pressure stays within budget:
+    loops give up their motions shallowest first until the kernel fits
+    ({!Wn_analysis.Ircheck.fit_pool}). *)
 
 val pass_name : string
 (** ["licm"] *)

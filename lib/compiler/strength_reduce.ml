@@ -4,46 +4,7 @@ open Ast
 let pass_name = "strength-reduce"
 let iv_prefix = "__sr_iv"
 
-(* The code generator's local pool holds 7 registers (r5-r11). *)
-let local_pool_size = 7
-
 let u32 v = v land 0xFFFF_FFFF
-
-(* Exact mirror of the code generator's local-register accounting:
-   blocks free their declarations on exit, a [Decl] whose name is bound
-   anywhere in the environment reuses that binding, [for] allocates its
-   variable in a scope of its own, and top-level declarations live to
-   the end of the kernel.  Keeping this in lock-step with
-   [Codegen.alloc_local] is what lets the budget check below promise
-   that a reduced kernel still code-generates. *)
-let max_locals stmts =
-  let worst = ref 0 in
-  let push env n =
-    let env = n :: env in
-    if List.length env > !worst then worst := List.length env;
-    env
-  in
-  let declare env n = if List.mem n env then env else push env n in
-  let rec block env stmts = ignore (List.fold_left stmt env stmts)
-  and stmt env s =
-    match s with
-    | Decl (n, _) -> declare env n
-    | Assign _ | Aug_assign _ | Skim_here -> env
-    | For l ->
-        (* gen_for allocates its variable unconditionally (no reuse) *)
-        block (push env l.var) l.body;
-        env
-    | If (_, a, b) ->
-        block env a;
-        block env b;
-        env
-    | Anytime { body; commit } ->
-        (* precise lowering shares one scope across body and commit *)
-        ignore (List.fold_left stmt (List.fold_left stmt env body) commit);
-        env
-  in
-  block [] stmts;
-  !worst
 
 (* ------------------------------------------------------------------ *)
 (* Affine decomposition: idx = coeff*var + rest + k (mod 2^32)         *)
@@ -435,27 +396,6 @@ and sr_stmt ctx s =
       [ Anytime { body = sr_block ctx body; commit = sr_block ctx commit } ]
   | s -> [ s ]
 
-(* Pre-order (id, depth) of every loop, shallowest first, for the
-   drop order of the budget retry. *)
-let loop_depths stmts =
-  let acc = ref [] in
-  let id = ref 0 in
-  let rec go depth = function
-    | For l ->
-        acc := (!id, depth) :: !acc;
-        incr id;
-        List.iter (go (depth + 1)) l.body
-    | If (_, a, b) ->
-        List.iter (go depth) a;
-        List.iter (go depth) b
-    | Anytime { body; commit } ->
-        List.iter (go depth) body;
-        List.iter (go depth) commit
-    | _ -> ()
-  in
-  List.iter (go 0) stmts;
-  List.stable_sort (fun (_, a) (_, b) -> compare a b) (List.rev !acc)
-
 let run ~globals stmts =
   let widths =
     List.map (fun g -> (g.g_name, ty_bytes g.g_ty)) globals
@@ -471,15 +411,4 @@ let run ~globals stmts =
     let ctx = { elem_bytes; fresh; skip; next_loop = 0 } in
     inline_block Names.empty (sr_block ctx stmts)
   in
-  if max_locals stmts > local_pool_size then stmts
-  else
-    let by_depth = List.map fst (loop_depths stmts) in
-    let rec try_with skip drops =
-      let out = attempt skip in
-      if max_locals out <= local_pool_size then out
-      else
-        match drops with
-        | [] -> stmts
-        | id :: drops -> try_with (id :: skip) drops
-    in
-    try_with [] by_depth
+  Wn_analysis.Ircheck.fit_pool ~attempt stmts

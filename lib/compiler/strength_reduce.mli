@@ -33,8 +33,9 @@
       generator's local-pool pressure is re-simulated exactly
       (including its name-reuse and block-scoping rules), and loops are
       dropped from the candidate set shallowest-first until the kernel
-      fits the 7-register local pool again.  A kernel that already
-      exceeds the pool is returned unchanged.
+      fits the 7-register local pool again
+      ({!Wn_analysis.Ircheck.fit_pool}).  A kernel that already exceeds
+      the pool is returned unchanged.
 
     All index arithmetic is 32-bit wrapping, so the incremental byte
     offset equals [idx * elem_bytes (mod 2^32)] exactly — bit-identical
@@ -42,14 +43,6 @@
 
 val pass_name : string
 (** ["strength-reduce"] *)
-
-val local_pool_size : int
-(** Size of the code generator's local register pool (r5-r11): 7. *)
-
-val max_locals : Wn_lang.Ast.stmt list -> int
-(** Peak local-register pressure of a kernel body, simulated with the
-    code generator's exact scoping and name-reuse rules.  Exposed for
-    sibling passes ([Licm]) that must respect the same budget. *)
 
 val iv_prefix : string
 (** Name prefix of synthesised induction variables (["__sr_iv"]). *)

@@ -170,8 +170,9 @@ let run_point ?(engine = Executor.Block)
     ~boundary =
   if boundary < 1 then invalid_arg "Faults.run_point";
   (* Resume from the nearest keyframe strictly before the boundary (the
-     outage must still lie ahead so the budget is >= 1): the continuous
-     prefix then costs at most [interval] steps instead of [boundary]. *)
+     outage must still lie ahead, for the observer to see its
+     instruction retire): the continuous prefix then costs at most
+     [interval] steps instead of [boundary]. *)
   let frame =
     match keyframes with
     | None -> None
@@ -190,18 +191,12 @@ let run_point ?(engine = Executor.Block)
   in
   let supply = Supply.scripted ~off_cycles () in
   let resume =
-    match frame with
-    | None -> None
-    | Some kf ->
+    Option.map
+      (fun kf ->
         Machine.restore m kf.kf_machine;
-        Some kf
+        kf.kf_exec)
+      frame
   in
-  let budget =
-    match resume with
-    | None -> boundary
-    | Some kf -> boundary - kf.kf_retired
-  in
-  Machine.set_step_budget m (Some budget);
   let restore = ref None in
   let outage_seen = ref false and skimmed = ref false in
   let on_event = function
@@ -232,10 +227,9 @@ let run_point ?(engine = Executor.Block)
      replay — which matches keyframes trivially — running normally, and
      a skim commit leaves the trajectory the keyframes describe, so the
      probe stops there rather than being paid on every commit-tail
-     step.  Without keyframes no observer is attached and the run
-     fuses. *)
+     step. *)
   let ffired = ref false in
-  let on_step =
+  let probe =
     match keyframes with
     | Some kfs when Array.length kfs.frames > 0 ->
         let by_pc = Array.make (Array.length (Machine.program m)) [] in
@@ -245,27 +239,35 @@ let run_point ?(engine = Executor.Block)
             if pc >= 0 && pc < Array.length by_pc then
               by_pc.(pc) <- kf :: by_pc.(pc))
           kfs.frames;
-        Some
-          (fun live ->
-            let pc = Machine.pc m in
-            if !outage_seen && (not !skimmed) && pc >= 0
-               && pc < Array.length by_pc
-            then
-              match
-                List.find_opt
-                  (fun kf -> Machine.matches_state m kf.kf_machine)
-                  by_pc.(pc)
-              with
-              | Some kf ->
-                  ffired := true;
-                  Executor.rejoin live
-                    { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
-              | None -> ())
-    | _ -> None
+        (fun live ->
+          let pc = Machine.pc m in
+          if !outage_seen && (not !skimmed) && pc >= 0
+             && pc < Array.length by_pc
+          then
+            match
+              List.find_opt
+                (fun kf -> Machine.matches_state m kf.kf_machine)
+                by_pc.(pc)
+            with
+            | Some kf ->
+                ffired := true;
+                Executor.rejoin live
+                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
+            | None -> ())
+    | _ -> fun _ -> ()
+  in
+  (* The one outage trigger: cut the run's own supply the moment the
+     task's [boundary]-th instruction retires; the executor takes the
+     outage before the next instruction.  The retired count is
+     task-absolute from a fresh machine and after a keyframe restore
+     alike, and it only grows, so the cut fires once.  No outage has
+     been seen by then, so the probe has nothing to do on that step. *)
+  let on_step live =
+    if Machine.instructions_retired m = boundary then Supply.cut supply
+    else probe live
   in
   let outcome =
-    Executor.run ~policy:scenario.policy ~engine ~on_event ?on_step
-      ?resume:(Option.map (fun kf -> kf.kf_exec) resume)
+    Executor.run ~policy:scenario.policy ~engine ~on_event ~on_step ?resume
       ~machine:m ~supply ()
   in
   let final_digest =

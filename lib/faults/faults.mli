@@ -5,9 +5,11 @@
     model happens to put them — a vanishingly small slice of the
     outage-point space.  This engine instead forces an outage at a
     *chosen instruction boundary* (boundary [k] = between the [k]'th and
-    [k+1]'th retired instruction of the continuous run), using the
-    machine step budget and a {!Wn_power.Supply.scripted} supply, and
-    then audits the restore against three oracle properties:
+    [k+1]'th retired instruction of the continuous run): an [on_step]
+    observer cuts the run's {!Wn_power.Supply.scripted} supply the
+    moment the [k]'th instruction retires, and the executor takes the
+    outage before the next one.  It then audits the restore against
+    three oracle properties:
 
     - (a) {b no torn state}: at the instant of restore, non-volatile
       memory is bit-identical to the image the continuous run had at
@@ -152,9 +154,11 @@ val run_point :
   point_result
 (** Run the task with exactly one forced outage at [boundary] (which
     must be within [1, retired - 1] for the outage to strike before
-    halt) under [engine] (default [Block]).  [off_cycles] is the
+    halt; at [retired] the cut lands on the halted task and no outage
+    is taken) under [engine] (default [Block]).  [off_cycles] is the
     powered-off period served before restore (default
-    {!Wn_power.Supply.default_off_cycles}).
+    {!Wn_power.Supply.default_off_cycles}).  The run always carries the
+    outage observer, so it never fuses.
 
     With [keyframes] the point costs O(interval + recovery) instead of
     O(retired): the continuous prefix resumes from the nearest keyframe

@@ -36,12 +36,6 @@ type t = {
   mutable retired : int;
   mutable wn_retired : int;
   mutable cycles : int;
-  (* Step budget for fault injection: -1 means unlimited; a value n >= 0
-     counts down by one per retired instruction (on both the fast and
-     the reference path) and holds at 0.  [budget_exhausted] then lets
-     an executor force an outage at an exact instruction boundary
-     without per-step overhead beyond one int compare. *)
-  mutable steps_left : int;
   code : (t -> unit) array;
   cost : int array;  (* [Instr.cycles ~taken:false] per pc *)
   (* Effective address of the latest execution of the load at each pc
@@ -343,7 +337,6 @@ let create ?(config = default_config) ~program ~mem () =
     retired = 0;
     wn_retired = 0;
     cycles = 0;
-    steps_left = -1;
     code =
       Array.mapi (compile_op ~zero_skip:config.zero_skip ~memo_table) program;
     cost = Array.map (Instr.cycles ~taken:false) program;
@@ -406,8 +399,7 @@ let step_fast t =
   t.last_cycles <- Array.unsafe_get t.cost pc;
   (Array.unsafe_get t.code pc) t;
   t.retired <- t.retired + 1;
-  t.cycles <- t.cycles + t.last_cycles;
-  if t.steps_left > 0 then t.steps_left <- t.steps_left - 1
+  t.cycles <- t.cycles + t.last_cycles
 
 let last_pc t = t.last_pc
 let last_cycles t = t.last_cycles
@@ -462,18 +454,16 @@ let block_costs b = b.b_costs
 let block_loads b = Array.length b.b_load_pcs
 let block_read_addr t b i = t.load_addr.(b.b_load_pcs.(i))
 
-let budget_covers t n = t.steps_left < 0 || t.steps_left >= n
-
 (* Execute one fused run in a single call.  Preconditions (the executor
-   and [step_block] enforce them): machine not halted, [pcv = b.b_first],
-   and the step budget covers the whole run.  The run's closures are the
-   ones [step_fast] calls; none of them redirects control or takes a
-   multiply shortcut, so they never read or override the per-step
-   presets, and the bookkeeping [b_len] [step_fast] calls would have
-   done is written once afterwards.  The machine is then bit-identical —
-   architectural state, statistics, step budget and the [last_*]
-   scratch — to those calls: the loads already left the sticky
-   [last_read_bytes], and no run contains a store. *)
+   and [step_block] enforce them): machine not halted and
+   [pcv = b.b_first].  The run's closures are the ones [step_fast]
+   calls; none of them redirects control or takes a multiply shortcut,
+   so they never read or override the per-step presets, and the
+   bookkeeping [b_len] [step_fast] calls would have done is written once
+   afterwards.  The machine is then bit-identical — architectural
+   state, statistics and the [last_*] scratch — to those calls: the
+   loads already left the sticky [last_read_bytes], and no run contains
+   a store. *)
 let exec_block t b =
   let last = b.b_first + b.b_len - 1 in
   for pc = b.b_first to last do
@@ -486,22 +476,18 @@ let exec_block t b =
   t.last_skm <- false;
   t.pcv <- last + 1;
   t.retired <- t.retired + b.b_len;
-  t.cycles <- t.cycles + b.b_cycles;
-  if t.steps_left > 0 then begin
-    let r = t.steps_left - b.b_len in
-    t.steps_left <- (if r < 0 then 0 else r)
-  end
+  t.cycles <- t.cycles + b.b_cycles
 
-(* Whole-block step when a fused run starts at the pc and the step
-   budget covers it; per-instruction [step_fast] otherwise.  Always
-   makes progress by at least one instruction (same failure conditions
-   as [step_fast] when halted or out of program). *)
+(* Whole-block step when a fused run starts at the pc; per-instruction
+   [step_fast] otherwise.  Always makes progress by at least one
+   instruction (same failure conditions as [step_fast] when halted or
+   out of program). *)
 let step_block t =
   if t.halt then step_fast t
   else
     match block_at t t.pcv with
-    | Some b when budget_covers t b.b_len -> exec_block t b
-    | _ -> step_fast t
+    | Some b -> exec_block t b
+    | None -> step_fast t
 
 (* ---------------- the reference interpreter ---------------- *)
 
@@ -630,7 +616,6 @@ let step_reference t =
   t.retired <- t.retired + 1;
   if Instr.is_wn_extension i then t.wn_retired <- t.wn_retired + 1;
   t.cycles <- t.cycles + !cycles;
-  if t.steps_left > 0 then t.steps_left <- t.steps_left - 1;
   t.last_pc <- pc;
   t.last_cycles <- !cycles;
   t.last_read_addr <- !read_addr;
@@ -642,11 +627,11 @@ let step_reference t =
 (* An opaque capture of everything mutable: architectural state
    (registers, flags, PC, halt latch, SKM register, data memory),
    statistics (retired/wn_retired/cycles, memory access counters, memo
-   table contents and counters), the step budget, and the [last_*]
-   effect scratch.  The predecode table and the program are immutable
-   and shared, so a snapshot is cheap (two array copies plus the memory
-   image) and [restore] into any machine built from the same program
-   and configuration is bit-exact under both [step_fast] and
+   table contents and counters) and the [last_*] effect scratch.  The
+   predecode table and the program are immutable and shared, so a
+   snapshot is cheap (two array copies plus the memory image) and
+   [restore] into any machine built from the same program and
+   configuration is bit-exact under both [step_fast] and
    [step_reference].
 
    The memory is captured as a [Memory.image].  By default the capture
@@ -667,7 +652,6 @@ type snapshot = {
   s_retired : int;
   s_wn_retired : int;
   s_cycles : int;
-  s_steps_left : int;
   s_mem : Wn_mem.Memory.image;
   s_mem_reads : int;
   s_mem_writes : int;
@@ -697,7 +681,6 @@ let snapshot ?(full = false) t =
     s_retired = t.retired;
     s_wn_retired = t.wn_retired;
     s_cycles = t.cycles;
-    s_steps_left = t.steps_left;
     s_mem =
       (if full then Wn_mem.Memory.capture_full t.mem
        else Wn_mem.Memory.capture t.mem);
@@ -736,7 +719,6 @@ let restore t s =
   t.retired <- s.s_retired;
   t.wn_retired <- s.s_wn_retired;
   t.cycles <- s.s_cycles;
-  t.steps_left <- s.s_steps_left;
   Wn_mem.Memory.restore_image t.mem s.s_mem;
   Wn_mem.Memory.set_stats t.mem ~reads:s.s_mem_reads ~writes:s.s_mem_writes;
   t.last_pc <- s.s_last_pc;
@@ -777,7 +759,6 @@ let matches_state t s =
      | None, None -> true
      | Some a, Some b -> a = b
      | _ -> false)
-  && t.steps_left = s.s_steps_left
   && int_arrays_equal t.regs s.s_regs
   && (match (t.memo_table, s.s_memo) with
      | None, None -> true
@@ -799,17 +780,6 @@ let scrub_volatile t =
   Array.fill t.regs 0 Reg.count 0;
   set_flags t Cond.initial_flags;
   t.pcv <- 0
-
-let set_step_budget t budget =
-  match budget with
-  | None -> t.steps_left <- -1
-  | Some n ->
-      if n < 0 then invalid_arg "Machine.set_step_budget";
-      t.steps_left <- n
-
-let step_budget t = if t.steps_left < 0 then None else Some t.steps_left
-
-let budget_exhausted t = t.steps_left = 0
 
 let instructions_retired (t : t) = t.retired
 let wn_instructions t = t.wn_retired

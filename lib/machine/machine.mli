@@ -114,25 +114,6 @@ val last_wrote_bytes : t -> int
 val last_was_skm : t -> bool
 (** Whether the last instruction was [Skm] (latched a skim target). *)
 
-(** {2 Step budget — fault-injection interrupt point}
-
-    A budget of [Some n] counts down by one per retired instruction and
-    holds at zero; {!budget_exhausted} then reads true until the budget
-    is reset.  Both the fast path and the reference interpreter
-    decrement it, so an injection point composes with either engine at
-    the cost of one integer compare per step (no allocation, preserving
-    the fast path's zero-allocation guarantee).  [None] (the default)
-    means unlimited. *)
-
-val set_step_budget : t -> int option -> unit
-(** Raises [Invalid_argument] on [Some n] with [n < 0]. *)
-
-val step_budget : t -> int option
-(** Remaining budget, or [None] if unlimited. *)
-
-val budget_exhausted : t -> bool
-(** True iff a budget was set and has reached zero. *)
-
 (** {2 Block-compiled execution — fused superinstructions}
 
     The machine lazily partitions its program into maximal fusible runs
@@ -140,10 +121,10 @@ val budget_exhausted : t -> bool
     memoizable multiply, statically known latency).  A {!fused} run is
     a pc range of the compiled table: {!exec_block} calls the same
     closures {!step_fast} does, back to back, and applies the per-step
-    bookkeeping — scratch, PC advance, retired/cycle statistics, budget
-    decrement — once per run.  Executing a run is bit-identical to the
-    same number of {!step_fast} calls, including the [last_*] scratch
-    left at the boundary, and allocates nothing.
+    bookkeeping — scratch, PC advance, retired/cycle statistics — once
+    per run.  Executing a run is bit-identical to the same number of
+    {!step_fast} calls, including the [last_*] scratch left at the
+    boundary, and allocates nothing.
 
     Runs never contain a store or a skim latch, so a power failure at
     the run boundary tears nothing a mid-run failure wouldn't; the
@@ -185,20 +166,14 @@ val block_read_addr : t -> fused -> int -> int
     it right after {!exec_block}[ m b]: any later step through one of
     the run's loads overwrites it. *)
 
-val budget_covers : t -> int -> bool
-(** Whether the step budget is unlimited or at least [n]:
-    allocation-free equivalent of matching on {!step_budget}. *)
-
 val exec_block : t -> fused -> unit
 (** Execute the whole run in one call.  The caller must ensure the
-    machine is not halted, the PC is the run's first pc, and
-    [budget_covers] the run length; {!step_block} and the executor's
-    block engine do. *)
+    machine is not halted and the PC is the run's first pc;
+    {!step_block} and the executor's block engine do. *)
 
 val step_block : t -> unit
-(** {!exec_block} when a fused run starts at the PC and the budget
-    covers it, {!step_fast} otherwise.  Same failure conditions as
-    {!step_fast}. *)
+(** {!exec_block} when a fused run starts at the PC, {!step_fast}
+    otherwise.  Same failure conditions as {!step_fast}. *)
 
 val step_reference : t -> unit
 (** The direct interpreter over [int Instr.t], kept as the executable
@@ -212,11 +187,11 @@ val step_reference : t -> unit
 
     A {!snapshot} is an opaque, immutable capture of the machine's full
     mutable state: registers, flags, PC, halt latch, SKM register,
-    retired/cycle statistics, the step budget, the [last_*] effect
-    scratch, data memory (with its access counters) and the memo table
-    (contents and counters).  The program and the predecoded dispatch
-    table are immutable and shared, so capture cost is two array copies
-    plus the memory image.
+    retired/cycle statistics, the [last_*] effect scratch, data memory
+    (with its access counters) and the memo table (contents and
+    counters).  The program and the predecoded dispatch table are
+    immutable and shared, so capture cost is two array copies plus the
+    memory image.
 
     Memory is captured as a [Memory.image]: by default a *delta* that
     structurally shares pages unwritten since this machine's previous
@@ -252,8 +227,8 @@ val snapshot_pc : snapshot -> int
 
 val matches_state : t -> snapshot -> bool
 (** True iff the machine's architectural state — PC, registers, flags,
-    halt and skim latches, step budget, memo slot contents, full memory
-    image — bit-matches the snapshot's.  Statistics counters (retired
+    halt and skim latches, memo slot contents, full memory image —
+    bit-matches the snapshot's.  Statistics counters (retired
     instructions, cycles, memory access counts, memo hit rates) and the
     last-effect scratch fields are ignored: they record the past, while
     the compared state alone determines all future execution.  A

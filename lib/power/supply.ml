@@ -43,17 +43,17 @@ let refresh_tick_cache t =
   t.tick_end <- t.tick_base + t.per_tick;
   t.tick_power <- Trace.power_at_tick t.trace tick
 
-let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
-    ?(start_full = true) ~trace ~capacitor () =
-  if clock_hz <= 0.0 || cycle_energy < 0.0 then invalid_arg "Supply.create";
-  if start_full then Capacitor.set_full capacitor;
+(* The one record literal: every constructor below differs only in
+   these arguments. *)
+let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~script
+    ~off_cycles =
   let t =
     {
       clock_hz;
       cycle_energy;
       trace;
       capacitor;
-      infinite = false;
+      infinite;
       per_tick = compute_per_tick clock_hz;
       cycles = 0;
       outage_count = 0;
@@ -62,36 +62,19 @@ let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
       tick_end = 0;
       tick_power = 0.0;
       forced_off = false;
-      script = [];
-      off_cycles = 0;
+      script;
+      off_cycles;
     }
   in
   refresh_tick_cache t;
   t
 
-let always_on () =
-  let trace = Trace.constant ~power:1.0 ~duration_s:1.0 in
-  let t =
-    {
-      clock_hz = default_clock_hz;
-      cycle_energy = default_cycle_energy;
-      trace;
-      capacitor = Capacitor.create ();
-      infinite = true;
-      per_tick = compute_per_tick default_clock_hz;
-      cycles = 0;
-      outage_count = 0;
-      consumed_cycles = 0;
-      tick_base = 0;
-      tick_end = 0;
-      tick_power = 0.0;
-      forced_off = false;
-      script = [];
-      off_cycles = 0;
-    }
-  in
-  refresh_tick_cache t;
-  t
+let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
+    ?(start_full = true) ~trace ~capacitor () =
+  if clock_hz <= 0.0 || cycle_energy < 0.0 then invalid_arg "Supply.create";
+  if start_full then Capacitor.set_full capacitor;
+  make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite:false ~script:[]
+    ~off_cycles:0
 
 let default_off_cycles = 24_000
 
@@ -104,28 +87,12 @@ let scripted ?(off_cycles = default_off_cycles) ?(outages = []) () =
   in
   List.iter (fun c -> if c < 0 then invalid_arg "Supply.scripted") outages;
   ascending outages;
-  let trace = Trace.constant ~power:1.0 ~duration_s:1.0 in
-  let t =
-    {
-      clock_hz = default_clock_hz;
-      cycle_energy = default_cycle_energy;
-      trace;
-      capacitor = Capacitor.create ();
-      infinite = true;
-      per_tick = compute_per_tick default_clock_hz;
-      cycles = 0;
-      outage_count = 0;
-      consumed_cycles = 0;
-      tick_base = 0;
-      tick_end = 0;
-      tick_power = 0.0;
-      forced_off = false;
-      script = outages;
-      off_cycles;
-    }
-  in
-  refresh_tick_cache t;
-  t
+  make ~clock_hz:default_clock_hz ~cycle_energy:default_cycle_energy
+    ~trace:(Trace.constant ~power:1.0 ~duration_s:1.0)
+    ~capacitor:(Capacitor.create ()) ~infinite:true ~script:outages ~off_cycles
+
+(* A scripted supply with no script and no off-period. *)
+let always_on () = scripted ~off_cycles:0 ()
 
 let now_cycles t = t.cycles
 

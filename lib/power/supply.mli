@@ -90,10 +90,12 @@ val consume_run : t -> costs:int array -> bool
 
 val never_cuts : t -> bool
 (** True when this supply can never brown out on its own: energy
-    unconstrained with no scripted outages pending.  [cut] can still
-    force an outage — callers coalescing {!consume} calls under this
-    predicate must flush before cutting.  Monotone: once true it stays
-    true until a [cut]. *)
+    unconstrained with no scripted outages pending.  Monotone: once
+    true it stays true.  [cut] can still force an outage, but on such a
+    supply it only latches the off state and reads neither the clock
+    nor the drain count, so {!consume} calls coalesced under this
+    predicate may be flushed after a cut: the clock, the drain count
+    and {!outages} come out as if they had been flushed before it. *)
 
 val assured : t -> cycles:int -> bool
 (** Conservative guard: is the supply guaranteed to stay on through

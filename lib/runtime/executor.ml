@@ -197,10 +197,9 @@ type live = {
   (* Consume coalescing: when the supply can never cut power on its own
      (always-on / scripted with an empty script), per-instruction
      [Supply.consume] calls are pure clock-and-drain arithmetic — so
-     they are batched into [pending] and flushed only when something
-     reads or changes supply state (a forced cut, an outage, run end).
-     Energy accounting is in integer cycles on the supply side, so the
-     flush is bit-identical to the per-instruction sequence. *)
+     they are batched into [pending] and flushed only at an outage or at
+     run end.  Energy accounting is in integer cycles on the supply side,
+     so the flush is bit-identical to the per-instruction sequence. *)
   coalesce : bool;
   mutable pending : int;
   (* Offsets that turn the supply clock and the machine's retired count
@@ -302,8 +301,10 @@ let handle_skim_jump l =
   | None -> false
 
 let handle_outage l =
-  (* On a coalescing supply the only way here is a forced cut, which
-     flushed. *)
+  (* On a coalescing supply the only way here is an observer's cut,
+     which only latched the supply off: flushing now leaves the clock,
+     the drain and the outage count exactly as flushing before the cut
+     would have. *)
   flush_pending l;
   l.emit Outage;
   l.outages <- l.outages + 1;
@@ -342,17 +343,6 @@ let handle_outage l =
      resumes from (skim jump taken, rollback applied). *)
   l.emit (if skim then Skim_restore else Restore)
 
-(* The tail every commit shares, per-instruction or fused: an exhausted
-   step budget forces an outage at this exact boundary, whichever
-   engine stepped; the budget is cleared so the re-execution after
-   restore runs free. *)
-let commit_tail l =
-  if Machine.budget_exhausted l.machine then begin
-    Machine.set_step_budget l.machine None;
-    flush_pending l;
-    Supply.cut l.supply
-  end
-
 (* Everything after one instruction executes, read from the machine's
    effect scratch: both steppers leave it identically. *)
 let post_step l =
@@ -376,23 +366,21 @@ let post_step l =
       (* Model an outage at this very instant: take the skim jump and
          commit the earliest available output. *)
       ignore (handle_skim_jump l)
-  end;
-  commit_tail l
+  end
 
 (* Block engine: one guard at block entry, then the whole run in a
-   single call with one batched consume and one commit tail.  Each
-   conjunct ensures some per-instruction check could not have fired at
-   an *interior* boundary of the run; anything that would fire exactly
-   at the run's final boundary (budget exhaustion, watchdog, a scripted
-   cut landing on the last cycle) fires identically after the batched
-   commit.  Any failed conjunct just falls back to per-instruction
-   stepping until the next run entry — bit-identical, merely slower. *)
+   single call with one batched consume.  Each conjunct ensures some
+   per-instruction check could not have fired at an *interior* boundary
+   of the run; anything that would fire exactly at the run's final
+   boundary (watchdog, a scripted cut landing on the last cycle) fires
+   identically after the batched commit.  Any failed conjunct just falls
+   back to per-instruction stepping until the next run entry —
+   bit-identical, merely slower. *)
 let try_block l ~max_wall_cycles b =
   let m = l.machine in
   let n = Machine.block_len b in
   let c = Machine.block_cycles b in
-  Machine.budget_covers m n
-  && wall_elapsed l + c <= max_wall_cycles
+  wall_elapsed l + c <= max_wall_cycles
   && (match l.clank with
      | Some (cfg, st) ->
          (* No interior pre-step can trip the watchdog, and the read set
@@ -419,8 +407,8 @@ let try_block l ~max_wall_cycles b =
              track_read l cfg st (Machine.block_read_addr m b i)
            done
        | None -> ());
-       (* Runs latch no skim point, so only the shared tail remains. *)
-       commit_tail l;
+       (* Runs latch no skim point: [post_step]'s skim handling has
+          nothing to do. *)
        true
      end
 
@@ -429,11 +417,8 @@ let observed fn l =
 
 let capture l =
   observed "capture" l;
-  if
-    Machine.halted l.machine
-    || (not (Supply.is_on l.supply))
-    || Machine.budget_exhausted l.machine
-  then invalid_arg "Executor.capture: not a clean boundary";
+  if Machine.halted l.machine || not (Supply.is_on l.supply) then
+    invalid_arg "Executor.capture: not a clean boundary";
   {
     rs_policy = l.policy;
     rs_clank =
@@ -535,6 +520,8 @@ let run ?(policy = Always_on) ?(engine = Block)
   let rec loop () =
     if Machine.halted machine || wall_elapsed l > max_wall_cycles then ()
     else if not (Supply.is_on supply) then begin
+      (* Natural brown-outs and an observer's cut alike are taken here,
+         before the next instruction's pre-step. *)
       handle_outage l;
       loop ()
     end

@@ -39,13 +39,13 @@ type engine = Block | Reference
 (** Which stepper drives the loop.  [Block] (the default) executes
     fused straight-line superinstructions
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
-    guard passes — step budget covers the run length, watchdog slack
-    and Clank tracking capacity cover the run, and the capacitor's
-    usable charge covers the run's worst-case energy — with one batched
-    supply consume and one commit; a failed guard falls back to
-    per-instruction {!Wn_machine.Machine.step_fast} until the next run
-    entry, so fault injection at any instruction boundary still works.
-    An [on_step] observer turns fusion off for the whole run.
+    guard passes — the wall-clock limit, watchdog slack and Clank
+    tracking capacity cover the run, and the capacitor's usable charge
+    covers the run's worst-case energy — with one batched supply
+    consume; a failed guard falls back to per-instruction
+    {!Wn_machine.Machine.step_fast} until the next run entry.  An
+    [on_step] observer turns fusion off for the whole run, so it sees
+    every instruction boundary.
     [Reference] never fuses and steps every instruction through the
     ISA spec {!Wn_machine.Machine.step_reference}: the independent
     cross-check.  Both are observably identical (the differential suite
@@ -111,7 +111,8 @@ type live
 val capture : live -> resume_state
 (** The run's resume state at this boundary.  Raises [Invalid_argument]
     outside [on_step] or unless the boundary is clean: machine not
-    halted, power up, no forced outage pending. *)
+    halted and power up — a supply the observer has just cut leaves no
+    clean boundary until the outage is taken. *)
 
 val rejoin : live -> fast_forward -> unit
 (** End the run after this step, its outcome reconstructed as the live
@@ -155,17 +156,19 @@ val run :
     Observers (either engine): [on_step] runs after every retired
     instruction's accounting, with the machine's [last_*] scratch
     accessors valid, and turns block fusion off; it may {!capture} the
-    run or {!rejoin} a reference run.  [on_event] reports each runtime
-    {!event} the moment it happens and never changes how the run steps.
-    If the machine's step budget ({!Wn_machine.Machine.set_step_budget})
-    reaches zero the executor clears it and forces an outage
-    ({!Wn_power.Supply.cut}) at that exact instruction boundary.
+    run or {!rejoin} a reference run.  It may also cut the run's supply
+    ([cut] in {!Wn_power.Supply}): the outage is then taken before the
+    next instruction, ahead of any Clank checkpoint that instruction
+    would trigger, so a cut at retired instruction [k] strikes exactly
+    at boundary [k] (or not at all, if instruction [k] halted the
+    task).
+    [on_event] reports each runtime {!event} the moment it happens and
+    never changes how the run steps.
 
     Resume: [resume] seeds the run with a previously captured
     [resume_state]; the caller must first restore the matching
-    {!Wn_machine.Machine.snapshot} into [machine] (and may then set a
-    fresh step budget).  The policy must equal the one the state was
-    captured under, or [Invalid_argument] is raised.  A resumed run's
-    [outcome] reports totals from task start and is bit-identical to
-    running from scratch; its events are exactly those from the resume
-    point on. *)
+    {!Wn_machine.Machine.snapshot} into [machine].  The policy must
+    equal the one the state was captured under, or [Invalid_argument]
+    is raised.  A resumed run's [outcome] reports totals from task
+    start and is bit-identical to running from scratch; its events are
+    exactly those from the resume point on. *)

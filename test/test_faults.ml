@@ -59,26 +59,6 @@ let scenario ?(policy = Executor.Clank Executor.default_clank) program =
     policy;
   }
 
-(* ------------------------- step budget ----------------------------- *)
-
-let test_step_budget () =
-  let m = (scenario (precise_program ())).Faults.fresh () in
-  Alcotest.(check (option int)) "unlimited by default" None (Machine.step_budget m);
-  Machine.set_step_budget m (Some 3);
-  Alcotest.(check bool) "not yet exhausted" false (Machine.budget_exhausted m);
-  Machine.step_fast m;
-  Machine.step_fast m;
-  Alcotest.(check (option int)) "counts down" (Some 1) (Machine.step_budget m);
-  Machine.step_fast m;
-  Alcotest.(check bool) "exhausted after 3 steps" true (Machine.budget_exhausted m);
-  (* The budget gates nothing by itself and holds at zero. *)
-  Machine.step_fast m;
-  Alcotest.(check (option int)) "holds at zero" (Some 0) (Machine.step_budget m);
-  Machine.set_step_budget m None;
-  Alcotest.(check bool) "cleared" false (Machine.budget_exhausted m);
-  Alcotest.check_raises "negative budget" (Invalid_argument "Machine.set_step_budget")
-    (fun () -> Machine.set_step_budget m (Some (-1)))
-
 (* --------------------------- profiling ----------------------------- *)
 
 let test_profile_shapes () =
@@ -213,6 +193,36 @@ let test_survey_matches_raw_passes () =
   Alcotest.check_raises "interval 0 rejected"
     (Invalid_argument "Faults.survey: keyframe_interval") (fun () ->
       ignore (Faults.survey ~keyframe_interval:0 sc))
+
+(* A cut on the halting boundary lands on an already halted task: the
+   run completes with no outage and no restore, as the continuous run
+   does, on both engines, keyframed or not. *)
+let test_outage_at_halting_boundary () =
+  List.iter
+    (fun (pname, program) ->
+      let sc = scenario program in
+      let s = Faults.survey ~keyframe_interval:8 sc in
+      let p = s.Faults.sv_profile in
+      List.iter
+        (fun (label, keyframes) ->
+          List.iter
+            (fun engine ->
+              let r =
+                Faults.run_point ~engine ?keyframes sc ~boundary:p.Faults.retired
+              in
+              let what = pname ^ "/" ^ label in
+              Alcotest.(check bool) (what ^ ": completed") true
+                r.Faults.outcome.Executor.completed;
+              Alcotest.(check int) (what ^ ": no outage") 0
+                r.Faults.outcome.Executor.outage_count;
+              Alcotest.(check bool) (what ^ ": no restore") true
+                (r.Faults.restore = None);
+              Alcotest.(check string) (what ^ ": final digest")
+                (Digest.to_hex p.Faults.final_digest)
+                (Digest.to_hex r.Faults.final_digest))
+            [ Executor.Block; Executor.Reference ])
+        [ ("scratch", None); ("keyframed", s.Faults.sv_keyframes) ])
+    [ ("precise", precise_program ()); ("anytime", anytime_program ()) ]
 
 (* Satellite regression: a boundary past the program's halt must be
    refused, not silently step a halted machine. *)
@@ -415,10 +425,11 @@ let () =
     [
       ( "mechanism",
         [
-          Alcotest.test_case "step budget" `Quick test_step_budget;
           Alcotest.test_case "profile shapes" `Quick test_profile_shapes;
           Alcotest.test_case "survey matches raw passes" `Quick
             test_survey_matches_raw_passes;
+          Alcotest.test_case "outage at the halting boundary" `Quick
+            test_outage_at_halting_boundary;
           Alcotest.test_case "skim reference past halt" `Quick
             test_skim_reference_past_halt;
         ] );

@@ -306,6 +306,22 @@ let test_capture_rejects_halted () =
     (Invalid_argument "Executor.capture: outside on_step") (fun () ->
       ignore (Executor.capture (Option.get !kept)))
 
+(* An observer that cuts the supply has left no clean boundary: the
+   outage is still to be taken, so [capture] must refuse it. *)
+let test_capture_rejects_cut_supply () =
+  Alcotest.check_raises "cut"
+    (Invalid_argument "Executor.capture: not a clean boundary") (fun () ->
+      let machine, _ = fresh () in
+      let supply = Supply.scripted () in
+      ignore
+        (Executor.run
+           ~on_step:(fun live ->
+             if Machine.instructions_retired machine = 10 then begin
+               Supply.cut supply;
+               ignore (Executor.capture live)
+             end)
+           ~machine ~supply ()))
+
 (* A resume state carries the policy it was captured under; resuming it
    under any other policy is rejected, same-policy resumes go through. *)
 let test_resume_rejects_other_policy () =
@@ -364,6 +380,8 @@ let () =
         [
           Alcotest.test_case "capture rejects a halted machine" `Quick
             test_capture_rejects_halted;
+          Alcotest.test_case "capture rejects a cut supply" `Quick
+            test_capture_rejects_cut_supply;
           Alcotest.test_case "resume rejects another policy" `Quick
             test_resume_rejects_other_policy;
         ] );

@@ -1,8 +1,8 @@
 (* Tests for the whole-simulation snapshot layer: Machine.snapshot /
    Machine.restore must round-trip bit-exactly — registers, flags, PC,
-   counters, step budget, skim latch, memoization tables, memory image
-   and access stats — under both engines, on every suite workload, into
-   the same machine or a fresh one. *)
+   counters, skim latch, memoization tables, memory image and access
+   stats — under both engines, on every suite workload, into the same
+   machine or a fresh one. *)
 
 open Wn_machine
 module Memory = Wn_mem.Memory
@@ -20,7 +20,6 @@ type obs = {
   retired : int;
   wn : int;
   cycles : int;
-  budget : int option;
   mem_stats : int * int;
   digest : Digest.t;
 }
@@ -35,7 +34,6 @@ let observe m =
     retired = Machine.instructions_retired m;
     wn = Machine.wn_instructions m;
     cycles = Machine.cycles_executed m;
-    budget = Machine.step_budget m;
     mem_stats = Memory.read_stats (Machine.mem m);
     digest = Memory.digest (Machine.mem m);
   }
@@ -153,20 +151,6 @@ let test_delta_vs_full_chain () =
         Alcotest.failf "re-restore %d not bit-exact" i)
     !chain
 
-(* The step budget is part of the simulation state: a snapshot taken
-   mid-budget must restore the remaining allowance exactly. *)
-let test_budget_roundtrip () =
-  let w = Wn_workloads.Suite.find Workload.Small "MatAdd" in
-  let m = fresh_machine w () in
-  Machine.set_step_budget m (Some 10);
-  for _ = 1 to 4 do Machine.step_fast m done;
-  let snap = Machine.snapshot m in
-  for _ = 1 to 6 do Machine.step_fast m done;
-  Alcotest.(check bool) "exhausted" true (Machine.budget_exhausted m);
-  Machine.restore m snap;
-  Alcotest.(check (option int)) "budget restored" (Some 6) (Machine.step_budget m);
-  Alcotest.(check bool) "not exhausted" false (Machine.budget_exhausted m)
-
 (* Restoring across machines of different configuration must be
    refused, never silently corrupt. *)
 let test_restore_mismatch () =
@@ -193,8 +177,6 @@ let () =
             test_roundtrip_suite;
           Alcotest.test_case "delta vs full snapshot chain" `Quick
             test_delta_vs_full_chain;
-          Alcotest.test_case "step-budget round-trip" `Quick
-            test_budget_roundtrip;
           Alcotest.test_case "configuration mismatch" `Quick
             test_restore_mismatch;
         ] );
