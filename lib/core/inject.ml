@@ -175,7 +175,10 @@ let sweep ?(jobs = 1) ~mode ~config (w : Workload.t) =
      point restores a frame over it (clobbering all state), so restores
      along the chain cost only the pages that differ instead of a fresh
      machine plus a full-image copy per point.  Purely an allocation
-     saving — results are bit-identical with or without it. *)
+     saving — results are bit-identical with or without it.  The key is
+     new per call and the calling domain outlives the sweep, so its
+     slot is emptied on the way out: otherwise every call would park
+     one machine there for the life of the process. *)
   let scratch_key = Domain.DLS.new_key (fun () -> None) in
   let scratch () =
     match keyframes with
@@ -189,6 +192,8 @@ let sweep ?(jobs = 1) ~mode ~config (w : Workload.t) =
             Some m)
   in
   let verdicts =
+    Fun.protect ~finally:(fun () -> Domain.DLS.set scratch_key None)
+    @@ fun () ->
     Wn_exec.Pool.map ~jobs
       (fun i ->
         let boundary = boundaries.(i) in

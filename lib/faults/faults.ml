@@ -222,12 +222,15 @@ let run_point ?(engine = Executor.Block)
      continuous run the remainder is that run's remainder (the scripted
      supply never cuts again), so the executor can stop and reconstruct
      the tail from the survey's recorded final outcome.  Candidates are
-     indexed by PC, so the per-step probe is one array load on the vast
-     majority of steps; the gate on [outage_seen] keeps the prefix
-     replay — which matches keyframes trivially — running normally, and
-     a skim commit leaves the trajectory the keyframes describe, so the
-     probe stops there rather than being paid on every commit-tail
-     step. *)
+     indexed by PC; the gate on [outage_seen] keeps the prefix replay —
+     which matches keyframes trivially — running normally, and a skim
+     commit leaves the trajectory the keyframes describe, so the probe
+     stops there rather than being paid on every commit-tail step.  A
+     post-outage step still compares about 2.5 candidates on exhaustive
+     MatAdd (20 of its 52 PCs hold 5-6 keyframes each), so the scan is
+     built once per point and allocates nothing per step.  The first
+     match in list order wins: the matched keyframe decides the
+     reconstructed cycle fields. *)
   let ffired = ref false in
   let probe =
     match keyframes with
@@ -239,21 +242,21 @@ let run_point ?(engine = Executor.Block)
             if pc >= 0 && pc < Array.length by_pc then
               by_pc.(pc) <- kf :: by_pc.(pc))
           kfs.frames;
+        let rec scan live = function
+          | [] -> ()
+          | kf :: rest ->
+              if Machine.matches_state m kf.kf_machine then begin
+                ffired := true;
+                Executor.rejoin live
+                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
+              end
+              else scan live rest
+        in
         (fun live ->
           let pc = Machine.pc m in
           if !outage_seen && (not !skimmed) && pc >= 0
              && pc < Array.length by_pc
-          then
-            match
-              List.find_opt
-                (fun kf -> Machine.matches_state m kf.kf_machine)
-                by_pc.(pc)
-            with
-            | Some kf ->
-                ffired := true;
-                Executor.rejoin live
-                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
-            | None -> ())
+          then scan live by_pc.(pc))
     | _ -> fun _ -> ()
   in
   (* The one outage trigger: cut the run's own supply the moment the

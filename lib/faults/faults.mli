@@ -37,7 +37,12 @@
     instructions, making the sweep O(n·K) with bit-identical results.
     A keyframe store is immutable after the survey and safe to share
     read-only across pool domains: every restore deep-copies into the
-    consuming machine. *)
+    consuming machine.  A keyframed point pays for what it changes,
+    not for what memory holds: the restore copies only the pages that
+    differ from the machine's last frame, a Clank resume decodes only
+    the tracked words of the packed shadow map, and a rejoin-probe
+    memory compare skips every page the candidate frame shares with
+    the restored one that the run has not written since. *)
 
 type scenario = {
   fresh : unit -> Wn_machine.Machine.t;
@@ -176,6 +181,15 @@ val run_point :
     differ from a literal post-outage continuation; for those fields
     treat a keyframed run as its own deterministic quantity (identical
     across engines and jobs, not across [keyframes] on/off).
+
+    Cost of a keyframed point: a fixed set-up (the frame restore, the
+    executor's resume, a PC-indexed candidate table over the frames),
+    then the replayed prefix, then per post-outage step a probe that
+    compares the keyframes recorded at the current PC — 71.6 M
+    {!Wn_machine.Machine.matches_state} calls over the 40,979 points of
+    an exhaustive MatAdd sweep, about 2.5 per post-outage step — without
+    allocating; a compare reaches memory only when the registers and
+    flags already match.
 
     [machine] is an optional scratch machine (from this scenario's
     [fresh]) whose entire state the call may clobber.  It is used only

@@ -734,14 +734,19 @@ let snapshot_retired s = s.s_retired
 let snapshot_pc s = s.s_pc
 
 (* Monomorphic int-array compare: the rejoin probe calls this on the
-   register file once per candidate per step, where the polymorphic
-   [=] walk is measurably hot. *)
+   register file once per candidate per step (71.6 M calls on an
+   exhaustive MatAdd sweep), where the polymorphic [=] walk is
+   measurably hot.  A [while] loop, because a local recursive closure
+   is allocated on every call by the non-flambda compiler. *)
 let int_arrays_equal a b =
-  Array.length a = Array.length b
-  &&
   let n = Array.length a in
-  let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-  go 0
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+    incr i
+  done;
+  !i = n
 
 (* Architectural comparison: does the machine's forward-determining
    state bit-match the snapshot's?  Statistics (retired, cycles, memory

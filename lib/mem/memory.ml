@@ -12,7 +12,16 @@
    zero-allocation fast path steps through here).  [digest] rehashes
    only stale pages and combines the per-page hashes; [capture] copies
    only dirty pages, structurally sharing clean ones with the previous
-   capture, which is what makes dense keyframe stores cheap. *)
+   capture, which is what makes dense keyframe stores cheap.
+
+   The clean-page invariant: a page whose bit 0 is clear holds exactly
+   the bytes of the same page of [last_capture], the delta baseline.
+   [create], [restore] and [clear] set bit 0 on every page and each
+   write sets it on the pages it touches; [capture] and [restore_image]
+   leave the store equal to the image they adopt as the baseline and
+   clear bit 0 everywhere.  Bit 0 is only ever cleared together with
+   bit 1.  [capture]'s sharing, [restore_image]'s skip and
+   [matches_image]'s skip all rest on this invariant. *)
 
 let page_shift = 8
 let page_bytes = 1 lsl page_shift
@@ -31,6 +40,7 @@ type t = {
   flags : Bytes.t; (* one metadata byte per page, bits as above *)
   hashes : string array; (* valid where bit 1 is clear *)
   combine : Bytes.t; (* concatenated page hashes, in sync with [hashes] *)
+  mutable combined : Digest.t option; (* MD5 of [combine], while unchanged *)
   mutable last_capture : image option; (* delta baseline for [capture] *)
 }
 
@@ -47,6 +57,7 @@ let create ~size =
     flags = Bytes.make pages dirty;
     hashes = Array.make pages "";
     combine = Bytes.create (pages * 16);
+    combined = None;
     last_capture = None;
   }
 
@@ -136,20 +147,28 @@ let ensure_hash t p =
     let h = Digest.subbytes t.store (page_off p) (page_len t p) in
     t.hashes.(p) <- h;
     Bytes.blit_string h 0 t.combine (p * 16) 16;
+    t.combined <- None;
     Bytes.unsafe_set t.flags p (Char.unsafe_chr (f land 1))
   end
 
 (* MD5 over the concatenated per-page MD5s.  Only pages written since
    the previous digest/capture are rehashed, so the per-call cost is
-   O(dirty pages) + O(pages) for the combine, not O(bytes).  Equal
-   contents still imply equal digests (and conversely, modulo MD5
-   collisions), but the hex values differ from a flat MD5 of the
-   store — goldens that print them were re-pinned once. *)
+   O(dirty pages) + O(pages) for the scan; the combine is hashed only
+   when a page hash changed since the last digest, and otherwise the
+   memoised value is returned.  Equal contents still imply equal
+   digests (and conversely, modulo MD5 collisions), but the hex values
+   differ from a flat MD5 of the store — goldens that print them were
+   re-pinned once. *)
 let digest t =
   for p = 0 to t.pages - 1 do
     ensure_hash t p
   done;
-  Digest.bytes t.combine
+  match t.combined with
+  | Some d -> d
+  | None ->
+      let d = Digest.bytes t.combine in
+      t.combined <- Some d;
+      d
 
 (* ------------------------------------------------------------------ *)
 (* Images: capture / restore with structural page sharing             *)
@@ -191,31 +210,34 @@ let capture_gen ~share t =
 let capture t = capture_gen ~share:true t
 let capture_full t = capture_gen ~share:false t
 
+(* The delta baseline's pages, or [||] for a memory that has none. *)
+let baseline_pages t =
+  match t.last_capture with Some prev -> prev.im_pages | None -> [||]
+
+(* By the clean-page invariant, page [p] already holds [pg]'s bytes
+   when [pg] is physically the baseline's page object and the page has
+   not been written since the baseline was adopted. *)
+let holds_baseline_page t base p pg =
+  Array.length base = t.pages
+  && pg == Array.unsafe_get base p
+  && Char.code (Bytes.unsafe_get t.flags p) land 1 = 0
+
 let restore_image t im =
   if im.im_size <> size t then invalid_arg "Memory.restore: size mismatch";
-  (* O(changed pages) in-place restore: a page whose object is
-     physically shared between the incoming image and the current delta
-     baseline, and which has not been written since that baseline was
-     adopted, already holds the right bytes — skip the blit.  Images
-     from one capture chain share most pages, so restoring a machine
-     back and forth along a keyframe train costs only the pages that
-     actually differ. *)
-  let prev_pages =
-    match t.last_capture with Some prev -> prev.im_pages | None -> [||]
-  in
-  let have_prev = Array.length prev_pages = t.pages in
+  (* O(changed pages) in-place restore: a page the memory already holds
+     (see [holds_baseline_page]) skips the blit.  Images from one
+     capture chain share most pages, so restoring a machine back and
+     forth along a keyframe train costs only the pages that actually
+     differ. *)
+  let base = baseline_pages t in
   for p = 0 to t.pages - 1 do
     let pg = im.im_pages.(p) in
-    if
-      not
-        (have_prev
-        && pg == Array.unsafe_get prev_pages p
-        && Char.code (Bytes.unsafe_get t.flags p) land 1 = 0)
-    then begin
+    if not (holds_baseline_page t base p pg) then begin
       Bytes.blit pg 0 t.store (page_off p) (Bytes.length pg);
       let h = im.im_hashes.(p) in
       t.hashes.(p) <- h;
-      Bytes.blit_string h 0 t.combine (p * 16) 16
+      Bytes.blit_string h 0 t.combine (p * 16) 16;
+      t.combined <- None
     end
   done;
   (* The image's hashes are valid for the restored contents, so a
@@ -225,21 +247,41 @@ let restore_image t im =
   Bytes.fill t.flags 0 t.pages '\000';
   t.last_capture <- Some im
 
-(* Page-wise [Bytes.equal] (a C memcmp) beats a per-byte loop by an
-   order of magnitude; the transient [Bytes.sub] per page is minor-heap
-   noise next to the compare itself. *)
+(* [pg] equals the store's bytes from [off] on, compared in place eight
+   bytes at a time and then byte by byte over the tail.  No [Bytes.sub]:
+   the rejoin probe compares up to a whole image per call, and a copy
+   per page would allocate the image's size (6.5 k words on MatAdd) on
+   every full match. *)
+let page_equal store off pg =
+  let n = Bytes.length pg in
+  let i = ref 0 in
+  while
+    !i + 8 <= n && Bytes.get_int64_ne store (off + !i) = Bytes.get_int64_ne pg !i
+  do
+    i := !i + 8
+  done;
+  while !i < n && Bytes.get store (off + !i) = Bytes.get pg !i do
+    incr i
+  done;
+  !i = n
+
+(* Allocation-free.  Pages the memory provably holds are accepted
+   without a compare, so a candidate image from the same capture chain
+   as the last restore costs only the pages dirtied since. *)
 let matches_image t im =
   im.im_size = size t
   &&
-  let ok = ref true in
+  let base = baseline_pages t in
   let p = ref 0 in
-  while !ok && !p < t.pages do
-    let pg = im.im_pages.(!p) in
-    if not (Bytes.equal pg (Bytes.sub t.store (page_off !p) (Bytes.length pg)))
-    then ok := false;
+  while
+    !p < t.pages
+    &&
+    let pg = Array.unsafe_get im.im_pages !p in
+    holds_baseline_page t base !p pg || page_equal t.store (page_off !p) pg
+  do
     incr p
   done;
-  !ok
+  !p = t.pages
 
 (* ------------------------------------------------------------------ *)
 (* Flat snapshot API (kept for callers that want raw bytes)           *)

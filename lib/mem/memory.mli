@@ -53,8 +53,9 @@ val digest : t -> Digest.t
     Memories of equal size have equal digests iff their contents are
     equal (modulo MD5 collisions, as before).  Cost is O(pages written
     since the last digest or capture) plus a hash of the small combine
-    buffer — not O(size).  Note the hex value differs from a flat MD5
-    of the contents. *)
+    buffer — not O(size) — and the combine hash is memoised until a
+    page is rehashed or restored.  Note the hex value differs from a
+    flat MD5 of the contents. *)
 
 (** {1 Images: O(dirty) capture and restore}
 
@@ -83,7 +84,10 @@ val restore_image : t -> image -> unit
     image the new delta baseline for {!capture}. *)
 
 val matches_image : t -> image -> bool
-(** True iff the current contents equal the image, compared in place. *)
+(** True iff the current contents equal the image, compared in place
+    without allocating.  A page the image shares physically with the
+    memory's delta baseline, and which has not been written since that
+    baseline was adopted, is accepted without a compare. *)
 
 val image_size : image -> int
 

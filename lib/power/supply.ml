@@ -78,6 +78,12 @@ let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
 
 let default_off_cycles = 24_000
 
+(* Scripted supplies are infinite: their trace never decides whether
+   power is on.  They all share this one ([Trace.t] is immutable), so
+   building a supply per injected point allocates no 1,000-sample
+   trace. *)
+let scripted_trace = Trace.constant ~power:1.0 ~duration_s:1.0
+
 let scripted ?(off_cycles = default_off_cycles) ?(outages = []) () =
   if off_cycles < 0 then invalid_arg "Supply.scripted";
   let rec ascending = function
@@ -88,8 +94,8 @@ let scripted ?(off_cycles = default_off_cycles) ?(outages = []) () =
   List.iter (fun c -> if c < 0 then invalid_arg "Supply.scripted") outages;
   ascending outages;
   make ~clock_hz:default_clock_hz ~cycle_energy:default_cycle_energy
-    ~trace:(Trace.constant ~power:1.0 ~duration_s:1.0)
-    ~capacitor:(Capacitor.create ()) ~infinite:true ~script:outages ~off_cycles
+    ~trace:scripted_trace ~capacitor:(Capacitor.create ()) ~infinite:true
+    ~script:outages ~off_cycles
 
 (* A scripted supply with no script and no off-period. *)
 let always_on () = scripted ~off_cycles:0 ()

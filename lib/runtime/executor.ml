@@ -102,10 +102,21 @@ let pack_shadow st =
   done;
   b
 
-(* Bare bits carry epoch stamp 0, matching the fresh state's epoch. *)
+(* Bare bits carry epoch stamp 0, matching the fresh state's epoch.
+   Only the bytes that hold a tracked word are decoded: at most
+   [buffer_entries] words carry bits, a small share of data memory
+   (12,304 words on MatAdd), and fault injection resumes once per
+   injected point. *)
 let unpack_shadow packed words =
-  Array.init words (fun w ->
-      Char.code (Bytes.unsafe_get packed (w lsr 2)) lsr ((w land 3) * 2) land 3)
+  let shadow = Array.make words 0 in
+  for i = 0 to Bytes.length packed - 1 do
+    let byte = Char.code (Bytes.unsafe_get packed i) in
+    if byte <> 0 then
+      for w = i lsl 2 to min words ((i lsl 2) + 4) - 1 do
+        Array.unsafe_set shadow w ((byte lsr ((w land 3) * 2)) land 3)
+      done
+  done;
+  shadow
 
 let word_of_addr addr = addr lsr 2
 

@@ -461,6 +461,54 @@ let test_step_block_no_alloc () =
       "step_block allocated %.0f minor words over 10k dispatches" allocated;
   if Machine.halted m then Alcotest.fail "probe program halted inside window"
 
+(* The rejoin probe compares the machine against keyframe candidates
+   on every post-outage step, so [Machine.matches_state] must not
+   allocate whether it accepts or rejects.  Memory of three pages plus
+   a short tail page, with a store in the first and a byte planted in
+   the tail. *)
+let test_matches_state_no_alloc () =
+  let size = (3 * Wn_mem.Memory.page_bytes) + 29 in
+  let mem = Wn_mem.Memory.create ~size in
+  let config = { Machine.memo_entries = Some 16; Machine.zero_skip = true } in
+  let m = Machine.create ~config ~program:alloc_probe_program ~mem () in
+  Wn_mem.Memory.write8 mem (size - 2) 0x5A;
+  for _ = 1 to 1_000 do
+    Machine.step_fast m
+  done;
+  let measure label s ~expect =
+    if Machine.matches_state m s <> expect then
+      Alcotest.failf "%s: matches_state is not %b" label expect;
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    let baseline = b -. a in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (Machine.matches_state m s))
+    done;
+    let w1 = Gc.minor_words () in
+    let allocated = w1 -. w0 -. baseline in
+    if allocated <> 0.0 then
+      Alcotest.failf "%s: %.0f minor words over 1,000 calls" label allocated
+  in
+  (* A delta image restored into the machine: every page is the
+     baseline's own and clean, so no page is compared. *)
+  let delta = Machine.snapshot m in
+  Machine.restore m delta;
+  measure "full match, delta image after restore" delta ~expect:true;
+  (* A full image, then a second full capture as the new baseline:
+     the first image shares no page with it, so every page is compared
+     in place. *)
+  let full = Machine.snapshot ~full:true m in
+  ignore (Machine.snapshot ~full:true m);
+  measure "full match, full image" full ~expect:true;
+  let r4 = Reg.r 4 in
+  let saved = Machine.reg m r4 in
+  Machine.set_reg m r4 (saved + 1);
+  measure "same pc, one register changed" full ~expect:false;
+  Machine.set_reg m r4 saved;
+  Wn_mem.Memory.write8 mem (size - 1) 0xA5;
+  measure "one byte changed in the tail page" full ~expect:false
+
 let () =
   let lockstep_cases =
     List.concat_map
@@ -531,5 +579,7 @@ let () =
             test_step_fast_no_alloc;
           Alcotest.test_case "step_block allocation-free" `Quick
             test_step_block_no_alloc;
+          Alcotest.test_case "matches_state allocation-free" `Quick
+            test_matches_state_no_alloc;
         ] );
     ]

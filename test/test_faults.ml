@@ -420,6 +420,34 @@ let test_sampler_determinism () =
   if a.Inject.points = c.Inject.points && a = { c with Inject.config = a.Inject.config }
   then Alcotest.fail "different seed should move the sampled boundaries"
 
+(* A sweep parks a scratch machine in the calling domain's slot of a
+   per-call [Domain.DLS] key; it must empty that slot on the way out, or
+   every sweep leaks one machine for the life of the process. *)
+let test_sweep_releases_scratch () =
+  let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small "MatAdd" in
+  let config = Inject.default_config in
+  let sweep () = ignore (Inject.sweep ~jobs:1 ~mode:(Inject.Sampled 5) ~config w) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let machine_words =
+    let b =
+      Wn_core.Runner.build ~precise:(not config.Inject.skim) w
+        { Wn_workloads.Workload.bits = config.Inject.bits; provisioned = true }
+    in
+    Obj.reachable_words (Obj.repr (Wn_core.Runner.machine b))
+  in
+  sweep ();
+  let before = live () in
+  for _ = 1 to 20 do
+    sweep ()
+  done;
+  let grown = live () - before in
+  if grown >= machine_words then
+    Alcotest.failf "20 sweeps grew the live heap by %d words (one machine: %d)"
+      grown machine_words
+
 let () =
   Alcotest.run "wn.faults"
     [
@@ -455,5 +483,7 @@ let () =
           Alcotest.test_case "keyframes on/off identical" `Slow
             test_sweep_keyframes_identical;
           Alcotest.test_case "sampler determinism" `Slow test_sampler_determinism;
+          Alcotest.test_case "sweeps release their scratch machine" `Slow
+            test_sweep_releases_scratch;
         ] );
     ]

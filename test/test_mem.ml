@@ -221,17 +221,33 @@ let prop_incremental_digest =
       let m = Memory.create ~size:model_size in
       let b = Bytes.make model_size '\000' in
       let ok = ref true in
+      let check () =
+        if not (Digest.equal (Memory.digest m) (digest_of_contents b)) then
+          ok := false
+      in
+      let recorded = ref [] in
       List.iteri
         (fun i op ->
           apply_mem m op;
           apply_ref b op;
           (* Captures interleave with digests: both consume the dirty
              bits, through different paths. *)
-          if i mod 7 = 3 then ignore (Memory.capture m);
-          if i mod 5 = 2 && not (Digest.equal (Memory.digest m) (digest_of_contents b))
-          then ok := false)
+          if i mod 7 = 3 then recorded := (Memory.capture m, Bytes.copy b) :: !recorded;
+          (* A restore between two digests rewrites page hashes without
+             a rehash: the memoised combined digest must not survive it. *)
+          (if i mod 11 = 7 then
+             match !recorded with
+             | [] -> ()
+             | l ->
+                 let im, contents = List.nth l (i mod List.length l) in
+                 check ();
+                 Memory.restore_image m im;
+                 Bytes.blit contents 0 b 0 model_size;
+                 check ());
+          if i mod 5 = 2 then check ())
         ops;
-      !ok && Digest.equal (Memory.digest m) (digest_of_contents b))
+      check ();
+      !ok)
 
 let prop_delta_roundtrip =
   QCheck.Test.make ~count:200
@@ -258,6 +274,75 @@ let prop_delta_roundtrip =
           && Digest.equal (Memory.digest m) (digest_of_contents contents))
         !recorded)
 
+(* The byte range an op writes. *)
+let op_range = function
+  | W8 (a, _) -> (a, 1)
+  | W16 (a, _) -> (a, 2)
+  | W32 (a, _) -> (a, 4)
+  | Blit (a, s) -> (a, String.length s)
+  | Fill (a, l, _) -> (a, l)
+
+(* [matches_image] skips pages it knows the memory holds (the delta
+   baseline's own page objects, unwritten since); it must still agree
+   with a flat compare of the contents against every image: delta and
+   full captures of this memory and an image of another one.  Checked
+   right after a restore, after fresh writes (every other one put back
+   at once: a dirty page with equal content, and sometimes a capture
+   that moves the baseline), and after undoing all of them. *)
+let prop_matches_image_flat =
+  QCheck.Test.make ~count:200
+    ~name:"matches_image == flat compare after restore and writes"
+    QCheck.(triple arb_ops arb_ops small_nat)
+    (fun (ops, more, pick) ->
+      let m = Memory.create ~size:model_size in
+      let b = Bytes.make model_size '\000' in
+      let recorded = ref [ (Memory.capture m, Bytes.copy b) ] in
+      List.iteri
+        (fun i op ->
+          apply_mem m op;
+          apply_ref b op;
+          if i mod 5 = 4 then recorded := (Memory.capture m, Bytes.copy b) :: !recorded;
+          if i mod 7 = 6 then
+            recorded := (Memory.capture_full m, Bytes.copy b) :: !recorded)
+        ops;
+      let other = Memory.create ~size:model_size in
+      let ob = Bytes.make model_size '\000' in
+      List.iter
+        (fun op ->
+          apply_mem other op;
+          apply_ref ob op)
+        more;
+      recorded := (Memory.capture other, ob) :: !recorded;
+      let agrees () =
+        Memory.matches m b
+        && List.for_all
+             (fun (im, contents) ->
+               Memory.matches_image m im = Bytes.equal b contents)
+             !recorded
+      in
+      let im, contents = List.nth !recorded (pick mod List.length !recorded) in
+      Memory.restore_image m im;
+      Bytes.blit contents 0 b 0 model_size;
+      let after_restore = agrees () in
+      let put_back (a, old) =
+        Memory.blit_in m ~addr:a old;
+        Bytes.blit old 0 b a (Bytes.length old)
+      in
+      let undo = ref [] in
+      List.iteri
+        (fun i op ->
+          let a, l = op_range op in
+          let saved = (a, Bytes.sub b a l) in
+          undo := saved :: !undo;
+          apply_mem m op;
+          apply_ref b op;
+          if i mod 2 = 0 then put_back saved;
+          if i mod 9 = 8 then ignore (Memory.capture m))
+        (List.rev more);
+      let after_writes = agrees () in
+      List.iter put_back !undo;
+      after_restore && after_writes && Bytes.equal b contents && agrees ())
+
 let () =
   Alcotest.run "wn.mem"
     [
@@ -275,5 +360,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_model_equiv;
           QCheck_alcotest.to_alcotest prop_incremental_digest;
           QCheck_alcotest.to_alcotest prop_delta_roundtrip;
+          QCheck_alcotest.to_alcotest prop_matches_image_flat;
         ] );
     ]
