@@ -901,17 +901,7 @@ let insn_cmd =
       & info [] ~docv:"BENCH"
           ~doc:"Benchmark name(s); defaults to the whole suite.")
   in
-  let check_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "check" ] ~docv:"BASELINE"
-          ~doc:
-            "Compare against the committed baseline (BASELINE_insn.json) \
-             and exit non-zero if any counter retires more instructions \
-             than it records.")
-  in
-  let run benches scale bits seed json check =
+  let run benches scale bits seed json =
     let* _ = require_non_negative "seed" seed in
     let* ws =
       match benches with
@@ -928,26 +918,7 @@ let insn_cmd =
     let report = Wn_core.Insn.measure ~seed ~bits ~scale ws in
     if json then print_string (Wn_core.Insn.json report)
     else Format.printf "%a@?" Wn_core.Insn.pp report;
-    match check with
-    | None -> Ok ()
-    | Some path -> (
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error e -> Error (`Msg e)
-        | baseline -> (
-            match Wn_core.Insn.check ~baseline report with
-            | [] -> Ok ()
-            | regs ->
-                List.iter
-                  (fun (r : Wn_core.Insn.regression) ->
-                    Printf.eprintf "REGRESSION %s: %d retired (baseline %d)\n"
-                      r.Wn_core.Insn.key r.Wn_core.Insn.current
-                      r.Wn_core.Insn.baseline)
-                  regs;
-                Error
-                  (`Msg
-                     (Printf.sprintf
-                        "%d instruction-count regression(s) vs %s"
-                        (List.length regs) path))))
+    Ok ()
   in
   Cmd.v
     (Cmd.info "insn"
@@ -957,8 +928,7 @@ let insn_cmd =
           gate's scenario counters")
     Term.(
       term_result
-        (const run $ benches_arg $ scale_arg $ bits_arg $ seed_arg $ json_arg
-       $ check_arg))
+        (const run $ benches_arg $ scale_arg $ bits_arg $ seed_arg $ json_arg))
 
 let source_cmd =
   let run bench scale bits =

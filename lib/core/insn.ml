@@ -99,7 +99,8 @@ let pp ppf r =
     r.scenarios
 
 (* Flat machine-readable form: one counter per line, mirroring the
-   BENCH_machine.json shape so the CI gate can diff the two runs. *)
+   BENCH_machine.json shape; CI compares its [results] against the
+   [insn] section of BASELINE_work.json. *)
 let json r =
   let counters =
     List.concat_map
@@ -126,68 +127,3 @@ let json r =
     counters;
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
-
-(* Minimal parser for the flat baseline: every ["key": number] pair in
-   the file.  Tolerates the wn-bench schema too (floats truncate). *)
-let parse_counters text =
-  let n = String.length text in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if text.[!i] = '"' then begin
-      let start = !i + 1 in
-      let j = ref start in
-      while !j < n && text.[!j] <> '"' do incr j done;
-      let key = String.sub text start (!j - start) in
-      let k = ref (!j + 1) in
-      while !k < n && (text.[!k] = ' ' || text.[!k] = '\t') do incr k done;
-      if !k < n && text.[!k] = ':' then begin
-        incr k;
-        while !k < n && (text.[!k] = ' ' || text.[!k] = '\t') do incr k done;
-        let s = !k in
-        while
-          !k < n
-          && (match text.[!k] with
-             | '0' .. '9' | '-' | '.' | 'e' | 'E' | '+' -> true
-             | _ -> false)
-        do
-          incr k
-        done;
-        if !k > s then
-          match float_of_string_opt (String.sub text s (!k - s)) with
-          | Some v -> out := (key, int_of_float v) :: !out
-          | None -> ()
-      end;
-      i := !k
-    end
-    else incr i
-  done;
-  List.rev !out
-
-type regression = { key : string; baseline : int; current : int }
-
-(* A counter regresses when it exceeds its committed baseline; missing
-   keys on either side are skipped (new benchmarks are not gated until
-   the baseline is re-recorded). *)
-let check ~baseline r =
-  let base = parse_counters baseline in
-  let current =
-    List.map
-      (fun row ->
-        [
-          (Printf.sprintf "insn:%s[build=precise]" row.bench,
-           row.precise_retired);
-          (Printf.sprintf "insn:%s[build=anytime]" row.bench,
-           row.anytime_retired);
-        ])
-      r.rows
-    |> List.concat
-  in
-  let current = current @ r.scenarios in
-  List.filter_map
-    (fun (key, current) ->
-      match List.assoc_opt key base with
-      | Some baseline when current > baseline ->
-          Some { key; baseline; current }
-      | _ -> None)
-    current

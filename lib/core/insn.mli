@@ -32,7 +32,7 @@ type report = {
 }
 
 val shadowmap_key : string
-(** ["fig10:executor_clank_shadowmap"] — the CI optimizer gate's
+(** ["fig10:executor_clank_shadowmap"] — the CI gate's scenario
     counter: the Var\@8 anytime task under the Clank runtime on an
     always-on supply (the scenario the microbenchmark of the same name
     times), in retired instructions. *)
@@ -45,11 +45,5 @@ val pp : Format.formatter -> report -> unit
 val json : report -> string
 (** Flat ["wn-insn/1"] object mirroring the BENCH_machine.json shape:
     one integer counter per benchmark/build pair plus the scenario
-    counters.  The committed BASELINE_insn.json is this, verbatim. *)
-
-type regression = { key : string; baseline : int; current : int }
-
-val check : baseline:string -> report -> regression list
-(** Compare a report against the text of a committed baseline file:
-    every counter present in both that now retires {e more}
-    instructions.  Keys on only one side are ignored. *)
+    counters.  Its [results] must equal the [insn] section of the
+    committed BASELINE_work.json key for key (a CI gate). *)

@@ -69,7 +69,7 @@ let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
         invalid_arg "Faults.survey: boundaries")
     boundaries;
   let m = scenario.fresh () in
-  let supply = Supply.scripted () in
+  let supply = Supply.always_on () in
   let stores = ref [] and skms = ref [] and ckpts = ref [] in
   let digests = Array.make count Digest.(string "") in
   let bi = ref 0 in
@@ -189,7 +189,7 @@ let run_point ?(engine = Executor.Block)
     | Some _, Some m -> m
     | _ -> scenario.fresh ()
   in
-  let supply = Supply.scripted ~off_cycles () in
+  let supply = Supply.always_on ~off_cycles () in
   let resume =
     Option.map
       (fun kf ->
@@ -219,8 +219,8 @@ let run_point ?(engine = Executor.Block)
   in
   (* Rejoin fast-forward: once the injected run is past the outage, the
      first instant its architectural state bit-matches a keyframe of the
-     continuous run the remainder is that run's remainder (the scripted
-     supply never cuts again), so the executor can stop and reconstruct
+     continuous run the remainder is that run's remainder (the observer
+     never cuts again), so the executor can stop and reconstruct
      the tail from the survey's recorded final outcome.  Candidates are
      indexed by PC; the gate on [outage_seen] keeps the prefix replay —
      which matches keyframes trivially — running normally, and a skim

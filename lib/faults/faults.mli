@@ -6,7 +6,7 @@
     outage-point space.  This engine instead forces an outage at a
     *chosen instruction boundary* (boundary [k] = between the [k]'th and
     [k+1]'th retired instruction of the continuous run): an [on_step]
-    observer cuts the run's {!Wn_power.Supply.scripted} supply the
+    observer cuts the run's {!Wn_power.Supply.always_on} supply the
     moment the [k]'th instruction retires, and the executor takes the
     outage before the next one.  It then audits the restore against
     three oracle properties:

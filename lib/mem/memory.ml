@@ -223,7 +223,8 @@ let holds_baseline_page t base p pg =
   && Char.code (Bytes.unsafe_get t.flags p) land 1 = 0
 
 let restore_image t im =
-  if im.im_size <> size t then invalid_arg "Memory.restore: size mismatch";
+  if im.im_size <> size t then
+    invalid_arg "Memory.restore_image: size mismatch";
   (* O(changed pages) in-place restore: a page the memory already holds
      (see [holds_baseline_page]) skips the blit.  Images from one
      capture chain share most pages, so restoring a machine back and
@@ -282,20 +283,6 @@ let matches_image t im =
     incr p
   done;
   !p = t.pages
-
-(* ------------------------------------------------------------------ *)
-(* Flat snapshot API (kept for callers that want raw bytes)           *)
-
-let snapshot t = Bytes.copy t.store
-
-let matches t image = Bytes.equal t.store image
-
-let restore t snap =
-  if Bytes.length snap <> Bytes.length t.store then
-    invalid_arg "Memory.restore: size mismatch";
-  Bytes.blit snap 0 t.store 0 (Bytes.length snap);
-  Bytes.fill t.flags 0 t.pages dirty;
-  t.last_capture <- None
 
 let blit_in t ~addr data =
   check t addr (Bytes.length data) "blit_in";

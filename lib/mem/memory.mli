@@ -95,16 +95,6 @@ val image_digest : image -> Digest.t
 (** Digest of an image's contents; agrees with {!digest} of a memory
     holding the same bytes. *)
 
-val snapshot : t -> bytes
-(** A copy of the full contents as raw bytes (flat snapshot). *)
-
-val matches : t -> bytes -> bool
-(** [matches t image] is true iff the current contents equal [image]
-    (a {!snapshot}), compared in place without copying. *)
-
-val restore : t -> bytes -> unit
-(** Overwrite contents from a flat snapshot of equal size. *)
-
 val blit_in : t -> addr:int -> bytes -> unit
 (** Load raw bytes at [addr] (program data segment initialisation). *)
 

@@ -59,5 +59,3 @@ let set_empty t =
 let set_full t =
   t.stored <- energy_at t.capacitance t.v_max;
   t.on <- true
-
-let copy t = { t with capacitance = t.capacitance }

@@ -49,5 +49,3 @@ val set_empty : t -> unit
 (** Discharge to [v_off] (device just browned out). *)
 
 val set_full : t -> unit
-
-val copy : t -> t

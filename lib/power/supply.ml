@@ -20,12 +20,10 @@ type t = {
   mutable tick_base : int;
   mutable tick_end : int;
   mutable tick_power : float;
-  (* Scripted outages (fault injection): the supply reports a brown-out
-     the moment the clock reaches the next scripted cycle, regardless of
-     stored energy, and [wait_for_power] restores power after a fixed
-     off-period.  [forced_off] is also settable directly via [cut]. *)
+  (* Forced outages (fault injection): [cut] latches [forced_off] on an
+     infinite supply, regardless of the clock, and [wait_for_power]
+     restores power after a fixed off-period. *)
   mutable forced_off : bool;
-  mutable script : int list; (* ascending absolute cut cycles *)
   off_cycles : int; (* off-period served for a forced outage *)
 }
 
@@ -45,8 +43,7 @@ let refresh_tick_cache t =
 
 (* The one record literal: every constructor below differs only in
    these arguments. *)
-let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~script
-    ~off_cycles =
+let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~off_cycles =
   let t =
     {
       clock_hz;
@@ -62,7 +59,6 @@ let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~script
       tick_end = 0;
       tick_power = 0.0;
       forced_off = false;
-      script;
       off_cycles;
     }
   in
@@ -73,32 +69,20 @@ let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
     ?(start_full = true) ~trace ~capacitor () =
   if clock_hz <= 0.0 || cycle_energy < 0.0 then invalid_arg "Supply.create";
   if start_full then Capacitor.set_full capacitor;
-  make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite:false ~script:[]
-    ~off_cycles:0
+  make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite:false ~off_cycles:0
 
 let default_off_cycles = 24_000
 
-(* Scripted supplies are infinite: their trace never decides whether
-   power is on.  They all share this one ([Trace.t] is immutable), so
-   building a supply per injected point allocates no 1,000-sample
-   trace. *)
-let scripted_trace = Trace.constant ~power:1.0 ~duration_s:1.0
+(* Infinite supplies never read their trace to decide whether power is
+   on.  They all share this one ([Trace.t] is immutable), so building a
+   supply per injected point allocates no 1,000-sample trace. *)
+let infinite_trace = Trace.constant ~power:1.0 ~duration_s:1.0
 
-let scripted ?(off_cycles = default_off_cycles) ?(outages = []) () =
-  if off_cycles < 0 then invalid_arg "Supply.scripted";
-  let rec ascending = function
-    | a :: (b :: _ as rest) ->
-        if a >= b then invalid_arg "Supply.scripted" else ascending rest
-    | _ -> ()
-  in
-  List.iter (fun c -> if c < 0 then invalid_arg "Supply.scripted") outages;
-  ascending outages;
+let always_on ?(off_cycles = 0) () =
+  if off_cycles < 0 then invalid_arg "Supply.always_on";
   make ~clock_hz:default_clock_hz ~cycle_energy:default_cycle_energy
-    ~trace:scripted_trace ~capacitor:(Capacitor.create ()) ~infinite:true
-    ~script:outages ~off_cycles
-
-(* A scripted supply with no script and no off-period. *)
-let always_on () = scripted ~off_cycles:0 ()
+    ~trace:infinite_trace ~capacitor:(Capacitor.create ()) ~infinite:true
+    ~off_cycles
 
 let now_cycles t = t.cycles
 
@@ -110,8 +94,8 @@ let is_on t =
 (* Force a brown-out right now, regardless of stored energy.  On a
    capacitor-backed supply the injection empties the capacitor (the
    physical analogue of yanking the harvester mid-burst); on an infinite
-   or scripted supply it sets [forced_off], which [wait_for_power]
-   clears after serving [off_cycles]. *)
+   supply it sets [forced_off], which [wait_for_power] clears after
+   serving [off_cycles]. *)
 let cut t =
   if is_on t then begin
     if t.infinite then t.forced_off <- true
@@ -145,20 +129,7 @@ let consume t ~cycles =
   let start = t.cycles in
   let finish = start + cycles in
   t.cycles <- finish;
-  let joules = float_of_int cycles *. t.cycle_energy in
   t.consumed_cycles <- t.consumed_cycles + cycles;
-  (match t.script with
-  | c :: _ when c <= finish ->
-      let rec drop = function
-        | c :: rest when c <= finish -> drop rest
-        | rest -> rest
-      in
-      t.script <- drop t.script;
-      if not t.forced_off then begin
-        t.forced_off <- true;
-        t.outage_count <- t.outage_count + 1
-      end
-  | _ -> ());
   if t.infinite then not t.forced_off
   else begin
     let inflow =
@@ -173,7 +144,7 @@ let consume t ~cycles =
       end
     in
     Capacitor.harvest t.capacitor inflow;
-    Capacitor.drain t.capacitor joules;
+    Capacitor.drain t.capacitor (float_of_int cycles *. t.cycle_energy);
     let on = Capacitor.is_on t.capacitor in
     if not on then t.outage_count <- t.outage_count + 1;
     on
@@ -182,13 +153,12 @@ let consume t ~cycles =
 let wait_for_power t =
   if is_on t then 0
   else if t.forced_off then begin
-    (* A forced (scripted/injected) outage on an energy-unconstrained
-       supply: serve the fixed off-period, then power returns.  The
-       clock advance keeps downstream time accounting honest without
-       modelling any recharge physics. *)
+    (* A forced outage (only an infinite supply latches one): serve the
+       fixed off-period, then power returns.  The clock advance keeps
+       downstream time accounting honest without modelling any recharge
+       physics. *)
     t.cycles <- t.cycles + t.off_cycles;
     t.forced_off <- false;
-    if not t.infinite then refresh_tick_cache t;
     t.off_cycles
   end
   else begin
@@ -223,7 +193,7 @@ let outages t = t.outage_count
 
 let energy_consumed t = float_of_int t.consumed_cycles *. t.cycle_energy
 
-let never_cuts t = t.infinite && t.script = []
+let never_cuts t = t.infinite
 
 (* Margin covering the float rounding gap between one batched drain and
    the per-instruction drain sequence the guard stands in for: the
@@ -233,30 +203,6 @@ let assured_margin_cycles = 16
 
 let assured t ~cycles =
   (not t.forced_off)
-  && (match t.script with [] -> true | c :: _ -> c > t.cycles + cycles)
   && (t.infinite
      || Capacitor.usable_energy t.capacitor
         >= float_of_int (cycles + assured_margin_cycles) *. t.cycle_energy)
-
-let consume_run t ~costs =
-  if t.infinite then begin
-    (* Energy-unconstrained: one batched call is observably identical to
-       the per-cost sequence — the clock advance and (integer) drain
-       accounting are additive, and the script drop/forced-off latch
-       depends only on the final clock position. *)
-    let total = ref 0 in
-    for i = 0 to Array.length costs - 1 do
-      total := !total + Array.unsafe_get costs i
-    done;
-    consume t ~cycles:!total
-  end
-  else begin
-    (* Capacitor-backed: replay the exact per-instruction call sequence
-       so harvest/drain interleaving (and its float rounding) is
-       bit-identical to per-step execution. *)
-    let on = ref true in
-    for i = 0 to Array.length costs - 1 do
-      on := consume t ~cycles:(Array.unsafe_get costs i)
-    done;
-    !on
-  end

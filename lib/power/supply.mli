@@ -29,29 +29,23 @@ val create :
   unit ->
   t
 
-val always_on : unit -> t
-(** A supply that never browns out (for functional testing and for the
-    continuously-powered baseline). *)
+val always_on : ?off_cycles:int -> unit -> t
+(** A supply that never browns out on its own: for functional testing,
+    the continuously-powered baseline and fault injection.  Only {!cut}
+    takes its power away; [wait_for_power] then serves exactly
+    [off_cycles] (default 0) and power returns.  Raises
+    [Invalid_argument] on a negative [off_cycles]. *)
 
 val default_off_cycles : int
-(** Off-period served by [scripted] supplies per forced outage:
-    24_000 cycles (one 1 kHz trace tick at 24 MHz). *)
-
-val scripted : ?off_cycles:int -> ?outages:int list -> unit -> t
-(** A fault-injection supply: energy-unconstrained like [always_on],
-    but it cuts power the moment the clock reaches each cycle in
-    [outages] (strictly ascending, all non-negative) — and whenever
-    [cut] is called.  After a forced outage, [wait_for_power] serves
-    exactly [off_cycles] (default {!default_off_cycles}) and power
-    returns.  Raises [Invalid_argument] on a negative [off_cycles] or
-    an unsorted/negative script. *)
+(** The off-period fault injection serves per forced outage: 24_000
+    cycles (one 1 kHz trace tick at 24 MHz). *)
 
 val cut : t -> unit
-(** Force a brown-out right now.  On a capacitor-backed supply this
-    empties the capacitor (recharge then follows the trace as for any
-    natural outage); on an [always_on]/[scripted] supply it forces the
-    off state that [wait_for_power] clears after its off-period.  No-op
-    if the supply is already off. *)
+(** Force a brown-out right now: the one way to force an outage.  On a
+    capacitor-backed supply this empties the capacitor (recharge then
+    follows the trace as for any natural outage); on an {!always_on}
+    supply it latches the off state that [wait_for_power] clears after
+    its off-period.  No-op if the supply is already off. *)
 
 val now_cycles : t -> int
 (** Wall-clock cycles elapsed, including time spent powered off. *)
@@ -77,34 +71,22 @@ val wait_for_power : t -> int
     recharge the capacitor within a 10-minute simulated window (a
     starved supply). *)
 
-val consume_run : t -> costs:int array -> bool
-(** Consume a whole fused run, [costs] holding each instruction's
-    latency in order.  Observably identical to calling {!consume} once
-    per cost left to right — on a capacitor-backed supply it *is* that
-    call sequence (so harvest/drain float rounding matches per-step
-    execution bit for bit), on an energy-unconstrained supply it
-    collapses to one batched call.  Returns the last consume's power
-    state.  Intended to run under an {!assured} guard; if power dies
-    mid-run anyway, the remaining costs are still consumed (the outage
-    surfaces at the run boundary). *)
-
 val never_cuts : t -> bool
-(** True when this supply can never brown out on its own: energy
-    unconstrained with no scripted outages pending.  Monotone: once
-    true it stays true.  [cut] can still force an outage, but on such a
-    supply it only latches the off state and reads neither the clock
-    nor the drain count, so {!consume} calls coalesced under this
-    predicate may be flushed after a cut: the clock, the drain count
-    and {!outages} come out as if they had been flushed before it. *)
+(** True for an {!always_on} supply: it can never brown out on its own.
+    [cut] can still force an outage, but on such a supply it only
+    latches the off state and reads neither the clock nor the drain
+    count, so {!consume} calls coalesced under this predicate may be
+    flushed after a cut: the clock, the drain count and {!outages} come
+    out as if they had been flushed before it. *)
 
 val assured : t -> cycles:int -> bool
 (** Conservative guard: is the supply guaranteed to stay on through
-    [cycles] more consumed cycles (no scripted cut inside the window,
-    and — for a capacitor — usable charge covering the drain with a
-    16-cycle margin for float rounding, before counting any harvest
-    inflow)?  A [false] answer does not mean power will die, only that
-    it cannot be promised; harvest income during the window is ignored,
-    which is sound because it only adds. *)
+    [cycles] more consumed cycles (not cut, and — for a capacitor —
+    usable charge covering the drain with a 16-cycle margin for float
+    rounding, before counting any harvest inflow)?  A [false] answer
+    does not mean power will die, only that it cannot be promised;
+    harvest income during the window is ignored, which is sound because
+    it only adds. *)
 
 val outages : t -> int
 (** Number of brown-outs observed so far. *)

@@ -206,7 +206,7 @@ type live = {
   halt_at_skim : bool;
   emit : event -> unit;
   (* Consume coalescing: when the supply can never cut power on its own
-     (always-on / scripted with an empty script), per-instruction
+     (an always-on supply), per-instruction
      [Supply.consume] calls are pure clock-and-drain arithmetic — so
      they are batched into [pending] and flushed only at an outage or at
      run end.  Energy accounting is in integer cycles on the supply side,
@@ -380,13 +380,12 @@ let post_step l =
   end
 
 (* Block engine: one guard at block entry, then the whole run in a
-   single call with one batched consume.  Each conjunct ensures some
+   single call, its energy charged after it.  Each conjunct ensures some
    per-instruction check could not have fired at an *interior* boundary
    of the run; anything that would fire exactly at the run's final
-   boundary (watchdog, a scripted cut landing on the last cycle) fires
-   identically after the batched commit.  Any failed conjunct just falls
-   back to per-instruction stepping until the next run entry —
-   bit-identical, merely slower. *)
+   boundary (the watchdog) fires identically after the batched commit.
+   Any failed conjunct just falls back to per-instruction stepping until
+   the next run entry — bit-identical, merely slower. *)
 let try_block l ~max_wall_cycles b =
   let m = l.machine in
   let n = Machine.block_len b in
@@ -405,7 +404,16 @@ let try_block l ~max_wall_cycles b =
        Machine.exec_block m b;
        l.active <- l.active + c;
        if l.coalesce then l.pending <- l.pending + c
-       else ignore (Supply.consume_run l.supply ~costs:(Machine.block_costs b));
+       else begin
+         (* Capacitor-backed: the exact per-instruction consume sequence,
+            so harvest/drain interleaving (and its float rounding) is
+            bit-identical to per-step execution.  The guard ruled out an
+            interior brown-out. *)
+         let costs = Machine.block_costs b in
+         for i = 0 to Array.length costs - 1 do
+           ignore (Supply.consume l.supply ~cycles:(Array.unsafe_get costs i))
+         done
+       end;
        (match l.clank with
        | Some (cfg, st) ->
            st.since_ckpt_cycles <- st.since_ckpt_cycles + c;

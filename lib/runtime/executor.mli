@@ -41,8 +41,10 @@ type engine = Block | Reference
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
     guard passes — the wall-clock limit, watchdog slack and Clank
     tracking capacity cover the run, and the capacitor's usable charge
-    covers the run's worst-case energy — with one batched supply
-    consume; a failed guard falls back to per-instruction
+    covers the run's worst-case energy — and then consumes the run's
+    cycles per instruction on a capacitor-backed supply (so harvest and
+    drain round exactly as in stepping) or in one batch on an always-on
+    one; a failed guard falls back to per-instruction
     {!Wn_machine.Machine.step_fast} until the next run entry.  An
     [on_step] observer turns fusion off for the whole run, so it sees
     every instruction boundary.
@@ -100,7 +102,7 @@ type fast_forward = { ff_at : resume_state; ff_final : outcome }
 (** A rejoin certificate: the caller has observed that the machine's
     architectural state bit-matches a boundary of a reference run whose
     completion is already recorded.  Since the architectural state alone
-    determines all future execution on a scripted supply, the rest of
+    determines all future execution once no cut is due, the rest of
     this run is the rest of that one.  [ff_at] is the reference run's
     [resume_state] at the matched boundary; [ff_final] its outcome at
     halt. *)
@@ -119,7 +121,7 @@ val rejoin : live -> fast_forward -> unit
     counters plus the reference deltas [ff_final - ff_at].  The caller
     must only certify a genuine bit-level architectural match
     ({!Wn_machine.Machine.matches_state}) against the run [ff] came
-    from, on the same supply script — then the reconstruction is exact
+    from, with no cut due from there on — then the reconstruction is exact
     for [completed], [skimmed], [outage_count] and [retired], while the
     cycle-accounting fields ([wall], [active], [overhead],
     [reexecuted], [checkpoint_count]) are exact relative to the
@@ -162,8 +164,11 @@ val run :
     would trigger, so a cut at retired instruction [k] strikes exactly
     at boundary [k] (or not at all, if instruction [k] halted the
     task).
-    [on_event] reports each runtime {!event} the moment it happens and
-    never changes how the run steps.
+    [on_event] reports each runtime {!event} the moment it happens.  It
+    may cut the supply on a [Restore] or [Skim_restore] event: the
+    outage is then taken before the next instruction, so power fails
+    again straight after the restore (back-to-back outages).  Otherwise
+    it never changes how the run steps.
 
     Resume: [resume] seeds the run with a previously captured
     [resume_state]; the caller must first restore the matching

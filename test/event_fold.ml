@@ -13,13 +13,23 @@
    machine's cycle counter rather than summing per step: an overflow
    checkpoint fires inside an instruction's accounting, before that
    instruction's [on_step], and its window must include that
-   instruction. *)
+   instruction.
+
+   The fold also forces the run's outages on an always-on supply:
+   [cuts] lists retired instruction counts in ascending order, and the
+   fold cuts the supply once the run has retired the next listed count.
+   A repeated count cuts again on the restore that follows, so power
+   fails straight after a restore too (back-to-back outages).  Each
+   outage serves a fixed off-period, so several charge windows are
+   exercised per task. *)
 
 open Wn_machine
 open Wn_runtime
 
 type t = {
   machine : Machine.t;
+  supply : Wn_power.Supply.t;
+  mutable cuts : int list;  (* retired counts still to cut at, ascending *)
   checkpoint_cost : int;
   restore_cost : int;
   rollback : bool;  (* Clank: a restore re-executes the lost epoch *)
@@ -39,7 +49,7 @@ type t = {
   mutable max_window : int;
 }
 
-let create ~policy ~halt_at_skim machine =
+let create ~policy ~halt_at_skim ~cuts ~supply machine =
   let checkpoint_cost, restore_cost, rollback =
     match policy with
     | Executor.Clank c -> (c.Executor.checkpoint_cycles, c.clank_restore_cycles, true)
@@ -48,6 +58,8 @@ let create ~policy ~halt_at_skim machine =
   in
   {
     machine;
+    supply;
+    cuts;
     checkpoint_cost;
     restore_cost;
     rollback;
@@ -79,6 +91,14 @@ let spend t cycles =
 
 let new_epoch t = t.epoch_start <- Machine.instructions_retired t.machine
 
+(* Cut if the run has retired the next listed count. *)
+let cut_due t =
+  match t.cuts with
+  | c :: rest when c <= t.retired ->
+      t.cuts <- rest;
+      Wn_power.Supply.cut t.supply
+  | _ -> ()
+
 let on_step t =
   let m = t.machine in
   t.retired <- t.retired + 1;
@@ -87,7 +107,8 @@ let on_step t =
     if t.first_skim_active = None then t.first_skim_active <- Some t.active;
     if t.halt_at_skim then t.skimmed <- true
   end;
-  if t.continuous then close_window t
+  if t.continuous then close_window t;
+  cut_due t
 
 let on_event t = function
   | Executor.Checkpoint ->
@@ -103,16 +124,28 @@ let on_event t = function
       if t.rollback then
         t.reexecuted <-
           t.reexecuted + Machine.instructions_retired t.machine - t.epoch_start;
-      new_epoch t
+      new_epoch t;
+      cut_due t
   | Executor.Skim_restore ->
       spend t t.restore_cost;
       t.skimmed <- true;
-      new_epoch t
+      new_epoch t;
+      cut_due t
 
-(* One from-scratch run, folded.  [check] sees every step too. *)
-let run ?engine ?(halt_at_skim = false) ?(check = fun () -> ()) ~policy
-    ~machine ~supply () =
-  let t = create ~policy ~halt_at_skim machine in
+(* The soundness oracle's schedule, shared with the WCEC table: counts
+   that land mid-region at several scales, two of them doubled for
+   back-to-back outages. *)
+let oracle_cuts =
+  [ 777; 5_001; 5_001; 12_345; 44_444; 44_444; 99_999; 222_222 ]
+
+(* One from-scratch run, folded, with an outage forced at each of
+   [cuts].  [check] sees every step too. *)
+let run ?engine ?(halt_at_skim = false) ?(check = fun () -> ()) ~cuts ~policy
+    ~machine () =
+  let supply =
+    Wn_power.Supply.always_on ~off_cycles:Wn_power.Supply.default_off_cycles ()
+  in
+  let t = create ~policy ~halt_at_skim ~cuts ~supply machine in
   let outcome =
     Executor.run ~policy ?engine ~halt_at_skim
       ~on_step:(fun _ ->

@@ -43,6 +43,10 @@ let check_scratch_equal name step m_ref m =
   if Machine.last_was_skm m_ref <> Machine.last_was_skm m then
     fail "skm flag %b vs %b" (Machine.last_was_skm m_ref) (Machine.last_was_skm m)
 
+(* The whole contents of a memory, as raw bytes. *)
+let all_bytes mem =
+  Wn_mem.Memory.region mem ~addr:0 ~len:(Wn_mem.Memory.size mem)
+
 let check_machines_equal name m_ref m_fast =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
   if Machine.pc m_ref <> Machine.pc m_fast then
@@ -75,10 +79,8 @@ let check_machines_equal name m_ref m_fast =
           (Memo.hits b) (Memo.misses b)
   | None, None -> ()
   | _ -> fail "memo presence differs");
-  if
-    Wn_mem.Memory.snapshot (Machine.mem m_ref)
-    <> Wn_mem.Memory.snapshot (Machine.mem m_fast)
-  then fail "memory images differ"
+  if all_bytes (Machine.mem m_ref) <> all_bytes (Machine.mem m_fast) then
+    fail "memory images differ"
 
 let lockstep_workload wname (cfg_name, mcfg) () =
   let w = Suite.find Workload.Small wname in
@@ -318,7 +320,7 @@ let run_with_engine engine b w inputs policy =
   in
   let outcome = Executor.run ~policy ~engine ~machine:m ~supply () in
   ignore w;
-  (outcome, Wn_mem.Memory.snapshot (Machine.mem m))
+  (outcome, all_bytes (Machine.mem m))
 
 let check_outcomes_equal name (o_a, mem_a) (o_b, mem_b) =
   let check_int field a b =

@@ -160,7 +160,7 @@ let test_survey_matches_raw_passes () =
          | Executor.Checkpoint ->
              ckpts := Machine.instructions_retired m2 :: !ckpts
          | Executor.Outage | Executor.Restore | Executor.Skim_restore -> ())
-       ~machine:m2 ~supply:(Wn_power.Supply.scripted ()) ());
+       ~machine:m2 ~supply:(Wn_power.Supply.always_on ()) ());
   let s = Faults.survey ~boundaries ~keyframe_interval:16 sc in
   let p = s.Faults.sv_profile in
   Alcotest.(check int) "retired" !n p.Faults.retired;

@@ -37,13 +37,13 @@ let test_bounds () =
 let test_snapshot_restore () =
   let m = Memory.create ~size:32 in
   Memory.write32 m 0 42;
-  let snap = Memory.snapshot m in
+  let snap = Memory.capture m in
   Memory.write32 m 0 99;
-  Memory.restore m snap;
+  Memory.restore_image m snap;
   Alcotest.(check int) "restored" 42 (Memory.read32 m 0);
   Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Memory.restore: size mismatch") (fun () ->
-      Memory.restore m (Bytes.create 4))
+    (Invalid_argument "Memory.restore_image: size mismatch") (fun () ->
+      Memory.restore_image (Memory.create ~size:4) snap)
 
 let test_digest () =
   (* The digest is a combine of per-page hashes, so its hex is not the
@@ -97,7 +97,7 @@ let test_capture_restore () =
     (Memory.read32 m Memory.page_bytes);
   let other = Memory.create ~size:Memory.page_bytes in
   Alcotest.check_raises "size mismatch"
-    (Invalid_argument "Memory.restore: size mismatch") (fun () ->
+    (Invalid_argument "Memory.restore_image: size mismatch") (fun () ->
       Memory.restore_image other base)
 
 let test_stats () =
@@ -197,6 +197,9 @@ let apply_ref b = function
   | Blit (a, s) -> Bytes.blit_string s 0 b a (String.length s)
   | Fill (a, l, v) -> Bytes.fill b a l (Char.chr (v land 0xFF))
 
+(* The whole contents, as raw bytes. *)
+let all_bytes m = Memory.region m ~addr:0 ~len:(Memory.size m)
+
 let digest_of_contents b =
   let fresh = Memory.create ~size:(Bytes.length b) in
   Memory.blit_in fresh ~addr:0 b;
@@ -212,8 +215,7 @@ let prop_model_equiv =
           apply_mem m op;
           apply_ref b op)
         ops;
-      Bytes.equal (Memory.region m ~addr:0 ~len:model_size) b
-      && Memory.matches m b)
+      Bytes.equal (all_bytes m) b)
 
 let prop_incremental_digest =
   QCheck.Test.make ~count:200
@@ -268,7 +270,7 @@ let prop_delta_roundtrip =
       List.for_all
         (fun (delta, full, contents) ->
           Memory.restore_image m delta;
-          Memory.matches m contents
+          Bytes.equal (all_bytes m) contents
           && Memory.matches_image m full
           && Digest.equal (Memory.image_digest delta) (Memory.image_digest full)
           && Digest.equal (Memory.digest m) (digest_of_contents contents))
@@ -314,7 +316,7 @@ let prop_matches_image_flat =
         more;
       recorded := (Memory.capture other, ob) :: !recorded;
       let agrees () =
-        Memory.matches m b
+        Bytes.equal (all_bytes m) b
         && List.for_all
              (fun (im, contents) ->
                Memory.matches_image m im = Bytes.equal b contents)

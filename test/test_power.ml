@@ -228,27 +228,30 @@ let test_wait_for_power_mid_tick () =
     (Capacitor.energy cap)
 
 let test_supply_scripted () =
-  let s = Supply.scripted ~off_cycles:1_000 ~outages:[ 500; 2_000 ] () in
+  let s = Supply.always_on ~off_cycles:1_000 () in
   Alcotest.(check bool) "on at start" true (Supply.is_on s);
   Alcotest.(check bool) "runs to 499" true (Supply.consume s ~cycles:499);
-  Alcotest.(check bool) "cut at 500" false (Supply.consume s ~cycles:1);
+  Supply.cut s;
+  Alcotest.(check bool) "cut at 499" false (Supply.is_on s);
   Alcotest.(check int) "one outage" 1 (Supply.outages s);
+  Alcotest.(check bool) "consume while cut stays off" false
+    (Supply.consume s ~cycles:1);
   Alcotest.(check int) "off period is exact" 1_000 (Supply.wait_for_power s);
   Alcotest.(check bool) "back on" true (Supply.is_on s);
   Alcotest.(check int) "clock accounts the off time" 1_500 (Supply.now_cycles s);
-  (* The second scripted cut fires the moment the clock passes it. *)
-  Alcotest.(check bool) "cut at 2000" false (Supply.consume s ~cycles:600);
-  ignore (Supply.wait_for_power s);
-  (* An explicit cut behaves like a scripted one. *)
+  Alcotest.(check bool) "never browns out on its own" true
+    (Supply.consume s ~cycles:1_000_000);
   Supply.cut s;
-  Alcotest.(check bool) "manual cut" false (Supply.is_on s);
-  Alcotest.(check int) "three outages" 3 (Supply.outages s);
+  Alcotest.(check bool) "second cut" false (Supply.is_on s);
+  Alcotest.(check int) "two outages" 2 (Supply.outages s);
   Supply.cut s;
-  Alcotest.(check int) "cut while off is a no-op" 3 (Supply.outages s);
+  Alcotest.(check int) "cut while off is a no-op" 2 (Supply.outages s);
   ignore (Supply.wait_for_power s);
   Alcotest.(check bool) "recovers" true (Supply.is_on s);
-  Alcotest.check_raises "unsorted script" (Invalid_argument "Supply.scripted")
-    (fun () -> ignore (Supply.scripted ~outages:[ 10; 5 ] ()))
+  Alcotest.(check int) "wait while on is free" 0 (Supply.wait_for_power s);
+  Alcotest.check_raises "negative off-period"
+    (Invalid_argument "Supply.always_on") (fun () ->
+      ignore (Supply.always_on ~off_cycles:(-1) ()))
 
 let test_supply_cut_capacitor_backed () =
   let trace = Trace.square ~on_ms:5 ~off_ms:5 ~power:2e-3 ~duration_s:1.0 in

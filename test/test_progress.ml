@@ -2,12 +2,13 @@
    per-charge WCEC bound computed by Wn_analysis.Progress must dominate
    the largest burn window folded from the executor's event stream
    ({!Event_fold}) for every suite benchmark, runtime policy and skim
-   configuration — under a supply scripted to force outages at awkward
-   instants.  The same fold must reproduce the executor's own outcome
-   counters, so the stream doubles as a consistency check on its
-   accounting.  Plus the seeded "doomed" configuration: a capacitor too
-   small for any region, which the verifier must flag as an error and
-   the simulator must confirm makes no progress. *)
+   configuration — with outages forced at awkward instants, some of
+   them straight after a restore.  The same fold must reproduce the
+   executor's own outcome counters, so the stream doubles as a
+   consistency check on its accounting.  Plus the seeded "doomed"
+   configuration: a capacitor too small for any region, which the
+   verifier must flag as an error and the simulator must confirm makes
+   no progress. *)
 
 open Wn_machine
 open Wn_runtime
@@ -24,11 +25,6 @@ let bound_cycles name = function
       Alcotest.failf "%s: static WCEC unbounded (loop at pc %d)" name
         binding_loop
 
-(* Outage instants chosen to land mid-region at several scales; the
-   scripted supply also recovers quickly, so several charge windows are
-   exercised per task. *)
-let outage_script = [ 777; 5_001; 12_345; 44_444; 99_999; 222_222 ]
-
 let policies =
   [
     ("clank", Executor.Clank Executor.default_clank, Progress.clank ());
@@ -39,7 +35,6 @@ let run_metered ?engine ~policy ~halt_at_skim b =
   let w = b.Runner.workload in
   let m = Runner.machine b in
   Runner.load_sample b m (w.Workload.fresh_inputs (Rng.create 11));
-  let supply = Wn_power.Supply.scripted ~outages:outage_script () in
   let program = Machine.program m in
   (* Satellite check: the dynamic latency of every retired instruction
      stays within the static per-instruction ceiling the WCEC sums are
@@ -51,7 +46,19 @@ let run_metered ?engine ~policy ~halt_at_skim b =
         (Machine.last_cycles m)
         (Machine.worst_case_cycles program.(pc))
   in
-  Event_fold.run ?engine ~halt_at_skim ~check ~policy ~machine:m ~supply ()
+  Event_fold.run ?engine ~halt_at_skim ~check ~cuts:Event_fold.oracle_cuts
+    ~policy ~machine:m ()
+
+(* Every listed cut the run reaches before halting forces exactly one
+   outage: without this the oracle would pass vacuously if the cuts
+   stopped firing.  A cut at the halting instruction strikes nothing. *)
+let check_cuts_fired name (o : Executor.outcome) =
+  let reached =
+    List.length
+      (List.filter (fun c -> c < o.Executor.retired) Event_fold.oracle_cuts)
+  in
+  Alcotest.(check int) (name ^ ": one outage per reached cut") reached
+    o.Executor.outage_count
 
 let test_static_dominates_dynamic () =
   List.iter
@@ -75,6 +82,7 @@ let test_static_dominates_dynamic () =
               in
               Alcotest.(check bool) (name ^ ": completed") true
                 outcome.Executor.completed;
+              check_cuts_fired name outcome;
               if dynamic > static then
                 Alcotest.failf
                   "%s: measured region of %d cycles exceeds static bound %d"
@@ -103,6 +111,7 @@ let test_event_fold_reproduces_outcome () =
                   let field what expected folded =
                     Alcotest.(check int) (name ^ ": " ^ what) expected folded
                   in
+                  check_cuts_fired name o;
                   field "retired" o.Executor.retired f.Event_fold.retired;
                   field "active" o.Executor.active_cycles f.Event_fold.active;
                   field "overhead" o.Executor.overhead_cycles

@@ -312,7 +312,7 @@ let test_capture_rejects_cut_supply () =
   Alcotest.check_raises "cut"
     (Invalid_argument "Executor.capture: not a clean boundary") (fun () ->
       let machine, _ = fresh () in
-      let supply = Supply.scripted () in
+      let supply = Supply.always_on () in
       ignore
         (Executor.run
            ~on_step:(fun live ->
@@ -321,6 +321,85 @@ let test_capture_rejects_cut_supply () =
                ignore (Executor.capture live)
              end)
            ~machine ~supply ()))
+
+(* An [on_event] observer that cuts on [Restore] forces a second outage
+   before any instruction runs.  The run is cut once at step 300, again
+   on the first restore: two outages back to back, each restore costed,
+   and under Clank the lost epoch (all 300 steps: the watchdog has not
+   fired yet) re-executed once, since the second rollback lands on the
+   checkpoint the first one already restored. *)
+let test_cut_on_restore () =
+  List.iter
+    (fun (pname, policy, restore_cost, lost) ->
+      List.iter
+        (fun (ename, engine) ->
+          let name = pname ^ "/" ^ ename in
+          let run ~again =
+            let machine, mem = fresh () in
+            let supply =
+              Supply.always_on ~off_cycles:Supply.default_off_cycles ()
+            in
+            let steps = ref 0 and restores = ref 0 and log = ref [] in
+            let o =
+              Executor.run ~policy ~engine
+                ~on_step:(fun _ ->
+                  incr steps;
+                  log := None :: !log;
+                  if !steps = 300 then Supply.cut supply)
+                ~on_event:(fun e ->
+                  log := Some e :: !log;
+                  if e = Executor.Restore then begin
+                    incr restores;
+                    if again && !restores = 1 then Supply.cut supply
+                  end)
+                ~machine ~supply ()
+            in
+            Alcotest.(check bool) (name ^ ": completed") true
+              o.Executor.completed;
+            Alcotest.(check int) (name ^ ": result") 200
+              (Wn_mem.Memory.read32 mem 0);
+            (o, List.rev !log)
+          in
+          let once, _ = run ~again:false in
+          let twice, log = run ~again:true in
+          let rec after_first_restore = function
+            | Some Executor.Restore :: rest -> rest
+            | _ :: rest -> after_first_restore rest
+            | [] -> []
+          in
+          Alcotest.(check bool)
+            (name ^ ": the second outage precedes any step")
+            true
+            (match after_first_restore log with
+            | Some Executor.Outage :: Some Executor.Restore :: None :: _ -> true
+            | _ -> false);
+          Alcotest.(check int) (name ^ ": two outages") 2
+            twice.Executor.outage_count;
+          Alcotest.(check int) (name ^ ": two outage events") 2
+            (List.length (List.filter (( = ) (Some Executor.Outage)) log));
+          Alcotest.(check int) (name ^ ": lost epoch re-executed once") lost
+            twice.Executor.reexecuted_instructions;
+          Alcotest.(check int) (name ^ ": same re-execution as one cut")
+            once.Executor.reexecuted_instructions
+            twice.Executor.reexecuted_instructions;
+          Alcotest.(check int) (name ^ ": one more restore")
+            (once.Executor.overhead_cycles + restore_cost)
+            twice.Executor.overhead_cycles;
+          Alcotest.(check int) (name ^ ": one more off-period and restore")
+            (once.Executor.wall_cycles + Supply.default_off_cycles
+           + restore_cost)
+            twice.Executor.wall_cycles)
+        [ ("block", Executor.Block); ("reference", Executor.Reference) ])
+    [
+      ( "clank",
+        Executor.Clank Executor.default_clank,
+        Executor.default_clank.Executor.clank_restore_cycles,
+        300 );
+      ( "nvp",
+        Executor.Nvp Executor.default_nvp,
+        Executor.default_nvp.Executor.nvp_restore_cycles,
+        0 );
+    ]
 
 (* A resume state carries the policy it was captured under; resuming it
    under any other policy is rejected, same-policy resumes go through. *)
@@ -382,6 +461,8 @@ let () =
             test_capture_rejects_halted;
           Alcotest.test_case "capture rejects a cut supply" `Quick
             test_capture_rejects_cut_supply;
+          Alcotest.test_case "a cut on restore strikes again at once" `Quick
+            test_cut_on_restore;
           Alcotest.test_case "resume rejects another policy" `Quick
             test_resume_rejects_other_policy;
         ] );

@@ -1,9 +1,10 @@
 (* Prints the WCEC-vs-measured table in EXPERIMENTS.md: for every suite
    benchmark, the static per-charge bound under Clank and NVP next to
    the largest burn window folded from the executor's event stream
-   ({!Event_fold}) under a supply scripted to force outages at awkward
-   instants.  Regenerate with [dune exec test/wcec_table.exe]; CI fails
-   when a printed row is missing from EXPERIMENTS.md. *)
+   ({!Event_fold}) with outages forced at the soundness oracle's
+   awkward instants ({!Event_fold.oracle_cuts}).  Regenerate with
+   [dune exec test/wcec_table.exe]; CI fails when a printed row is
+   missing from EXPERIMENTS.md. *)
 
 open Wn_runtime
 module Workload = Wn_workloads.Workload
@@ -13,14 +14,13 @@ module Rng = Wn_util.Rng
 module Progress = Wn_analysis.Progress
 module Compile = Wn_compiler.Compile
 
-let outage_script = [ 777; 5_001; 12_345; 44_444; 99_999; 222_222 ]
-
 let measured ~policy b =
   let w = b.Runner.workload in
   let m = Runner.machine b in
   Runner.load_sample b m (w.Workload.fresh_inputs (Rng.create 11));
-  let supply = Wn_power.Supply.scripted ~outages:outage_script () in
-  let outcome, fold = Event_fold.run ~policy ~machine:m ~supply () in
+  let outcome, fold =
+    Event_fold.run ~cuts:Event_fold.oracle_cuts ~policy ~machine:m ()
+  in
   assert outcome.Executor.completed;
   fold.Event_fold.max_window
 
