@@ -1,109 +1,24 @@
-(* The reproduction harness: regenerates every table and figure of the
-   paper's evaluation section, then runs a Bechamel microbenchmark suite
-   over the simulation kernels behind each of them.
+(* The Bechamel microbenchmark suite: one test per table/figure of the
+   paper, timing the simulation kernel that dominates that experiment.
+   The figures themselves come from `wn figure`; the end-to-end timings
+   from perfbench/.
 
    Usage:
-     dune exec bench/main.exe                    # everything, CI-sized
-     dune exec bench/main.exe -- fig9 fig10      # selected experiments
-     dune exec bench/main.exe -- --paper-setup   # 9 traces x 3 invocations
-     dune exec bench/main.exe -- --paper-scale   # 128x128 conv, 64x64 matmul
-     dune exec bench/main.exe -- --jobs 8        # domain-pool width (default: cores, capped)
-     dune exec bench/main.exe -- --out figures   # also write PGM images
-     dune exec bench/main.exe -- --no-micro      # skip the Bechamel pass
-     dune exec bench/main.exe -- --micro-only    # only the Bechamel pass
+     dune exec bench/main.exe                    # writes BENCH_machine.json
      dune exec bench/main.exe -- --bench-json F  # where to persist estimates
 
-   Figures go to stdout; per-experiment wall-time lines of the form
-   [fig10: 12.34s wall, 8 jobs] go to stderr, so stdout is bit-identical
-   across --jobs values and the timings stay measurable.  The Bechamel
-   estimates are additionally serialized to BENCH_machine.json (or
-   --bench-json PATH) so successive commits leave a comparable
-   performance trajectory. *)
+   The estimates are serialized to BENCH_machine.json (or --bench-json
+   PATH); CI's block-engine speedup gate reads the fig9 rows. *)
 
 open Wn_workloads
-
-let usage () =
-  prerr_endline
-    "usage: main.exe [--paper-scale] [--paper-setup] [--jobs N] [--out DIR] \
-     [--no-micro] [--micro-only] [--bench-json PATH] [experiment ...]";
-  prerr_endline
-    ("experiments: " ^ String.concat " " (List.map fst Wn_core.Figures.all));
-  exit 2
-
-type args = {
-  opts : Wn_core.Figures.options;
-  chosen : string list;
-  micro : bool;
-  micro_only : bool;
-  bench_json : string;
-}
-
-let parse_args () =
-  let opts =
-    ref
-      {
-        Wn_core.Figures.default_options with
-        Wn_core.Figures.jobs = Wn_exec.Pool.default_jobs ();
-      }
-  in
-  let chosen = ref [] in
-  let micro = ref true in
-  let micro_only = ref false in
-  let bench_json = ref "BENCH_machine.json" in
-  let rec go = function
-    | [] -> ()
-    | "--paper-scale" :: rest ->
-        opts := { !opts with Wn_core.Figures.scale = Workload.Paper };
-        go rest
-    | "--paper-setup" :: rest ->
-        opts :=
-          { !opts with Wn_core.Figures.setup = Wn_core.Intermittent.paper_setup };
-        go rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> opts := { !opts with Wn_core.Figures.jobs = n }
-        | _ ->
-            Printf.eprintf "--jobs needs a positive integer, got %S\n" n;
-            usage ());
-        go rest
-    | "--out" :: dir :: rest ->
-        opts := { !opts with Wn_core.Figures.out_dir = Some dir };
-        go rest
-    | "--no-micro" :: rest ->
-        micro := false;
-        go rest
-    | "--micro-only" :: rest ->
-        micro_only := true;
-        go rest
-    | "--bench-json" :: path :: rest ->
-        bench_json := path;
-        go rest
-    | ("--help" | "-h") :: _ -> usage ()
-    | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
-        Printf.eprintf "unknown flag %s\n" arg;
-        usage ()
-    | arg :: rest ->
-        chosen := arg :: !chosen;
-        go rest
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  {
-    opts = !opts;
-    chosen = List.rev !chosen;
-    micro = !micro;
-    micro_only = !micro_only;
-    bench_json = !bench_json;
-  }
-
-(* ---------------- Bechamel microbenchmarks ---------------- *)
 
 (* One Test.make per table/figure: the simulation kernel that dominates
    that experiment's cost, so regressions in the substrate show up next
    to the experiment they would slow down. *)
-let micro_tests scale =
+let micro_tests () =
   let open Bechamel in
   (* table1 / fig9: raw simulator stepping on the Var kernel. *)
-  let var = Suite.find scale "Var" in
+  let var = Suite.find Workload.Small "Var" in
   let cfg8 = { Workload.bits = 8; provisioned = true } in
   let build = Wn_core.Runner.build var cfg8 in
   let rng = Wn_util.Rng.create 1 in
@@ -212,17 +127,16 @@ let write_bench_json path rows =
   Printf.fprintf oc "\n  }\n}\n";
   close_out oc
 
-let run_micro scale ~json_path =
+let run_micro ~json_path =
   let open Bechamel in
   let open Toolkit in
-  print_newline ();
   print_endline "=== Bechamel microbenchmarks (ns per run) ===";
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let tests = Test.make_grouped ~name:"wn" (micro_tests scale) in
+  let tests = Test.make_grouped ~name:"wn" (micro_tests ()) in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
@@ -245,31 +159,12 @@ let run_micro scale ~json_path =
   Printf.eprintf "[bechamel estimates written to %s]\n%!" json_path
 
 let () =
-  let { opts; chosen; micro; micro_only; bench_json } = parse_args () in
-  let ppf = Format.std_formatter in
-  let ids = if chosen = [] then List.map fst Wn_core.Figures.all else chosen in
-  if not micro_only then begin
-    let wall0 = Unix.gettimeofday () in
-    let cpu0 = Sys.time () in
-    List.iter
-      (fun id ->
-        let t0 = Unix.gettimeofday () in
-        match Wn_core.Figures.run ppf opts id with
-        | Ok () ->
-            Format.pp_print_flush ppf ();
-            (* Timing goes to stderr: stdout stays bit-identical across
-               --jobs values, which is what the determinism check diffs. *)
-            Printf.eprintf "[%s: %.2fs wall, %d jobs]\n%!" id
-              (Unix.gettimeofday () -. t0)
-              opts.Wn_core.Figures.jobs
-        | Error e ->
-            prerr_endline e;
-            exit 2)
-      ids;
-    Printf.eprintf "\n[experiments done in %.1fs wall / %.1fs cpu, %d jobs]\n%!"
-      (Unix.gettimeofday () -. wall0)
-      (Sys.time () -. cpu0)
-      opts.Wn_core.Figures.jobs
-  end;
-  if micro && (micro_only || chosen = []) then
-    run_micro opts.Wn_core.Figures.scale ~json_path:bench_json
+  let json_path =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> "BENCH_machine.json"
+    | [ "--bench-json"; path ] -> path
+    | _ ->
+        prerr_endline "usage: main.exe [--bench-json PATH]";
+        exit 2
+  in
+  run_micro ~json_path

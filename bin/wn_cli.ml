@@ -4,7 +4,7 @@
      wn list                      benchmarks and experiments
      wn run BENCH ...             execute one benchmark task
      wn curve BENCH ...           runtime-quality curve as CSV
-     wn figure ID ...             regenerate a table/figure of the paper
+     wn figure [ID ...]           regenerate tables/figures of the paper
      wn inject BENCH ...          outage-point fault-injection sweep
      wn fleet BENCH ...           fleet-scale deployment simulation
      wn compile [BENCH] ...       run the pass pipeline, lint after every pass
@@ -280,11 +280,13 @@ let curve_cmd =
 (* ---------------- wn figure ---------------- *)
 
 let figure_cmd =
-  let id_arg =
+  let ids_arg =
     Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"Experiment id, e.g. fig9, table1, area_power.")
+      value & pos_all string []
+      & info [] ~docv:"ID"
+          ~doc:
+            "Experiment ids, e.g. fig9, table1, area_power; none runs every \
+             experiment in paper order.")
   in
   let out_arg =
     Arg.(
@@ -298,10 +300,22 @@ let figure_cmd =
       & info [ "paper-setup" ]
           ~doc:"Use the paper's 9 traces x 3 invocations for figures 10/11.")
   in
-  let run id scale seed out paper_setup engine_name jobs =
+  let run ids scale seed out paper_setup engine_name jobs =
     let* jobs = require_positive "jobs" jobs in
     let* _ = require_non_negative "seed" seed in
     let* engine = find_engine engine_name in
+    (* Every id is checked before the first experiment runs, so a typo
+       late in the list costs nothing and prints nothing on stdout. *)
+    let* experiments =
+      List.fold_right
+        (fun id acc ->
+          let* rest = acc in
+          match Wn_core.Figures.find id with
+          | Ok f -> Ok ((id, f) :: rest)
+          | Error e -> Error (`Msg e))
+        (if ids = [] then List.map fst Wn_core.Figures.all else ids)
+        (Ok [])
+    in
     let setup =
       if paper_setup then Wn_core.Intermittent.paper_setup
       else Wn_core.Intermittent.default_setup
@@ -315,17 +329,33 @@ let figure_cmd =
         jobs;
       }
     in
-    match Wn_core.Figures.run Format.std_formatter opts id with
-    | Ok () ->
-        Format.pp_print_flush Format.std_formatter ();
-        Ok ()
-    | Error e -> Error (`Msg e)
+    let ppf = Format.std_formatter in
+    let wall0 = Unix.gettimeofday () and cpu0 = Sys.time () in
+    List.iter
+      (fun (id, f) ->
+        let t0 = Unix.gettimeofday () in
+        f ppf opts;
+        Format.pp_print_flush ppf ();
+        (* Timing goes to stderr: stdout stays byte-identical across
+           --jobs values and engines. *)
+        Printf.eprintf "[%s: %.2fs wall, %d jobs]\n%!" id
+          (Unix.gettimeofday () -. t0)
+          jobs)
+      experiments;
+    Printf.eprintf "\n[experiments done in %.1fs wall / %.1fs cpu, %d jobs]\n%!"
+      (Unix.gettimeofday () -. wall0)
+      (Sys.time () -. cpu0)
+      jobs;
+    Ok ()
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate a table or figure of the paper")
+    (Cmd.info "figure"
+       ~doc:
+         "Regenerate tables and figures of the paper (every experiment when \
+          no id is given)")
     Term.(
       term_result
-        (const run $ id_arg $ scale_arg $ seed_arg $ out_arg $ paper_setup_arg
+        (const run $ ids_arg $ scale_arg $ seed_arg $ out_arg $ paper_setup_arg
        $ engine_arg $ jobs_arg))
 
 (* ---------------- wn inject ---------------- *)

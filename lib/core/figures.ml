@@ -384,11 +384,9 @@ let all =
     ("ext_sqrt", ext_sqrt);
   ]
 
-let run ppf opts id =
+let find id =
   match List.assoc_opt (String.lowercase_ascii id) all with
-  | Some f ->
-      f ppf opts;
-      Ok ()
+  | Some f -> Ok f
   | None ->
       Error
         (Printf.sprintf "unknown experiment %S; know: %s" id

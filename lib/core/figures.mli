@@ -1,6 +1,6 @@
 (** One entry point per table/figure of the paper's evaluation.  Each
     function runs the experiment and prints the rows/series the paper
-    reports; the bench harness and the CLI both drive these. *)
+    reports; [wn figure] drives these. *)
 
 open Wn_workloads
 
@@ -53,5 +53,6 @@ val ablation_subword : Format.formatter -> options -> unit
 val all : (string * (Format.formatter -> options -> unit)) list
 (** Experiment id → runner, in paper order. *)
 
-val run : Format.formatter -> options -> string -> (unit, string) result
-(** Run one experiment by id (e.g. ["fig9"], ["table1"]). *)
+val find : string -> (Format.formatter -> options -> unit, string) result
+(** The runner for an experiment id (e.g. ["fig9"], ["table1"]; case is
+    ignored), or an error naming every id in {!all}. *)

@@ -77,6 +77,11 @@ type report = {
       (** (boundary, oracle message), in boundary order *)
 }
 
+val scenario : config:config -> Workload.t -> Wn_faults.Faults.scenario
+(** The scenario {!sweep} surveys and injects into: the workload built
+    and loaded as [config] says (bits, skim, input seed) under its
+    system's policy. *)
+
 val sweep : ?jobs:int -> mode:mode -> config:config -> Workload.t -> report
 
 val pp : Format.formatter -> report -> unit

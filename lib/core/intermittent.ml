@@ -207,10 +207,3 @@ let run ?(jobs = 1) ?(setup = default_setup) ~system ~bits (w : Workload.t) =
     baseline_reexec = Wn_util.Stats.mean (Array.of_list reexecs);
     samples = total;
   }
-
-let pp ppf r =
-  Format.fprintf ppf
-    "%-10s %d-bit on %-18s: speedup %.2fx, NRMSE %.3f%%, skim rate %.0f%%, \
-     %.1f outages/task (%d samples)"
-    r.workload r.bits (system_name r.system) r.speedup r.nrmse
-    (100.0 *. r.skim_rate) r.outages_per_task r.samples

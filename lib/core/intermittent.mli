@@ -95,5 +95,3 @@ val run :
     are all built inside the unit — and per-unit partial results are
     concatenated in unit order, so the result is bit-identical for
     every [jobs] value. *)
-
-val pp : Format.formatter -> result -> unit

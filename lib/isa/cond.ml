@@ -33,5 +33,3 @@ let to_string = function
   | Al -> "al" | Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Ge -> "ge"
   | Gt -> "gt" | Le -> "le" | Lo -> "lo" | Hs -> "hs" | Mi -> "mi"
   | Pl -> "pl"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -23,5 +23,4 @@ val all : t list
 
 val to_int : t -> int
 val of_int : int -> t option
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

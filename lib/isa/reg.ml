@@ -17,5 +17,3 @@ let equal = Int.equal
 let to_string t =
   if t = sp then "sp" else if t = lr then "lr" else if t = pc then "pc"
   else Printf.sprintf "r%d" t
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

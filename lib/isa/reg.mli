@@ -23,5 +23,4 @@ val allocatable : t list
 (** Registers the code generator may allocate: [r0]–[r12]. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -254,7 +254,15 @@ let do_checkpoint l cfg st =
   st.since_ckpt_cycles <- 0;
   st.since_ckpt_retired <- 0;
   l.checkpoints <- l.checkpoints + 1;
-  l.emit Checkpoint
+  (* A checkpoint fires inside an instruction's step, so an outage cut
+     here would only be taken after that instruction retired on the cut
+     supply: refuse the cut rather than land it one instruction late.
+     A brown-out during the checkpoint's own overhead has already
+     turned the supply off and is not a cut. *)
+  let on = Supply.is_on l.supply in
+  l.emit Checkpoint;
+  if on && not (Supply.is_on l.supply) then
+    invalid_arg "Executor.run: on_event cut the supply on a Checkpoint"
 
 (* Insert into one tracking plane, checkpointing first on overflow
    (capacity is checked before the insert, as the hardware tests the

@@ -167,7 +167,10 @@ val run :
     [on_event] reports each runtime {!event} the moment it happens.  It
     may cut the supply on a [Restore] or [Skim_restore] event: the
     outage is then taken before the next instruction, so power fails
-    again straight after the restore (back-to-back outages).  Otherwise
+    again straight after the restore (back-to-back outages).  A cut on
+    a [Checkpoint] event raises [Invalid_argument]: the checkpoint
+    fires inside an instruction's step, so the outage would only be
+    taken after that instruction retired on the cut supply.  Otherwise
     it never changes how the run steps.
 
     Resume: [resume] seeds the run with a previously captured

@@ -27,8 +27,6 @@ let of_float fmt x =
 let to_float fmt v =
   float_of_int (Subword.to_signed ~bits:fmt.width v) /. scale fmt
 
-let of_int fmt n = of_float fmt (float_of_int n)
-
 let mul fmt a b =
   let sa = Subword.to_signed ~bits:fmt.width a
   and sb = Subword.to_signed ~bits:fmt.width b in

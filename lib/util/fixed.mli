@@ -21,9 +21,6 @@ val of_float : format -> float -> int
 val to_float : format -> int -> float
 (** Interpret a raw bit pattern in the given format. *)
 
-val of_int : format -> int -> int
-(** [of_int fmt n] is the pattern for the integer value [n]. *)
-
 val mul : format -> int -> int -> int
 (** Full-precision fixed-point multiply of two patterns: the product is
     rescaled by [frac] bits and truncated to the format width. *)

@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] makes an independent generator. *)
 
-val copy : t -> t
-
 val next_int64 : t -> int64
 (** Uniform over all 2^64 patterns. *)
 

@@ -155,15 +155,13 @@ let test_curves_bit_identical () =
     [ 2; 8 ]
 
 let test_figure_output_bit_identical () =
-  (* Whole-figure rendering (the CSV the bench harness emits on stdout)
-     must be byte-identical across jobs values. *)
+  (* Whole-figure rendering (the CSV `wn figure` emits on stdout) must
+     be byte-identical across jobs values. *)
   let render jobs =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    let opts = { Wn_core.Figures.default_options with jobs } in
-    (match Wn_core.Figures.run ppf opts "fig15" with
-    | Ok () -> Format.pp_print_flush ppf ()
-    | Error e -> Alcotest.fail e);
+    Wn_core.Figures.fig15 ppf { Wn_core.Figures.default_options with jobs };
+    Format.pp_print_flush ppf ();
     Buffer.contents buf
   in
   let sequential = render 1 in

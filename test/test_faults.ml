@@ -373,6 +373,34 @@ let test_sampled_matadd_sweep () =
   Alcotest.(check string) "jobs=2 report identical" (render report) (render again);
   if report <> again then Alcotest.fail "jobs=2 report record diverged"
 
+(* Delta keyframes exist to make dense frames cheap.  On the survey the
+   default MatAdd sweep takes (anytime, 8-bit, Clank, auto interval) the
+   delta store must be at most half the full-copy store — 0.76 vs
+   5.70 MiB when this test was written; [Obj.reachable_words] counts a
+   page the delta frames share once — and both must place the same
+   frames and record the same final outcome. *)
+let test_delta_store_smaller () =
+  let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small "MatAdd" in
+  let sc = Inject.scenario ~config:Inject.default_config w in
+  let keyframe_interval =
+    Faults.auto_keyframe_interval
+      ~boundaries:(max 1 ((Faults.profile sc).Faults.retired - 1))
+  in
+  let store full_frames =
+    Option.get (Faults.survey ~keyframe_interval ~full_frames sc).Faults.sv_keyframes
+  in
+  let delta = store false and full = store true in
+  let frames kfs =
+    Array.to_list (Array.map (fun f -> f.Faults.kf_retired) kfs.Faults.frames)
+  in
+  Alcotest.(check (list int)) "same frames" (frames full) (frames delta);
+  if delta.Faults.kf_final <> full.Faults.kf_final then
+    Alcotest.fail "delta and full-copy surveys end in different outcomes";
+  let words kfs = Obj.reachable_words (Obj.repr kfs) in
+  if 2 * words delta > words full then
+    Alcotest.failf "delta store %d words, full-copy store %d words"
+      (words delta) (words full)
+
 (* The sweep report must be byte-identical with keyframes on or off —
    the interval is a pure replay-cost knob. *)
 let test_sweep_keyframes_identical () =
@@ -465,6 +493,8 @@ let () =
         [
           Alcotest.test_case "point identity (all boundaries)" `Quick
             test_keyframe_point_identity;
+          Alcotest.test_case "delta store at most half a full copy" `Quick
+            test_delta_store_smaller;
         ] );
       ( "oracle",
         [

@@ -401,6 +401,32 @@ let test_cut_on_restore () =
         0 );
     ]
 
+(* A cut on a [Checkpoint] event would be taken only after the
+   instruction the checkpoint fired in had retired on the cut supply, so
+   the executor rejects it, under either engine.  Var@8 under default
+   Clank takes its first checkpoint at 6,248 retired instructions. *)
+let test_cut_on_checkpoint_rejected () =
+  let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small "Var" in
+  let b =
+    Wn_core.Runner.build w { Wn_workloads.Workload.bits = 8; provisioned = true }
+  in
+  let inputs = w.Wn_workloads.Workload.fresh_inputs (Wn_util.Rng.create 7) in
+  List.iter
+    (fun (name, engine) ->
+      let machine = Wn_core.Runner.machine b in
+      Wn_core.Runner.load_sample b machine inputs;
+      let supply = Supply.always_on ~off_cycles:Supply.default_off_cycles () in
+      Alcotest.check_raises name
+        (Invalid_argument "Executor.run: on_event cut the supply on a Checkpoint")
+        (fun () ->
+          ignore
+            (Executor.run ~engine
+               ~policy:(Executor.Clank Executor.default_clank)
+               ~on_event:(fun e ->
+                 if e = Executor.Checkpoint then Supply.cut supply)
+               ~machine ~supply ())))
+    [ ("block", Executor.Block); ("reference", Executor.Reference) ]
+
 (* A resume state carries the policy it was captured under; resuming it
    under any other policy is rejected, same-policy resumes go through. *)
 let test_resume_rejects_other_policy () =
@@ -463,6 +489,8 @@ let () =
             test_capture_rejects_cut_supply;
           Alcotest.test_case "a cut on restore strikes again at once" `Quick
             test_cut_on_restore;
+          Alcotest.test_case "a cut on checkpoint is rejected" `Quick
+            test_cut_on_checkpoint_rejected;
           Alcotest.test_case "resume rejects another policy" `Quick
             test_resume_rejects_other_policy;
         ] );
