@@ -25,12 +25,51 @@ type keyframe = {
   kf_exec : Executor.resume_state;
 }
 
+(* The rejoin candidates at one PC: the keyframes recorded there,
+   latest first (the order the probe scans them: the first match decides
+   the reconstructed cycle fields), and each one's value of [key], the
+   register whose values differ most among them.  A candidate whose key
+   value differs from the machine's cannot match, so one integer compare
+   rules it out before [Machine.matches_state] runs. *)
+type candidates = {
+  key : Wn_isa.Reg.t;
+  at_pc : keyframe array;
+  key_vals : int array;
+}
+
+type rejoin_index = candidates array (* by PC *)
+
 type keyframes = {
   interval : int;
   frames : keyframe array;
   kf_final : Executor.outcome;
   kf_final_digest : Digest.t;
+  rejoin : rejoin_index;
 }
+
+let rejoin_index ~pcs frames =
+  let by_pc = Array.make pcs [] in
+  Array.iter
+    (fun kf ->
+      let pc = Machine.snapshot_pc kf.kf_machine in
+      if pc >= 0 && pc < pcs then by_pc.(pc) <- kf :: by_pc.(pc))
+    frames;
+  Array.map
+    (fun kfs ->
+      let at_pc = Array.of_list kfs in
+      let values r =
+        Array.map (fun kf -> Machine.snapshot_reg kf.kf_machine r) at_pc
+      in
+      let spread =
+        Array.init Wn_isa.Reg.count (fun i ->
+            List.length
+              (List.sort_uniq compare (Array.to_list (values (Wn_isa.Reg.r i)))))
+      in
+      let best = ref 0 in
+      Array.iteri (fun i n -> if n > spread.(!best) then best := i) spread;
+      let key = Wn_isa.Reg.r !best in
+      { key; at_pc; key_vals = values key })
+    by_pc
 
 (* Denser-than-sqrt placement: with delta frames a keyframe costs
    O(pages dirtied per interval), so frames can be dense.  2·sqrt(n)
@@ -125,11 +164,14 @@ let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
     sv_keyframes =
       Option.map
         (fun interval ->
+          let frames = Array.of_list (List.rev !frames) in
           {
             interval;
-            frames = Array.of_list (List.rev !frames);
+            frames;
             kf_final = outcome;
             kf_final_digest = profile.final_digest;
+            rejoin =
+              rejoin_index ~pcs:(Array.length (Machine.program m)) frames;
           })
         keyframe_interval;
   }
@@ -221,43 +263,40 @@ let run_point ?(engine = Executor.Block)
      first instant its architectural state bit-matches a keyframe of the
      continuous run the remainder is that run's remainder (the observer
      never cuts again), so the executor can stop and reconstruct
-     the tail from the survey's recorded final outcome.  Candidates are
-     indexed by PC; the gate on [outage_seen] keeps the prefix replay —
-     which matches keyframes trivially — running normally, and a skim
-     commit leaves the trajectory the keyframes describe, so the probe
-     stops there rather than being paid on every commit-tail step.  A
-     post-outage step still compares about 2.5 candidates on exhaustive
-     MatAdd (20 of its 52 PCs hold 5-6 keyframes each), so the scan is
-     built once per point and allocates nothing per step.  The first
-     match in list order wins: the matched keyframe decides the
-     reconstructed cycle fields. *)
+     the tail from the survey's recorded final outcome.  The gate on
+     [outage_seen] keeps the prefix replay — which matches keyframes
+     trivially — running normally, and a skim commit leaves the
+     trajectory the keyframes describe, so the probe stops there rather
+     than being paid on every commit-tail step.  Per post-outage step the
+     probe reads the store's index at the current PC: a candidate whose
+     key register differs cannot match, so [Machine.matches_state] runs
+     only on key matches, in the index's scan order, and the probe
+     allocates nothing. *)
   let ffired = ref false in
   let probe =
     match keyframes with
-    | Some kfs when Array.length kfs.frames > 0 ->
-        let by_pc = Array.make (Array.length (Machine.program m)) [] in
-        Array.iter
-          (fun kf ->
-            let pc = Machine.snapshot_pc kf.kf_machine in
-            if pc >= 0 && pc < Array.length by_pc then
-              by_pc.(pc) <- kf :: by_pc.(pc))
-          kfs.frames;
-        let rec scan live = function
-          | [] -> ()
-          | kf :: rest ->
-              if Machine.matches_state m kf.kf_machine then begin
+    | Some kfs ->
+        let ix = kfs.rejoin in
+        fun live ->
+          let pc = Machine.pc m in
+          if !outage_seen && (not !skimmed) && pc >= 0 && pc < Array.length ix
+          then begin
+            let c = ix.(pc) in
+            let v = Machine.reg m c.key in
+            let i = ref 0 in
+            while !i < Array.length c.at_pc do
+              let kf = c.at_pc.(!i) in
+              if c.key_vals.(!i) = v && Machine.matches_state m kf.kf_machine
+              then begin
                 ffired := true;
                 Executor.rejoin live
-                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final }
+                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final };
+                i := Array.length c.at_pc
               end
-              else scan live rest
-        in
-        (fun live ->
-          let pc = Machine.pc m in
-          if !outage_seen && (not !skimmed) && pc >= 0
-             && pc < Array.length by_pc
-          then scan live by_pc.(pc))
-    | _ -> fun _ -> ()
+              else incr i
+            done
+          end
+    | None -> fun _ -> ()
   in
   (* The one outage trigger: cut the run's own supply the moment the
      task's [boundary]-th instruction retires; the executor takes the

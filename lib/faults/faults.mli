@@ -39,10 +39,10 @@
     read-only across pool domains: every restore deep-copies into the
     consuming machine.  A keyframed point pays for what it changes,
     not for what memory holds: the restore copies only the pages that
-    differ from the machine's last frame, a Clank resume decodes only
-    the tracked words of the packed shadow map, and a rejoin-probe
-    memory compare skips every page the candidate frame shares with
-    the restored one that the run has not written since. *)
+    differ from the machine's last frame, a Clank resume copies the
+    packed tracking planes (2 bits per data word) as they are, and a
+    rejoin-probe memory compare skips every page the candidate frame
+    shares with the restored one that the run has not written since. *)
 
 type scenario = {
   fresh : unit -> Wn_machine.Machine.t;
@@ -73,12 +73,18 @@ type keyframe = {
   kf_exec : Wn_runtime.Executor.resume_state;
 }
 
+type rejoin_index
+(** The frames grouped by PC, latest first, each with its value of one
+    key register per PC: the register whose values differ most among
+    that PC's frames. *)
+
 type keyframes = {
   interval : int;
   frames : keyframe array;
   kf_final : Wn_runtime.Executor.outcome;
       (** the continuous run's outcome at halt — the rejoin target *)
   kf_final_digest : Digest.t;  (** the continuous run's final memory image *)
+  rejoin : rejoin_index;  (** built once by {!survey} from [frames] *)
 }
 (** [frames] ascend in [kf_retired]; frame [i] sits at boundary
     [(i + 1) * interval] (boundaries past halt are never captured). *)
@@ -182,14 +188,15 @@ val run_point :
     treat a keyframed run as its own deterministic quantity (identical
     across engines and jobs, not across [keyframes] on/off).
 
-    Cost of a keyframed point: a fixed set-up (the frame restore, the
-    executor's resume, a PC-indexed candidate table over the frames),
-    then the replayed prefix, then per post-outage step a probe that
-    compares the keyframes recorded at the current PC — 71.6 M
-    {!Wn_machine.Machine.matches_state} calls over the 40,979 points of
-    an exhaustive MatAdd sweep, about 2.5 per post-outage step — without
-    allocating; a compare reaches memory only when the registers and
-    flags already match.
+    Cost of a keyframed point: a fixed set-up (the frame restore and the
+    executor's resume), then the replayed prefix, then per post-outage
+    step a probe over the keyframes recorded at the current PC, in the
+    store's [rejoin] index.  It compares one key register per candidate
+    and calls {!Wn_machine.Machine.matches_state} only on a key match,
+    without allocating: over the 40,979 points of an exhaustive MatAdd
+    sweep that is 71.6 M key compares (about 2.5 per post-outage step)
+    and 83,896 state compares.  A state compare reaches memory only when
+    the registers and flags already match.
 
     [machine] is an optional scratch machine (from this scenario's
     [fresh]) whose entire state the call may clobber.  It is used only

@@ -733,9 +733,11 @@ let snapshot_retired s = s.s_retired
 
 let snapshot_pc s = s.s_pc
 
+let snapshot_reg s r = s.s_regs.(Reg.index r)
+
 (* Monomorphic int-array compare: the rejoin probe calls this on the
-   register file once per candidate per step (71.6 M calls on an
-   exhaustive MatAdd sweep), where the polymorphic [=] walk is
+   register file of every candidate whose key register already matches
+   the machine's, once per step, where the polymorphic [=] walk is
    measurably hot.  A [while] loop, because a local recursive closure
    is allocated on every call by the non-flambda compiler. *)
 let int_arrays_equal a b =

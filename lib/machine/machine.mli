@@ -225,6 +225,9 @@ val snapshot_retired : snapshot -> int
 val snapshot_pc : snapshot -> int
 (** Program counter at capture (rejoin-candidate indexing). *)
 
+val snapshot_reg : snapshot -> Reg.t -> int
+(** A register's value at capture (the rejoin index's key register). *)
+
 val matches_state : t -> snapshot -> bool
 (** True iff the machine's architectural state — PC, registers, flags,
     halt and skim latches, memo slot contents, full memory image —

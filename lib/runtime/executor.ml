@@ -47,13 +47,13 @@ type event = Checkpoint | Outage | Restore | Skim_restore
 
 (* Clank epoch state: the last checkpoint plus the read-first/write
    sets used to detect idempotency (write-after-read) violations at
-   word granularity.  The sets live in a [shadow] map over data memory
-   — one int per word holding [(epoch lsl 2) lor bits] (bit 0: read
-   first this epoch, bit 1: fully written this epoch) — so membership
-   tests and inserts are array indexing instead of hashing, and
-   clearing the sets at a checkpoint is an epoch increment: entries
-   stamped with an older epoch simply read as empty.  That keeps the
-   checkpoint commit O(1) instead of O(shadow) on the hot path.
+   word granularity.  The sets live in one packed [shadow] map over data
+   memory — 2 bits per word, four words per byte (bit 0: read first this
+   epoch, bit 1: fully written this epoch) — so membership tests and
+   inserts are byte indexing instead of hashing, a resume state stores
+   the map as it is, and capture and resume are one [Bytes.copy] each.
+   Clearing the sets at a checkpoint or restore is one [Bytes.fill] of
+   at most (data words / 4) bytes: 4,388 on the largest suite build.
    [tracked] counts set bits across both planes (a word in both planes
    counts twice), mirroring the hardware's two tracking buffers filling
    independently.
@@ -64,8 +64,7 @@ type event = Checkpoint | Outage | Restore | Skim_restore
    and re-execution would read the new value. *)
 type clank_state = {
   mutable checkpoint : Machine.register_file;
-  shadow : int array;
-  mutable epoch : int;
+  shadow : Bytes.t;
   mutable tracked : int;
   mutable since_ckpt_cycles : int;
   mutable since_ckpt_retired : int;
@@ -75,48 +74,18 @@ let read_bit = 1
 let write_bit = 2
 
 let shadow_bits st w =
-  let v = Array.unsafe_get st.shadow w in
-  if v lsr 2 = st.epoch then v land 3 else 0
+  (Char.code (Bytes.unsafe_get st.shadow (w lsr 2)) lsr ((w land 3) lsl 1))
+  land 3
 
 let shadow_set st w bit =
-  Array.unsafe_set st.shadow w ((st.epoch lsl 2) lor shadow_bits st w lor bit)
+  let i = w lsr 2 in
+  Bytes.unsafe_set st.shadow i
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get st.shadow i) lor (bit lsl ((w land 3) lsl 1))))
 
 let shadow_clear st =
-  st.epoch <- st.epoch + 1;
+  Bytes.fill st.shadow 0 (Bytes.length st.shadow) '\000';
   st.tracked <- 0
-
-(* Resume states carry the shadow sets in the dense 2-bits-per-word
-   packed form (four words per byte), normalised to drop the epoch
-   stamps: keyframe stores hold many resume states, and the packed
-   form is 1/32nd the live array's size. *)
-let pack_shadow st =
-  let words = Array.length st.shadow in
-  let b = Bytes.make ((words + 3) / 4) '\000' in
-  for w = 0 to words - 1 do
-    let bits = shadow_bits st w in
-    if bits <> 0 then
-      let i = w lsr 2 in
-      Bytes.unsafe_set b i
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get b i) lor (bits lsl ((w land 3) * 2))))
-  done;
-  b
-
-(* Bare bits carry epoch stamp 0, matching the fresh state's epoch.
-   Only the bytes that hold a tracked word are decoded: at most
-   [buffer_entries] words carry bits, a small share of data memory
-   (12,304 words on MatAdd), and fault injection resumes once per
-   injected point. *)
-let unpack_shadow packed words =
-  let shadow = Array.make words 0 in
-  for i = 0 to Bytes.length packed - 1 do
-    let byte = Char.code (Bytes.unsafe_get packed i) in
-    if byte <> 0 then
-      for w = i lsl 2 to min words ((i lsl 2) + 4) - 1 do
-        Array.unsafe_set shadow w ((byte lsr ((w land 3) * 2)) land 3)
-      done
-  done;
-  shadow
 
 let word_of_addr addr = addr lsr 2
 
@@ -160,13 +129,13 @@ let build_store_table program =
 (* Mid-run resume state: the loop counters plus the Clank policy state,
    captured at a clean instruction boundary of an uninterrupted run.
    Everything inside is immutable once captured (the shadow map is
-   packed at capture and unpacked into a fresh array at resume; the
-   checkpoint register file is replaced wholesale on checkpoint, never
-   mutated), so one [resume_state] can seed any number of [run] calls
-   from any number of domains. *)
+   copied at capture and again at resume; the checkpoint register file
+   is replaced wholesale on checkpoint, never mutated), so one
+   [resume_state] can seed any number of [run] calls from any number of
+   domains. *)
 type clank_resume = {
   rc_checkpoint : Machine.register_file;
-  rc_shadow : Bytes.t; (* packed 2 bits/word, epoch-normalised *)
+  rc_shadow : Bytes.t;
   rc_tracked : int;
   rc_since_cycles : int;
   rc_since_retired : int;
@@ -296,8 +265,10 @@ let pre_step l cfg st =
             word_of_addr (Machine.reg m stores.st_base.(pc) + stores.st_off.(pc))
           in
           (* An out-of-range word cannot have been read this epoch
-             (tracked reads all succeeded, hence were in bounds). *)
-          if w >= 0 && w < Array.length st.shadow
+             (tracked reads all succeeded, hence were in bounds); nor
+             can a word past the end of memory that shares the map's
+             last byte. *)
+          if w >= 0 && w lsr 2 < Bytes.length st.shadow
              && shadow_bits st w land read_bit <> 0
           then do_checkpoint l cfg st
       | 2 ->
@@ -305,7 +276,7 @@ let pre_step l cfg st =
             word_of_addr
               (Machine.reg m stores.st_base.(pc) + Machine.reg m stores.st_idx.(pc))
           in
-          if w >= 0 && w < Array.length st.shadow
+          if w >= 0 && w lsr 2 < Bytes.length st.shadow
              && shadow_bits st w land read_bit <> 0
           then do_checkpoint l cfg st
       | _ -> ()
@@ -453,7 +424,7 @@ let capture l =
         (fun (_cfg, st) ->
           {
             rc_checkpoint = st.checkpoint;
-            rc_shadow = pack_shadow st;
+            rc_shadow = Bytes.copy st.shadow;
             rc_tracked = st.tracked;
             rc_since_cycles = st.since_ckpt_cycles;
             rc_since_retired = st.since_ckpt_retired;
@@ -486,16 +457,18 @@ let run ?(policy = Always_on) ?(engine = Block)
   let clank =
     match policy with
     | Clank cfg ->
-        let words = (Wn_mem.Memory.size (Machine.mem machine) + 3) / 4 in
+        (* Four words of data memory per shadow byte. *)
+        let shadow_bytes =
+          (((Wn_mem.Memory.size (Machine.mem machine) + 3) / 4) + 3) / 4
+        in
         let st =
           match resume with
           | Some { rs_clank = Some rc; _ } ->
-              if Bytes.length rc.rc_shadow <> (words + 3) / 4 then
+              if Bytes.length rc.rc_shadow <> shadow_bytes then
                 invalid_arg "Executor.run: resume shadow map size mismatch";
               {
                 checkpoint = rc.rc_checkpoint;
-                shadow = unpack_shadow rc.rc_shadow words;
-                epoch = 0;
+                shadow = Bytes.copy rc.rc_shadow;
                 tracked = rc.rc_tracked;
                 since_ckpt_cycles = rc.rc_since_cycles;
                 since_ckpt_retired = rc.rc_since_retired;
@@ -503,8 +476,7 @@ let run ?(policy = Always_on) ?(engine = Block)
           | _ ->
               {
                 checkpoint = Machine.capture_registers machine;
-                shadow = Array.make words 0;
-                epoch = 0;
+                shadow = Bytes.make shadow_bytes '\000';
                 tracked = 0;
                 since_ckpt_cycles = 0;
                 since_ckpt_retired = 0;

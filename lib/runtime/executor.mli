@@ -89,8 +89,9 @@ type resume_state
     uninterrupted run: the policy, the loop's accumulated counters
     (active, overhead and wall cycles, retired instructions, outage /
     checkpoint counts, skim bookkeeping) plus, under [Clank], the
-    policy state — the last register-file checkpoint, the
-    read-first/written shadow map and the epoch counters.  Taken with
+    policy state — the last register-file checkpoint, the packed
+    read-first/written shadow map, the tracked-entry count and the
+    cycles and instructions since the checkpoint.  Taken with
     {!capture}; immutable once captured, so one value can seed any
     number of resumed runs from any number of domains (each
     [run ~resume] deep-copies the mutable parts).  Pair it with the

@@ -304,6 +304,163 @@ let test_keyframe_point_identity () =
       ("nvp/anytime", Executor.Nvp Executor.default_nvp, anytime_program ());
     ]
 
+(* [Faults.run_point ~keyframes] as a plain scan, from public calls
+   only: restore the last frame before the boundary, cut there, and
+   after the outage compare the machine against every frame, latest
+   first, with [Machine.matches_state]; the first match is the rejoin.
+   The store's rejoin index may skip a candidate only when it cannot
+   match, so both must give the same point, every outcome field
+   included, and stop at the same retired count. *)
+let scan_point ~keyframes ~machine sc ~boundary =
+  let frame =
+    Array.fold_left
+      (fun acc kf -> if kf.Faults.kf_retired < boundary then Some kf else acc)
+      None keyframes.Faults.frames
+  in
+  let m = match frame with Some _ -> machine | None -> sc.Faults.fresh () in
+  let resume =
+    Option.map
+      (fun kf ->
+        Machine.restore m kf.Faults.kf_machine;
+        kf.Faults.kf_exec)
+      frame
+  in
+  let supply =
+    Wn_power.Supply.always_on ~off_cycles:Wn_power.Supply.default_off_cycles ()
+  in
+  let restore = ref None and skimmed = ref false and rejoined = ref false in
+  let on_event = function
+    | Executor.Checkpoint | Executor.Outage -> ()
+    | (Executor.Restore | Executor.Skim_restore) as e ->
+        if e = Executor.Skim_restore then skimmed := true;
+        if !restore = None then
+          restore :=
+            Some
+              {
+                Faults.at_retired = Machine.instructions_retired m;
+                r_pc = Machine.pc m;
+                r_regs = Array.init Reg.count (fun i -> Machine.reg m (r i));
+                r_flags = Machine.flags m;
+                r_mem_digest = Wn_mem.Memory.digest (Machine.mem m);
+              }
+  in
+  let latest_first = List.rev (Array.to_list keyframes.Faults.frames) in
+  let on_step live =
+    if Machine.instructions_retired m = boundary then Wn_power.Supply.cut supply
+    else if !restore <> None && not !skimmed then
+      match
+        List.find_opt
+          (fun kf -> Machine.matches_state m kf.Faults.kf_machine)
+          latest_first
+      with
+      | Some kf ->
+          rejoined := true;
+          Executor.rejoin live
+            {
+              Executor.ff_at = kf.Faults.kf_exec;
+              ff_final = keyframes.Faults.kf_final;
+            }
+      | None -> ()
+  in
+  let outcome =
+    Executor.run ~policy:sc.Faults.policy ~on_event ~on_step ?resume ~machine:m
+      ~supply ()
+  in
+  {
+    Faults.boundary;
+    outcome;
+    restore = !restore;
+    final_digest =
+      (if !rejoined then keyframes.Faults.kf_final_digest
+       else Wn_mem.Memory.digest (Machine.mem m));
+  }
+
+let check_exact_rejoin name sc ~keyframes boundaries =
+  let indexed = sc.Faults.fresh () and scanned = sc.Faults.fresh () in
+  Array.iter
+    (fun boundary ->
+      let a = Faults.run_point ~keyframes ~machine:indexed sc ~boundary in
+      let b = scan_point ~keyframes ~machine:scanned sc ~boundary in
+      if a <> b then
+        Alcotest.failf "%s, boundary %d: point differs from the scan" name boundary;
+      if Machine.instructions_retired indexed <> Machine.instructions_retired scanned
+      then Alcotest.failf "%s, boundary %d: rejoined at another step" name boundary)
+    boundaries
+
+let test_exact_rejoin_small () =
+  List.iter
+    (fun (pname, policy, program) ->
+      let sc = scenario ~policy program in
+      let s = Faults.survey ~keyframe_interval:8 sc in
+      let retired = s.Faults.sv_profile.Faults.retired in
+      check_exact_rejoin pname sc ~keyframes:(Option.get s.Faults.sv_keyframes)
+        (Array.init (retired - 1) (fun i -> i + 1)))
+    [
+      ( "clank/anytime/tight",
+        Executor.Clank { Executor.default_clank with watchdog_period = 50 },
+        anytime_program () );
+      ("clank/precise", Executor.Clank Executor.default_clank, precise_program ());
+    ]
+
+(* The auto-interval store of a default MatAdd sweep (anytime, 8-bit),
+   under Clank and NVP: 200 boundaries spread over the whole run, on
+   both sides of the first skim latch. *)
+let matadd_store system =
+  let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small "MatAdd" in
+  let sc =
+    Inject.scenario ~config:{ Inject.default_config with Inject.system } w
+  in
+  let retired = (Faults.profile sc).Faults.retired in
+  let keyframe_interval = Faults.auto_keyframe_interval ~boundaries:(retired - 1) in
+  let keyframes =
+    Option.get (Faults.survey ~keyframe_interval sc).Faults.sv_keyframes
+  in
+  let boundaries = Array.init 200 (fun i -> 1 + (i * (retired - 2) / 199)) in
+  (sc, keyframes, boundaries)
+
+let test_exact_rejoin_matadd () =
+  List.iter
+    (fun (name, system) ->
+      let sc, keyframes, boundaries = matadd_store system in
+      check_exact_rejoin name sc ~keyframes boundaries)
+    [
+      ("MatAdd/clank", Wn_core.Intermittent.Clank);
+      ("MatAdd/nvp", Wn_core.Intermittent.Nvp);
+    ]
+
+(* A keyframed point pays for what it changes: on one scratch machine a
+   Clank point of exhaustive MatAdd allocates about 500 major words (386
+   of them the resumed tracking planes, 3,076 bytes), where one word per
+   word of data memory would cost over 12,000.  The runtime folds a
+   domain's allocation counts into [Gc.quick_stat] at a minor
+   collection, so one is forced before each reading; and a major cycle
+   left running by earlier tests nearly doubles the count, so the heap
+   is collected first. *)
+let test_point_major_words () =
+  let sc, keyframes, boundaries = matadd_store Wn_core.Intermittent.Clank in
+  let machine = sc.Faults.fresh () in
+  ignore (Faults.run_point ~keyframes ~machine sc ~boundary:boundaries.(0));
+  let major_words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let skims = ref 0 in
+  Gc.full_major ();
+  let before = major_words () in
+  Array.iter
+    (fun boundary ->
+      let p = Faults.run_point ~keyframes ~machine sc ~boundary in
+      if p.Faults.outcome.Executor.skimmed then incr skims)
+    boundaries;
+  let per_point =
+    (major_words () -. before) /. float_of_int (Array.length boundaries)
+  in
+  if !skims = 0 || !skims = Array.length boundaries then
+    Alcotest.failf "%d of %d points skim-committed: need both kinds" !skims
+      (Array.length boundaries);
+  if per_point > 1024.0 then
+    Alcotest.failf "%.0f major words per point (at most 1,024)" per_point
+
 (* The oracle itself must not be vacuous: feed it deliberately wrong
    references and require it to object. *)
 let test_oracle_not_vacuous () =
@@ -495,6 +652,11 @@ let () =
             test_keyframe_point_identity;
           Alcotest.test_case "delta store at most half a full copy" `Quick
             test_delta_store_smaller;
+          Alcotest.test_case "exact rejoin (all boundaries)" `Quick
+            test_exact_rejoin_small;
+          Alcotest.test_case "exact rejoin (sampled MatAdd)" `Quick
+            test_exact_rejoin_matadd;
+          Alcotest.test_case "major words per point" `Quick test_point_major_words;
         ] );
       ( "oracle",
         [

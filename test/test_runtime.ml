@@ -428,7 +428,11 @@ let test_cut_on_checkpoint_rejected () =
     [ ("block", Executor.Block); ("reference", Executor.Reference) ]
 
 (* A resume state carries the policy it was captured under; resuming it
-   under any other policy is rejected, same-policy resumes go through. *)
+   under any other policy is rejected, same-policy resumes go through.
+   Under Clank it also carries the tracking planes of its memory's size:
+   resuming onto a machine with another memory size is rejected (the
+   machine snapshot, which [Machine.restore] would also refuse, is not
+   restored here, so the executor's own check is reached). *)
 let test_resume_rejects_other_policy () =
   let expected =
     Invalid_argument "Executor.run: resume state captured under another policy"
@@ -448,10 +452,76 @@ let test_resume_rejects_other_policy () =
   Alcotest.check_raises "watchdog-50 state under default clank" expected
     (fun () ->
       ignore (resume_under (Executor.Clank Executor.default_clank) from_tight));
+  Alcotest.check_raises "clank state onto another memory size"
+    (Invalid_argument "Executor.run: resume shadow map size mismatch")
+    (fun () ->
+      let mem = Wn_mem.Memory.create ~size:512 in
+      let machine = Machine.create ~program:(loop_program ()) ~mem () in
+      ignore
+        (Executor.run ~policy:tight ~resume:(snd from_tight) ~machine
+           ~supply:(Supply.always_on ()) ()));
   Alcotest.(check bool) "same policy resumes" true
     (resume_under nvp from_nvp).Executor.completed;
   Alcotest.(check bool) "same clank config resumes" true
     (resume_under tight from_tight).Executor.completed
+
+(* Clank's tracking planes pack four words per byte, so on a 260-byte
+   memory (65 words) the map's last byte holds word 64 alone.  The task
+   reads word 64, fully writes it (a WAR checkpoint first), reads it
+   back (dominated by the write, so untracked) and writes it again (no
+   checkpoint).  A capture at every boundary, resumed on a restored
+   machine, must reproduce the uninterrupted run's outcome and memory
+   on both engines: losing either bit of that last byte adds or drops a
+   checkpoint. *)
+let test_resume_last_packed_byte () =
+  let word = Instr.Word in
+  let program =
+    Asm.assemble_exn
+      [
+        Asm.I (Instr.Mov_imm (r 1, 256));
+        Asm.I (Instr.Ldr { width = word; signed = false; rd = r 2; base = r 1; off = 0 });
+        Asm.I (Instr.Alu_imm (Instr.Add, r 2, r 2, 1));
+        Asm.I (Instr.Str { width = word; rs = r 2; base = r 1; off = 0 });
+        Asm.I (Instr.Ldr { width = word; signed = false; rd = r 3; base = r 1; off = 0 });
+        Asm.I (Instr.Alu_imm (Instr.Add, r 3, r 3, 1));
+        Asm.I (Instr.Str { width = word; rs = r 3; base = r 1; off = 0 });
+        Asm.I Instr.Halt;
+      ]
+  in
+  let policy = Executor.Clank Executor.default_clank in
+  let fresh () = Machine.create ~program ~mem:(Wn_mem.Memory.create ~size:260) () in
+  let memory m = Digest.to_hex (Wn_mem.Memory.digest (Machine.mem m)) in
+  List.iter
+    (fun (ename, engine) ->
+      let m = fresh () in
+      let whole =
+        Executor.run ~engine ~policy ~machine:m ~supply:(Supply.always_on ()) ()
+      in
+      Alcotest.(check int) (ename ^ ": one WAR checkpoint") 1
+        whole.Executor.checkpoint_count;
+      Alcotest.(check int) (ename ^ ": word 64") 2
+        (Wn_mem.Memory.read32 (Machine.mem m) 256);
+      for k = 1 to whole.Executor.retired - 1 do
+        let m1 = fresh () in
+        let captured = ref None in
+        ignore
+          (Executor.run ~engine ~policy
+             ~on_step:(fun live ->
+               if Machine.instructions_retired m1 = k then
+                 captured := Some (Machine.snapshot m1, Executor.capture live))
+             ~machine:m1 ~supply:(Supply.always_on ()) ());
+        let snap, resume = Option.get !captured in
+        let m2 = fresh () in
+        Machine.restore m2 snap;
+        let resumed =
+          Executor.run ~engine ~policy ~resume ~machine:m2
+            ~supply:(Supply.always_on ()) ()
+        in
+        let what = Printf.sprintf "%s, capture at %d" ename k in
+        if resumed <> whole then Alcotest.failf "%s: outcome differs" what;
+        Alcotest.(check string) (what ^ ": memory") (memory m) (memory m2)
+      done)
+    [ ("block", Executor.Block); ("reference", Executor.Reference) ]
 
 let () =
   Alcotest.run "wn.runtime"
@@ -493,5 +563,7 @@ let () =
             test_cut_on_checkpoint_rejected;
           Alcotest.test_case "resume rejects another policy" `Quick
             test_resume_rejects_other_policy;
+          Alcotest.test_case "resume keeps the last packed byte" `Quick
+            test_resume_last_packed_byte;
         ] );
     ]
