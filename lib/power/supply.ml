@@ -67,21 +67,31 @@ let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~off_cycles =
 
 let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
     ?(start_full = true) ~trace ~capacitor () =
-  if clock_hz <= 0.0 || cycle_energy < 0.0 then invalid_arg "Supply.create";
+  if
+    not
+      (clock_hz > 0.0 && Float.is_finite clock_hz && cycle_energy >= 0.0
+      && Float.is_finite cycle_energy)
+  then invalid_arg "Supply.create";
   if start_full then Capacitor.set_full capacitor;
   make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite:false ~off_cycles:0
 
 let default_off_cycles = 24_000
 
 (* Infinite supplies never read their trace to decide whether power is
-   on.  They all share this one ([Trace.t] is immutable), so building a
-   supply per injected point allocates no 1,000-sample trace. *)
+   on, and never touch their capacitor: every capacitor use below sits
+   behind [t.infinite] (a cut latches [forced_off] instead).  They all
+   share this trace ([Trace.t] is immutable) and this capacitor (never
+   written through an infinite supply, and not reachable from outside),
+   so building a supply per injected point allocates no 1,000-sample
+   trace and bisects no thresholds. *)
 let infinite_trace = Trace.constant ~power:1.0 ~duration_s:1.0
+
+let infinite_capacitor = Capacitor.create ()
 
 let always_on ?(off_cycles = 0) () =
   if off_cycles < 0 then invalid_arg "Supply.always_on";
   make ~clock_hz:default_clock_hz ~cycle_energy:default_cycle_energy
-    ~trace:infinite_trace ~capacitor:(Capacitor.create ()) ~infinite:true
+    ~trace:infinite_trace ~capacitor:infinite_capacitor ~infinite:true
     ~off_cycles
 
 let now_cycles t = t.cycles
@@ -132,20 +142,22 @@ let consume t ~cycles =
   t.consumed_cycles <- t.consumed_cycles + cycles;
   if t.infinite then not t.forced_off
   else begin
-    let inflow =
+    let on =
       if start >= t.tick_base && finish <= t.tick_end then
-        (* Whole burst inside the cached tick: single multiply-add,
-           bit-identical to the one-segment integration (0.0 +. x = x). *)
-        t.tick_power *. (float_of_int cycles /. t.clock_hz)
+        (* Whole burst inside the cached tick: one multiply-add of
+           harvest, bit-identical to the one-segment integration
+           (0.0 +. x = x), passed as the supply's own fields so that
+           nothing is boxed. *)
+        Capacitor.run t.capacitor ~power:t.tick_power ~clock_hz:t.clock_hz
+          ~cycle_energy:t.cycle_energy ~cycles
       else begin
-        let v = harvest_spanning t ~start ~finish in
+        let inflow = harvest_spanning t ~start ~finish in
         refresh_tick_cache t;
-        v
+        Capacitor.harvest t.capacitor inflow;
+        Capacitor.drain t.capacitor (float_of_int cycles *. t.cycle_energy);
+        Capacitor.is_on t.capacitor
       end
     in
-    Capacitor.harvest t.capacitor inflow;
-    Capacitor.drain t.capacitor (float_of_int cycles *. t.cycle_energy);
-    let on = Capacitor.is_on t.capacitor in
     if not on then t.outage_count <- t.outage_count + 1;
     on
   end
@@ -179,9 +191,12 @@ let wait_for_power t =
         let tick = t.cycles / t.per_tick in
         let boundary = (tick + 1) * t.per_tick in
         let seg = boundary - t.cycles in
-        Capacitor.harvest t.capacitor
-          (Trace.power_at_tick t.trace tick
-          *. (float_of_int seg /. t.clock_hz));
+        (* The core is off and draws nothing: the capacitor runs
+           through the segment at zero cycle energy. *)
+        ignore
+          (Capacitor.run t.capacitor
+             ~power:(Trace.power_at_tick t.trace tick)
+             ~clock_hz:t.clock_hz ~cycle_energy:0.0 ~cycles:seg);
         t.cycles <- boundary;
         charge ()
       end
@@ -204,5 +219,5 @@ let assured_margin_cycles = 16
 let assured t ~cycles =
   (not t.forced_off)
   && (t.infinite
-     || Capacitor.usable_energy t.capacitor
-        >= float_of_int (cycles + assured_margin_cycles) *. t.cycle_energy)
+     || Capacitor.affords t.capacitor ~cycle_energy:t.cycle_energy
+          ~cycles:(cycles + assured_margin_cycles))

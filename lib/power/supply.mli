@@ -28,6 +28,8 @@ val create :
   capacitor:Capacitor.t ->
   unit ->
   t
+(** Raises [Invalid_argument] unless [clock_hz] is positive and
+    [cycle_energy] non-negative, both finite (NaN included). *)
 
 val always_on : ?off_cycles:int -> unit -> t
 (** A supply that never browns out on its own: for functional testing,
@@ -60,7 +62,10 @@ val consume : t -> cycles:int -> bool
     across trace-tick boundaries, so a multi-cycle instruction that
     spans a burst edge credits each segment at that segment's power.
     Returns [false] if the supply browned out (the core lost power at
-    the end of those cycles). *)
+    the end of those cycles).  A consume that stays inside the cached
+    trace tick, nearly every per-instruction call, allocates nothing
+    ([Capacitor.run]); the latch decides on/off from exact energy
+    thresholds, with no square root (see {!Capacitor}). *)
 
 val wait_for_power : t -> int
 (** Block (advance the clock) until the capacitor recharges to turn-on;
@@ -86,7 +91,7 @@ val assured : t -> cycles:int -> bool
     rounding, before counting any harvest inflow)?  A [false] answer
     does not mean power will die, only that it cannot be promised;
     harvest income during the window is ignored, which is sound because
-    it only adds. *)
+    it only adds.  Allocates nothing. *)
 
 val outages : t -> int
 (** Number of brown-outs observed so far. *)

@@ -5,7 +5,9 @@ let sample_period_s = 0.001
 let of_samples samples =
   if Array.length samples = 0 then invalid_arg "Trace.of_samples: empty";
   Array.iter
-    (fun p -> if p < 0.0 then invalid_arg "Trace.of_samples: negative power")
+    (fun p ->
+      if not (p >= 0.0 && Float.is_finite p) then
+        invalid_arg "Trace.of_samples: negative power")
     samples;
   { samples }
 

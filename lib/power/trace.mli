@@ -15,7 +15,7 @@ val sample_period_s : float
 
 val of_samples : float array -> t
 (** Harvested power in watts per 1-ms tick.  Raises [Invalid_argument]
-    on an empty array or negative sample. *)
+    on an empty array or a negative, NaN or infinite sample. *)
 
 val length : t -> int
 val duration_s : t -> float

@@ -511,6 +511,51 @@ let test_matches_state_no_alloc () =
   Wn_mem.Memory.write8 mem (size - 1) 0xA5;
   measure "one byte changed in the tail page" full ~expect:false
 
+(* A capacitor-backed run allocates next to nothing per retired
+   instruction under either intermittency policy: the supply accounting
+   every instruction pays is allocation-free, and what is left (Clank's
+   checkpointed register files, the outcome) comes per event or per
+   run.  A strong constant trace keeps the device on; each kernel runs
+   once unmeasured first, so the machine's lazily built tables are in
+   place. *)
+let test_executor_run_no_alloc () =
+  let strong = Wn_power.Trace.constant ~power:1.0 ~duration_s:1.0 in
+  List.iter
+    (fun (pname, policy) ->
+      let words = ref 0.0 and retired = ref 0 in
+      List.iter
+        (fun wname ->
+          let w = Suite.find Workload.Small wname in
+          let b = Wn_core.Runner.build w wcfg in
+          let inputs = w.Workload.fresh_inputs (Wn_util.Rng.create 42) in
+          let m = Wn_core.Runner.machine b in
+          let run () =
+            Wn_core.Runner.load_sample b m inputs;
+            let supply =
+              Wn_power.Supply.create ~trace:strong
+                ~capacitor:(Wn_power.Capacitor.create ()) ()
+            in
+            let a = Gc.minor_words () in
+            let b = Gc.minor_words () in
+            let baseline = b -. a in
+            let w0 = Gc.minor_words () in
+            let o = Executor.run ~policy ~machine:m ~supply () in
+            let w1 = Gc.minor_words () in
+            (o, w1 -. w0 -. baseline)
+          in
+          ignore (run ());
+          let o, allocated = run () in
+          if not o.Executor.completed then
+            Alcotest.failf "%s/%s: did not complete" wname pname;
+          words := !words +. allocated;
+          retired := !retired + o.Executor.retired)
+        Suite.names;
+      let per_insn = !words /. float_of_int !retired in
+      if per_insn > 0.1 then
+        Alcotest.failf "%s: %.3f minor words per retired instruction (%.0f over %d)"
+          pname per_insn !words !retired)
+    [ ("clank", Executor.Clank Executor.default_clank); ("nvp", Executor.Nvp Executor.default_nvp) ]
+
 let () =
   let lockstep_cases =
     List.concat_map
@@ -583,5 +628,7 @@ let () =
             test_step_block_no_alloc;
           Alcotest.test_case "matches_state allocation-free" `Quick
             test_matches_state_no_alloc;
+          Alcotest.test_case "capacitor-backed Executor.run" `Quick
+            test_executor_run_no_alloc;
         ] );
     ]

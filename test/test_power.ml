@@ -63,9 +63,22 @@ let test_capacitor_energy () =
   Alcotest.check_raises "negative drain" (Invalid_argument "Capacitor.drain")
     (fun () -> Capacitor.drain c (-1.0))
 
+(* Including NaN and infinities, which each used to leave the device on
+   for good. *)
 let test_capacitor_bad_config () =
-  Alcotest.check_raises "v_off above v_on" (Invalid_argument "Capacitor.create")
-    (fun () -> ignore (Capacitor.create ~v_on:1.0 ~v_off:2.0 ()))
+  List.iter
+    (fun (what, make) ->
+      Alcotest.check_raises what (Invalid_argument "Capacitor.create")
+        (fun () -> ignore (make ())))
+    [
+      ("v_off above v_on", fun () -> Capacitor.create ~v_on:1.0 ~v_off:2.0 ());
+      ("NaN capacitance", fun () -> Capacitor.create ~capacitance:Float.nan ());
+      ("infinite capacitance", fun () -> Capacitor.create ~capacitance:Float.infinity ());
+      ("NaN v_on", fun () -> Capacitor.create ~v_on:Float.nan ());
+      ("NaN v_off", fun () -> Capacitor.create ~v_off:Float.nan ());
+      ("NaN v_max", fun () -> Capacitor.create ~v_max:Float.nan ());
+      ("infinite v_max", fun () -> Capacitor.create ~v_max:Float.infinity ());
+    ]
 
 (* Property: under any interleaving of harvest and drain, the stored
    energy clamps at full charge, and the on/off latch obeys the
@@ -91,6 +104,190 @@ let test_capacitor_invariants_random () =
     if was_on && (not (Capacitor.is_on c)) && v >= 1.8 +. 1e-9 then
       Alcotest.failf "step %d: turned off at %.4f V, above V_off" step v
   done
+
+(* The capacitor as first written, kept as the specification the exact
+   thresholds must reproduce bit for bit: a square root per latch
+   update compared with the voltages, and Float.min/Float.max clamps. *)
+module Sqrt_capacitor = struct
+  type t = {
+    c : float;
+    v_on : float;
+    v_off : float;
+    v_max : float;
+    mutable stored : float;
+    mutable on : bool;
+  }
+
+  let energy_at c v = 0.5 *. c *. v *. v
+
+  let create ~c ~v_on ~v_off ~v_max =
+    { c; v_on; v_off; v_max; stored = energy_at c v_max; on = true }
+
+  let voltage_of c s = sqrt (2.0 *. s /. c)
+
+  let update_state t =
+    let v = voltage_of t.c t.stored in
+    if t.on && v < t.v_off then t.on <- false
+    else if (not t.on) && v >= t.v_on then t.on <- true
+
+  let drain t j =
+    t.stored <- Float.max 0.0 (t.stored -. j);
+    update_state t
+
+  let harvest t j =
+    t.stored <- Float.min (energy_at t.c t.v_max) (t.stored +. j);
+    update_state t
+
+  let set_empty t =
+    t.stored <- energy_at t.c t.v_off;
+    t.on <- false
+
+  let set_full t =
+    t.stored <- energy_at t.c t.v_max;
+    t.on <- true
+end
+
+(* (capacitance, v_on, v_off, v_max): the default, the small
+   capacitors the tests and fleets use, a turn-on at the regulator
+   clamp, and odd values. *)
+let capacitor_configs =
+  [
+    (10e-6, 2.3, 1.8, 2.5);
+    (1e-6, 2.3, 1.8, 2.5);
+    (2e-6, 2.3, 1.8, 2.5);
+    (47e-6, 3.0, 2.0, 3.3);
+    (3.3e-6, 2.4, 1.9, 2.4);
+    (6.8e-7, 1.234567, 0.987654, 2.71828);
+  ]
+
+let pair_of (c, v_on, v_off, v_max) =
+  ( Capacitor.create ~capacitance:c ~v_on ~v_off ~v_max (),
+    Sqrt_capacitor.create ~c ~v_on ~v_off ~v_max )
+
+let check_lockstep what cap (r : Sqrt_capacitor.t) =
+  let bits = Int64.bits_of_float (Capacitor.energy cap)
+  and ref_bits = Int64.bits_of_float r.stored in
+  if bits <> ref_bits then
+    Alcotest.failf "%s: stored %h, specification %h" what
+      (Capacitor.energy cap) r.stored;
+  if Capacitor.is_on cap <> r.on then
+    Alcotest.failf "%s: on %b, specification %b (stored %h)" what
+      (Capacitor.is_on cap) r.on r.stored
+
+(* Random harvest/drain sequences against the specification, tilted to
+   drain while the device is on and to charge while it is off, so both
+   thresholds are crossed many times, with step sizes spread over six
+   decades so states land close to them.  [Capacitor.run] takes a third
+   of the steps, checked as the harvest-then-drain it stands for. *)
+let test_capacitor_matches_sqrt_spec () =
+  let rng = Wn_util.Rng.create 2024 in
+  List.iter
+    (fun ((c, v_on, v_off, v_max) as config) ->
+      let cap, r = pair_of config in
+      let what = Printf.sprintf "C=%g v_on=%g v_off=%g" c v_on v_off in
+      let span = Sqrt_capacitor.energy_at c v_max in
+      let amount () =
+        span *. (10.0 ** -.Wn_util.Rng.float rng 6.0)
+        *. Wn_util.Rng.float rng 0.3
+      in
+      let turn_ons = ref 0 and turn_offs = ref 0 in
+      for step = 1 to 20_000 do
+        let was_on = r.on in
+        let what = Printf.sprintf "%s step %d" what step in
+        (match Wn_util.Rng.int rng 3 with
+        | 0 when r.on ->
+            let j = amount () in
+            Capacitor.drain cap j;
+            Sqrt_capacitor.drain r j
+        | 0 | 1 ->
+            let j = amount () in
+            Capacitor.harvest cap j;
+            Sqrt_capacitor.harvest r j
+        | _ ->
+            let cycles = Wn_util.Rng.int rng 2_000 in
+            let clock_hz = 24e6 in
+            let per_cycle = amount () /. 1_000.0 in
+            let power, cycle_energy =
+              if r.on then (per_cycle *. clock_hz *. 0.3, per_cycle)
+              else (per_cycle *. clock_hz, per_cycle *. 0.3)
+            in
+            let on =
+              Capacitor.run cap ~power ~clock_hz ~cycle_energy ~cycles
+            in
+            Sqrt_capacitor.harvest r
+              (power *. (float_of_int cycles /. clock_hz));
+            Sqrt_capacitor.drain r (float_of_int cycles *. cycle_energy);
+            if on <> r.on then Alcotest.failf "%s: run returned %b" what on);
+        check_lockstep what cap r;
+        if r.on && not was_on then incr turn_ons;
+        if was_on && not r.on then incr turn_offs
+      done;
+      if !turn_ons < 50 || !turn_offs < 50 then
+        Alcotest.failf "%s: only %d turn-ons and %d brown-outs" what !turn_ons
+          !turn_offs)
+    capacitor_configs
+
+(* The least non-negative energy whose specification voltage reaches
+   [v], found by walking ulp by ulp from the rounded ½Cv², which lies
+   within a few ulps of it. *)
+let spec_threshold c v =
+  let reaches s = Sqrt_capacitor.voltage_of c s >= v in
+  let rec down s = if reaches (Float.pred s) then down (Float.pred s) else s in
+  let rec up s = if reaches s then s else up (Float.succ s) in
+  let s = Sqrt_capacitor.energy_at c v in
+  if reaches s then down s else up s
+
+(* The states one ulp below, at and one ulp above each exact threshold,
+   landed exactly: from [set_empty] plus one harvest, or from [set_full]
+   plus one drain.  A target the arithmetic cannot land exactly is
+   skipped; each threshold must be landed on from some start. *)
+let test_capacitor_threshold_neighbours () =
+  List.iter
+    (fun ((c, v_on, v_off, v_max) as config) ->
+      let cap, r = pair_of config in
+      let e_empty = Sqrt_capacitor.energy_at c v_off
+      and e_full = Sqrt_capacitor.energy_at c v_max in
+      List.iter
+        (fun (name, v) ->
+          let t = spec_threshold c v in
+          let landed = ref 0 in
+          List.iter
+            (fun (offset, target) ->
+              let what =
+                Printf.sprintf "C=%g %s threshold %h, %s" c name t offset
+              in
+              let harvest = target -. e_empty in
+              if
+                harvest >= 0.0
+                && Float.min e_full (e_empty +. harvest) = target
+              then begin
+                incr landed;
+                Capacitor.set_empty cap;
+                Sqrt_capacitor.set_empty r;
+                Capacitor.harvest cap harvest;
+                Sqrt_capacitor.harvest r harvest;
+                check_lockstep (what ^ " from empty") cap r;
+                if name = "v_on" && Capacitor.is_on cap <> (target >= t) then
+                  Alcotest.failf "%s from empty: on is %b" what
+                    (Capacitor.is_on cap)
+              end;
+              let drain = e_full -. target in
+              if drain >= 0.0 && Float.max 0.0 (e_full -. drain) = target then begin
+                incr landed;
+                Capacitor.set_full cap;
+                Sqrt_capacitor.set_full r;
+                Capacitor.drain cap drain;
+                Sqrt_capacitor.drain r drain;
+                check_lockstep (what ^ " from full") cap r;
+                if name = "v_off" && Capacitor.is_on cap <> (target >= t) then
+                  Alcotest.failf "%s from full: on is %b" what
+                    (Capacitor.is_on cap)
+              end)
+            [ ("one ulp below", Float.pred t); ("at", t); ("one ulp above", Float.succ t) ];
+          if !landed = 0 then
+            Alcotest.failf "C=%g: no state near the %s threshold landed" c name)
+        [ ("v_off", v_off); ("v_on", v_on) ])
+    capacitor_configs
 
 (* The same hysteresis property driven through the supply's tick-cached
    consume / wait_for_power paths: whenever [wait_for_power] reports
@@ -267,6 +464,83 @@ let test_supply_cut_capacitor_backed () =
   if Capacitor.voltage cap < 2.3 -. 1e-9 then
     Alcotest.fail "recovered below V_on"
 
+(* NaN and infinities are rejected where they enter the power model:
+   each used to leave the device on for good. *)
+let test_trace_rejects_non_finite () =
+  List.iter
+    (fun (what, p) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Trace.of_samples: negative power") (fun () ->
+          ignore (Trace.of_samples [| 1e-3; p; 0.0 |])))
+    [ ("NaN sample", Float.nan); ("infinite sample", Float.infinity) ]
+
+let test_harvest_drain_reject_nan () =
+  let c = Capacitor.create () in
+  Alcotest.check_raises "harvest NaN" (Invalid_argument "Capacitor.harvest")
+    (fun () -> Capacitor.harvest c Float.nan);
+  Alcotest.check_raises "drain NaN" (Invalid_argument "Capacitor.drain")
+    (fun () -> Capacitor.drain c Float.nan);
+  Alcotest.(check bool) "charge untouched" true
+    (Capacitor.energy c = Capacitor.energy (Capacitor.create ()))
+
+let test_supply_rejects_non_finite () =
+  let trace = Trace.constant ~power:0.0 ~duration_s:0.1 in
+  List.iter
+    (fun (what, make) ->
+      Alcotest.check_raises what (Invalid_argument "Supply.create") (fun () ->
+          ignore (make (Capacitor.create ()))))
+    [
+      ( "NaN cycle energy",
+        fun capacitor -> Supply.create ~cycle_energy:Float.nan ~trace ~capacitor () );
+      ( "infinite cycle energy",
+        fun capacitor ->
+          Supply.create ~cycle_energy:Float.infinity ~trace ~capacitor () );
+      ("NaN clock", fun capacitor -> Supply.create ~clock_hz:Float.nan ~trace ~capacitor ());
+      ( "infinite clock",
+        fun capacitor -> Supply.create ~clock_hz:Float.infinity ~trace ~capacitor () );
+    ]
+
+(* Minor words [f] allocates, less the boxed float [Gc.minor_words]
+   itself returns, measured the way the real measurement pays it. *)
+let minor_words_of f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let baseline = b -. a in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  w1 -. w0 -. baseline
+
+(* The per-instruction supply calls of a capacitor-backed run allocate
+   nothing: 11k one-cycle consumes stay inside the first 24k-cycle
+   trace tick, so every call takes the cached-tick path. *)
+let test_supply_no_alloc () =
+  let trace = Trace.constant ~power:1e-3 ~duration_s:0.1 in
+  let supply = Supply.create ~trace ~capacitor:(Capacitor.create ()) () in
+  for _ = 1 to 1_000 do
+    ignore (Supply.consume supply ~cycles:1)
+  done;
+  let consumed =
+    minor_words_of (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Supply.consume supply ~cycles:1))
+        done)
+  in
+  if consumed <> 0.0 then
+    Alcotest.failf "Supply.consume allocated %.0f minor words over 10k calls"
+      consumed;
+  Alcotest.(check int) "still inside the first tick" 11_000
+    (Supply.now_cycles supply);
+  let guarded =
+    minor_words_of (fun () ->
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Supply.assured supply ~cycles:40))
+        done)
+  in
+  if guarded <> 0.0 then
+    Alcotest.failf "Supply.assured allocated %.0f minor words over 10k calls"
+      guarded
+
 let test_burst_length_calibration () =
   (* The paper's regime: a full charge lasts of the order of a
      millisecond at 24 MHz (tens of thousands of cycles). *)
@@ -288,6 +562,8 @@ let () =
           Alcotest.test_case "square" `Quick test_trace_square;
           Alcotest.test_case "rf burst" `Quick test_trace_rf_burst;
           Alcotest.test_case "paper suite" `Quick test_paper_suite;
+          Alcotest.test_case "rejects NaN and infinities" `Quick
+            test_trace_rejects_non_finite;
         ] );
       ( "capacitor",
         [
@@ -296,6 +572,12 @@ let () =
           Alcotest.test_case "bad config" `Quick test_capacitor_bad_config;
           Alcotest.test_case "random-walk invariants" `Quick
             test_capacitor_invariants_random;
+          Alcotest.test_case "matches the square-root specification" `Quick
+            test_capacitor_matches_sqrt_spec;
+          Alcotest.test_case "exact thresholds, ulp by ulp" `Quick
+            test_capacitor_threshold_neighbours;
+          Alcotest.test_case "harvest and drain reject NaN" `Quick
+            test_harvest_drain_reject_nan;
         ] );
       ( "supply",
         [
@@ -310,5 +592,9 @@ let () =
           Alcotest.test_case "cut on capacitor supply" `Quick
             test_supply_cut_capacitor_backed;
           Alcotest.test_case "burst calibration" `Quick test_burst_length_calibration;
+          Alcotest.test_case "rejects NaN and infinities" `Quick
+            test_supply_rejects_non_finite;
+          Alcotest.test_case "consume and assured allocation-free" `Quick
+            test_supply_no_alloc;
         ] );
     ]

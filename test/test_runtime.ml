@@ -427,6 +427,68 @@ let test_cut_on_checkpoint_rejected () =
                ~machine ~supply ())))
     [ ("block", Executor.Block); ("reference", Executor.Reference) ]
 
+(* A Clank rollback puts back exactly the registers, PC and flags of the
+   last checkpoint.  An [on_event] observer records them before the
+   run, at every [Checkpoint] and at every [Skim_restore] (a fresh epoch
+   at the skim target); at every [Restore] the machine must equal the
+   last record.  Each Table I kernel's precise and anytime builds at 8
+   bits, on an RF trace, under both engines. *)
+let test_clank_rollback_restores_checkpoint () =
+  let arch m =
+    ( Machine.pc m,
+      Machine.flags m,
+      Array.init Reg.count (fun i -> Machine.reg m (Reg.r i)) )
+  in
+  let trace = Trace.rf_burst ~seed:5 ~duration_s:2.0 () in
+  let restores = ref 0 in
+  List.iter
+    (fun wname ->
+      let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small wname in
+      let inputs = w.Wn_workloads.Workload.fresh_inputs (Wn_util.Rng.create 7) in
+      List.iter
+        (fun precise ->
+          let b =
+            Wn_core.Runner.build ~precise w
+              { Wn_workloads.Workload.bits = 8; provisioned = true }
+          in
+          List.iter
+            (fun (ename, engine) ->
+              let name =
+                Printf.sprintf "%s/%s/%s" wname
+                  (if precise then "precise" else "anytime")
+                  ename
+              in
+              let machine = Wn_core.Runner.machine b in
+              Wn_core.Runner.load_sample b machine inputs;
+              let supply =
+                Supply.create ~trace ~capacitor:(Capacitor.create ()) ()
+              in
+              let last = ref (arch machine) in
+              let o =
+                Executor.run ~engine
+                  ~policy:(Executor.Clank Executor.default_clank)
+                  ~on_event:(function
+                    | Executor.Checkpoint | Executor.Skim_restore ->
+                        last := arch machine
+                    | Executor.Restore ->
+                        incr restores;
+                        let pc, _, _ = !last in
+                        if arch machine <> !last then
+                          Alcotest.failf
+                            "%s: restore %d is not the checkpoint at pc %d \
+                             (machine at pc %d)"
+                            name !restores pc (Machine.pc machine)
+                    | Executor.Outage -> ())
+                  ~machine ~supply ()
+              in
+              Alcotest.(check bool) (name ^ ": completed") true
+                o.Executor.completed)
+            [ ("block", Executor.Block); ("reference", Executor.Reference) ])
+        [ true; false ])
+    Wn_workloads.Suite.names;
+  if !restores < 100 then
+    Alcotest.failf "only %d rollbacks over the suite" !restores
+
 (* A resume state carries the policy it was captured under; resuming it
    under any other policy is rejected, same-policy resumes go through.
    Under Clank it also carries the tracking planes of its memory's size:
@@ -548,6 +610,8 @@ let () =
           Alcotest.test_case "WAR across epochs" `Quick test_clank_war_epochs;
           Alcotest.test_case "engines lockstep" `Quick test_clank_engines_lockstep;
           Alcotest.test_case "skim on outage" `Quick test_skim_on_outage_clank;
+          Alcotest.test_case "rollback restores the checkpoint" `Quick
+            test_clank_rollback_restores_checkpoint;
         ] );
       ( "skim",
         [ Alcotest.test_case "halt at skim" `Quick test_halt_at_skim ] );
