@@ -226,9 +226,6 @@ let loops t =
     tbl []
   |> List.sort Stdlib.compare
 
-let in_loop t pc =
-  List.exists (fun (_, pcs) -> List.mem pc pcs) (loops t)
-
 let reachable_between t ~src ~stop =
   let seen = Hashtbl.create 32 in
   let rec go pc =

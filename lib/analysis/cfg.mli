@@ -54,9 +54,6 @@ val loops : t -> (int * int list) list
 (** Natural loops, as [(header pc, member pcs)] — one entry per back
     edge target, members merged over all back edges to that header. *)
 
-val in_loop : t -> int -> bool
-(** Whether the pc belongs to any natural loop. *)
-
 val reachable_between : t -> src:int -> stop:int -> int list
 (** pcs reachable from [src] (inclusive) along intraprocedural edges
     without passing through [stop] — the instructions an execution

@@ -263,23 +263,24 @@ type report = {
    loop containing the pc (+1 covers the final exit test, which runs
    once more than the body).  A loop with no static trip count makes
    its members unbounded; the loop header is remembered as the binding
-   loop. *)
-let multipliers cfg trip_bounds n =
+   loop.  Also per pc: the headers of the loops containing it, in
+   [loops] order, so a region reads loop membership without
+   re-deriving the loops. *)
+let multipliers loops trip_bounds n =
   let mult = Array.make n 1 in
   let binding = Array.make n (-1) in
-  List.iter
-    (fun ((header, pcs), trips) ->
-      match trips with
-      | Some t ->
-          List.iter
-            (fun pc -> mult.(pc) <- sat_mul mult.(pc) (sat (t + 1)))
-            pcs
-      | None ->
-          List.iter
-            (fun pc -> if binding.(pc) < 0 then binding.(pc) <- header)
-            pcs)
-    (List.map2 (fun l t -> (l, t)) (Cfg.loops cfg) trip_bounds);
-  (mult, binding)
+  let headers = Array.make n [] in
+  List.iter2
+    (fun (header, pcs) trips ->
+      List.iter
+        (fun pc ->
+          headers.(pc) <- header :: headers.(pc);
+          match trips with
+          | Some t -> mult.(pc) <- sat_mul mult.(pc) (sat (t + 1))
+          | None -> if binding.(pc) < 0 then binding.(pc) <- header)
+        pcs)
+    loops trip_bounds;
+  (mult, binding, Array.map List.rev headers)
 
 (* Worst-case cycles of a whole function (by entry pc), call costs
    folded in; recursion is unbounded. *)
@@ -338,7 +339,7 @@ let region_pcs cfg ~boundaries entry =
   go entry;
   Hashtbl.fold (fun pc () acc -> pc :: acc) seen [] |> List.sort Int.compare
 
-let region_raw_wcec cfg mult binding callee_cost pcs =
+let region_raw_wcec cfg mult binding headers callee_cost pcs =
   let acc = ref (Finite 0) in
   let heavy = Hashtbl.create 8 in
   List.iter
@@ -357,13 +358,12 @@ let region_raw_wcec cfg mult binding callee_cost pcs =
           (* attribute the cost to every loop containing this pc so the
              diagnostic can name the dominant one *)
           List.iter
-            (fun (header, lpcs) ->
-              if List.mem pc lpcs then
-                Hashtbl.replace heavy header
-                  (sat_add
-                     (Option.value ~default:0 (Hashtbl.find_opt heavy header))
-                     c))
-            (Cfg.loops cfg)
+            (fun header ->
+              Hashtbl.replace heavy header
+                (sat_add
+                   (Option.value ~default:0 (Hashtbl.find_opt heavy header))
+                   c))
+            headers.(pc)
         end
       end;
       match i with
@@ -408,12 +408,12 @@ let analyze ?(runtime = clank ()) ?budget ?cycle_energy (cfg : Cfg.t) =
   let trip_bounds =
     List.map (loop_trip_bound cfg itv ~skim_target_pcs) loops
   in
-  let mult, binding = multipliers cfg trip_bounds n in
+  let mult, binding, headers = multipliers loops trip_bounds n in
   let callee_cost = func_wcec cfg mult binding in
   let max_instr = Energy.max_instruction_cycles cfg in
   let whole_program =
     fst
-      (region_raw_wcec cfg mult binding callee_cost
+      (region_raw_wcec cfg mult binding headers callee_cost
          (region_pcs cfg ~boundaries:[ 0 ] 0))
   in
   let boundaries = List.sort_uniq Int.compare (0 :: skim_target_pcs) in
@@ -446,7 +446,9 @@ let analyze ?(runtime = clank ()) ?budget ?cycle_energy (cfg : Cfg.t) =
     List.map
       (fun entry ->
         let pcs = region_pcs cfg ~boundaries entry in
-        let raw, heavy = region_raw_wcec cfg mult binding callee_cost pcs in
+        let raw, heavy =
+          region_raw_wcec cfg mult binding headers callee_cost pcs
+        in
         let capped = cap_bound raw in
         {
           rg_entry = entry;

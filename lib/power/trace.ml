@@ -2,7 +2,9 @@ type t = { samples : float array }
 
 let sample_period_s = 0.001
 
-let of_samples samples =
+(* Validates and takes ownership of [samples]: only for arrays no
+   caller can reach afterwards. *)
+let checked samples =
   if Array.length samples = 0 then invalid_arg "Trace.of_samples: empty";
   Array.iter
     (fun p ->
@@ -10,6 +12,8 @@ let of_samples samples =
         invalid_arg "Trace.of_samples: negative power")
     samples;
   { samples }
+
+let of_samples samples = checked (Array.copy samples)
 
 let length t = Array.length t.samples
 
@@ -30,14 +34,13 @@ let ticks_of_duration duration_s =
   if n <= 0 then invalid_arg "Trace: duration too short" else n
 
 let constant ~power ~duration_s =
-  of_samples (Array.make (ticks_of_duration duration_s) power)
+  checked (Array.make (ticks_of_duration duration_s) power)
 
 let square ~on_ms ~off_ms ~power ~duration_s =
   if on_ms <= 0 || off_ms < 0 then invalid_arg "Trace.square";
   let n = ticks_of_duration duration_s in
   let period = on_ms + off_ms in
-  of_samples
-    (Array.init n (fun i -> if i mod period < on_ms then power else 0.0))
+  checked (Array.init n (fun i -> if i mod period < on_ms then power else 0.0))
 
 let rf_burst ?(burst_mean_ms = 3.0) ?(quiet_mean_ms = 40.0)
     ?(burst_power = 1.5e-3) ?(power_jitter = 0.3) ~seed ~duration_s () =
@@ -63,7 +66,7 @@ let rf_burst ?(burst_mean_ms = 3.0) ?(quiet_mean_ms = 40.0)
     end;
     samples.(i) <- (if !in_burst then !level else 0.0)
   done;
-  of_samples samples
+  checked samples
 
 let paper_suite ?(count = 9) ~seed ~duration_s () =
   if count <= 0 then invalid_arg "Trace.paper_suite";

@@ -14,8 +14,9 @@ val sample_period_s : float
 (** 1 ms — the paper's 1-kHz sampling. *)
 
 val of_samples : float array -> t
-(** Harvested power in watts per 1-ms tick.  Raises [Invalid_argument]
-    on an empty array or a negative, NaN or infinite sample. *)
+(** Harvested power in watts per 1-ms tick, copied: a later write to
+    the array does not reach the trace.  Raises [Invalid_argument] on
+    an empty array or a negative, NaN or infinite sample. *)
 
 val length : t -> int
 val duration_s : t -> float

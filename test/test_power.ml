@@ -474,6 +474,14 @@ let test_trace_rejects_non_finite () =
           ignore (Trace.of_samples [| 1e-3; p; 0.0 |])))
     [ ("NaN sample", Float.nan); ("infinite sample", Float.infinity) ]
 
+(* The trace keeps its own copy: a write to the caller's array after the
+   checks can smuggle in no unchecked sample. *)
+let test_trace_of_samples_copies () =
+  let samples = [| 1e-3; 2e-3 |] in
+  let t = Trace.of_samples samples in
+  samples.(0) <- Float.nan;
+  Alcotest.(check (float 0.0)) "original sample" 1e-3 (Trace.power_at_tick t 0)
+
 let test_harvest_drain_reject_nan () =
   let c = Capacitor.create () in
   Alcotest.check_raises "harvest NaN" (Invalid_argument "Capacitor.harvest")
@@ -564,6 +572,8 @@ let () =
           Alcotest.test_case "paper suite" `Quick test_paper_suite;
           Alcotest.test_case "rejects NaN and infinities" `Quick
             test_trace_rejects_non_finite;
+          Alcotest.test_case "of_samples copies its input" `Quick
+            test_trace_of_samples_copies;
         ] );
       ( "capacitor",
         [

@@ -200,6 +200,52 @@ let test_doomed_config_dynamic () =
   Alcotest.(check bool) "it is outages all the way down" true
     (outcome.Executor.outage_count > 0)
 
+(* Every build runs the verifier, so its cost must stay linear in
+   program size: one [Progress.analyze] allocates at most 1,000 minor
+   words per instruction on every suite build, whose largest (Home@4
+   anytime) is 1,613 instructions.  Sema rejects 2-bit Home, NetMotion
+   and MatAdd. *)
+let analyze_words_per_instruction_max = 1_000.0
+
+let test_analyze_allocation_linear () =
+  let builds =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        List.concat_map
+          (fun bits ->
+            List.map (fun precise -> (w, bits, precise)) [ false; true ])
+          (if List.mem w.Workload.name [ "Conv2d"; "MatMul"; "Var"; "Dist" ]
+           then [ 2; 4; 8 ]
+           else [ 4; 8 ]))
+      (Suite.extended Workload.Small)
+  in
+  List.iter
+    (fun ((w : Workload.t), bits, precise) ->
+      let b =
+        Runner.build ~precise w { Workload.bits; provisioned = true }
+      in
+      let program = b.Runner.compiled.Compile.program in
+      let cfg = Wn_analysis.Cfg.build program in
+      (* As in test_fastpath: [Gc.minor_words] boxes its own result. *)
+      let a = Gc.minor_words () in
+      let c = Gc.minor_words () in
+      let baseline = c -. a in
+      let w0 = Gc.minor_words () in
+      ignore (Progress.analyze cfg);
+      let w1 = Gc.minor_words () in
+      let per_instruction =
+        (w1 -. w0 -. baseline) /. float_of_int (Array.length program)
+      in
+      if per_instruction > analyze_words_per_instruction_max then
+        Alcotest.failf
+          "%s@%d %s: Progress.analyze allocated %.0f minor words per \
+           instruction (%d instructions), more than %.0f"
+          w.Workload.name bits
+          (if precise then "precise" else "anytime")
+          per_instruction (Array.length program)
+          analyze_words_per_instruction_max)
+    builds
+
 (* NVP state commits continuously, so its model charges per
    instruction; the soundness oracle above relies on it. *)
 let test_nvp_per_instruction () =
@@ -232,5 +278,10 @@ let () =
         [
           Alcotest.test_case "nvp commits per instruction" `Quick
             test_nvp_per_instruction;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "analyze words per instruction" `Quick
+            test_analyze_allocation_linear;
         ] );
     ]
