@@ -1,7 +1,5 @@
 open Wn_isa
 
-let pass_name = "addr-cse"
-
 let run (prog : Asm.program) : Asm.program =
   let known = Array.make Reg.count None in
   let get r = known.(Reg.index r) in

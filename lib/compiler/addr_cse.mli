@@ -16,7 +16,4 @@
     generically).  None of the deleted forms touch memory or flags, so
     checkpoint/restore replay and the WAR analysis are unaffected. *)
 
-val pass_name : string
-(** ["addr-cse"] *)
-
 val run : Wn_isa.Asm.program -> Wn_isa.Asm.program

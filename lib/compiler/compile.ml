@@ -24,16 +24,40 @@ let anytime = { mode = Anytime; vector_loads = false; passes = all_passes }
 let anytime_vector_loads =
   { mode = Anytime; vector_loads = true; passes = all_passes }
 
-let codegen_pass_name = "codegen"
+(* What a pass rewrites: the IR up to codegen, which turns it into the
+   assembly the passes after it rewrite. *)
+type step =
+  | Ir of (options -> Sema.info -> Transform.ir -> Transform.ir)
+  | Codegen
+  | Asm of (Asm.program -> Asm.program)
 
-let pass_names options =
-  [ Transform.pass_name ]
-  @ (if options.passes.constfold then [ Constfold.pass_name ] else [])
-  @ (if options.passes.strength_reduce then [ Strength_reduce.pass_name ]
-     else [])
-  @ (if options.passes.licm then [ Licm.pass_name ] else [])
-  @ [ codegen_pass_name ]
-  @ if options.passes.addr_cse then [ Addr_cse.pass_name ] else []
+(* The pipeline: a build runs, in this order, every pass its options
+   enable.  Algorithm 1's sub-passes run in anytime builds only; a
+   precise build leaves its regions for codegen to inline. *)
+let pipeline =
+  let anytime o = o.mode = Anytime in
+  let body f = Ir (fun _ _ ir -> { ir with body = f ir }) in
+  [
+    ( "anytime-swp",
+      anytime,
+      Ir (fun o -> Transform.swp ~vector_loads:o.vector_loads) );
+    ("anytime-sqrt", anytime, Ir (fun _ -> Transform.sqrt));
+    ("anytime-swv", anytime, Ir (fun _ -> Transform.swv));
+    ( "constfold",
+      (fun o -> o.passes.constfold),
+      body (fun ir -> Constfold.run ir.body) );
+    ( "strength-reduce",
+      (fun o -> o.passes.strength_reduce),
+      body (fun ir -> Strength_reduce.run ~globals:ir.storage_globals ir.body)
+    );
+    ("licm", (fun o -> o.passes.licm), body (fun ir -> Licm.run ir.body));
+    ("codegen", (fun _ -> true), Codegen);
+    ("addr-cse", (fun o -> o.passes.addr_cse), Asm Addr_cse.run);
+  ]
+
+let enabled options = List.filter (fun (_, on, _) -> on options) pipeline
+
+let pass_names options = List.map (fun (name, _, _) -> name) (enabled options)
 
 type symbol = {
   sym_global : Ast.global;
@@ -68,20 +92,24 @@ let verify ?runtime ?budget ?cycle_energy t =
   Wn_analysis.Progress.analyze ?runtime ?budget ?cycle_energy
     (Wn_analysis.Cfg.build t.program)
 
+let addr_symbols storage =
+  List.map
+    (fun (sym_name, sym_addr, sym_bytes) ->
+      { Wn_analysis.Addr.sym_name; sym_addr; sym_bytes })
+    storage
+
+(* The structural findings plus forward progress at the default runtime
+   (Clank watchdog) and the paper's default capacitor: a program whose
+   WCEC regions cannot fit one charge is broken for any deployment, so
+   the lint gate sees it. *)
+let findings structural t =
+  List.sort Wn_analysis.Diag.compare
+    (structural @ Wn_analysis.Progress.diagnostics (verify t))
+
 let lint t =
-  let symbols =
-    List.map
-      (fun (sym_name, sym_addr, sym_bytes) ->
-        { Wn_analysis.Addr.sym_name; sym_addr; sym_bytes })
-      t.storage
-  in
-  let structural = Wn_analysis.Check.program ~symbols t.program in
-  (* Forward-progress findings at the default runtime (Clank watchdog)
-     and the paper's default capacitor: a program whose WCEC regions
-     cannot fit one charge is broken for any deployment, so the lint
-     gate sees it. *)
-  let progress = Wn_analysis.Progress.diagnostics (verify t) in
-  List.sort Wn_analysis.Diag.compare (structural @ progress)
+  findings
+    (Wn_analysis.Check.program ~symbols:(addr_symbols t.storage) t.program)
+    t
 
 let compile ?(options = anytime) ?(strict = false) ?dump_after
     (source : Ast.program) =
@@ -103,82 +131,78 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
       then pass_err name report
       else Format.eprintf "after pass %s:@.%s@." name report
   in
-  let lint_ir name (tr : Transform.result) =
+  let passes = enabled options in
+  let lint_ir name (ir : Transform.ir) =
     check_pass name
-      (Wn_analysis.Ircheck.stmts ~globals:tr.storage_globals tr.body);
-    record name Ast.pp_block tr.body
+      (Wn_analysis.Ircheck.stmts ~globals:ir.storage_globals ir.body)
   in
   (* --- IR passes -------------------------------------------------- *)
-  let mode =
-    match options.mode with Precise -> `Precise | Anytime -> `Anytime
+  let ir_pass (ir : Transform.ir) (name, _, step) =
+    match step with
+    | Ir f ->
+        let ir =
+          try f options info ir with Transform.Error e -> pass_err name e
+        in
+        lint_ir name ir;
+        record name Ast.pp_block ir.body;
+        ir
+    | Codegen | Asm _ -> ir
   in
-  let tr =
-    try Transform.apply ~mode ~vector_loads:options.vector_loads info source
-    with Transform.Error { pass; message } -> pass_err pass message
+  let ir =
+    List.fold_left ir_pass
+      { body = source.body; storage_globals = source.globals; layouts = [] }
+      passes
   in
-  lint_ir Transform.pass_name tr;
-  let run_ir enabled name f (tr : Transform.result) =
-    if not enabled then tr
-    else begin
-      let tr = { tr with Transform.body = f tr.Transform.body } in
-      lint_ir name tr;
-      tr
-    end
-  in
-  let tr = run_ir options.passes.constfold Constfold.pass_name Constfold.run tr in
-  let tr =
-    run_ir options.passes.strength_reduce Strength_reduce.pass_name
-      (Strength_reduce.run ~globals:tr.storage_globals)
-      tr
-  in
-  let tr = run_ir options.passes.licm Licm.pass_name Licm.run tr in
   (* --- address assignment ----------------------------------------- *)
   let addresses, data_bytes =
     List.fold_left
       (fun (acc, next) (g : Ast.global) ->
         ((g.g_name, next) :: acc, align4 (next + storage_bytes g)))
-      ([], 0) tr.storage_globals
+      ([], 0) ir.storage_globals
   in
   let addresses = List.rev addresses in
   let storage =
     List.map
       (fun (g : Ast.global) ->
         (g.g_name, List.assoc g.g_name addresses, storage_bytes g))
-      tr.storage_globals
-  in
-  let addr_symbols =
-    List.map
-      (fun (sym_name, sym_addr, sym_bytes) ->
-        { Wn_analysis.Addr.sym_name; sym_addr; sym_bytes })
-      storage
+      ir.storage_globals
   in
   (* --- assembly passes -------------------------------------------- *)
+  (* Each pass's output is assembled and checked once; the last one's
+     program and findings are the build's. *)
   let lint_asm name asm =
-    (match Asm.assemble asm with
+    match Asm.assemble asm with
     | Error e -> pass_err name e
-    | Ok prog ->
-        check_pass name (Wn_analysis.Check.program ~symbols:addr_symbols prog));
-    record name Asm.pp_listing asm
+    | Ok program ->
+        let diags =
+          Wn_analysis.Check.program ~symbols:(addr_symbols storage) program
+        in
+        check_pass name diags;
+        record name Asm.pp_listing asm;
+        Some (asm, program, diags)
   in
-  let asm =
-    try
-      Codegen.generate
-        {
-          cg_body = tr.body;
-          cg_globals =
-            List.map (fun (g : Ast.global) -> (g.g_name, g)) tr.storage_globals;
-          cg_addresses = addresses;
-        }
-    with Codegen.Error e -> err "codegen" e
+  let asm_pass last (name, _, step) =
+    match (step, last) with
+    | Ir _, _ -> last
+    | Codegen, None ->
+        (* Codegen always receives linted IR: a build that runs no IR
+           pass has its source linted here. *)
+        if not (List.exists (function _, _, Ir _ -> true | _ -> false) passes)
+        then lint_ir name ir;
+        let cg_globals =
+          List.map (fun (g : Ast.global) -> (g.g_name, g)) ir.storage_globals
+        in
+        lint_asm name
+          (try
+             Codegen.generate
+               { cg_body = ir.body; cg_globals; cg_addresses = addresses }
+           with Codegen.Error e -> err "codegen" e)
+    | Asm f, Some (asm, _, _) -> lint_asm name (f asm)
+    | Codegen, Some _ | Asm _, None ->
+        invalid_arg "Compile.pipeline: codegen must precede every asm pass"
   in
-  lint_asm codegen_pass_name asm;
-  let asm =
-    if not options.passes.addr_cse then asm
-    else begin
-      let asm = Addr_cse.run asm in
-      lint_asm Addr_cse.pass_name asm;
-      asm
-    end
+  let asm, program, structural =
+    Option.get (List.fold_left asm_pass None passes)
   in
   (match dump_after with
   | Some name when not (List.mem_assoc name !dumps) ->
@@ -187,9 +211,6 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
            (String.concat ", " (pass_names options)))
   | _ -> ());
   (* --- final program ---------------------------------------------- *)
-  let program =
-    match Asm.assemble asm with Ok p -> p | Error e -> err "assemble" e
-  in
   let machine_code =
     try Encoding.encode_program program
     with Invalid_argument e -> err "encode" e
@@ -209,7 +230,7 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
           | None -> err "layout" ("no address for " ^ g.g_name)
         in
         let layout =
-          match List.assoc_opt g.g_name tr.layouts with
+          match List.assoc_opt g.g_name ir.layouts with
           | Some l -> l
           | None -> Layout.row_major g.g_ty
         in
@@ -223,7 +244,7 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
   (* Post-codegen self-check: the static verifier must accept its own
      output.  Diagnostics are warnings by default; [strict] promotes
      error-severity findings to a compilation failure. *)
-  let diags = lint t in
+  let diags = findings structural t in
   (if diags <> [] then
      if strict && Wn_analysis.Diag.worst diags = Some Wn_analysis.Diag.Error
      then err "verify" (Format.asprintf "%a" Wn_analysis.Diag.pp_report diags)

@@ -1,16 +1,20 @@
 (** Compilation driver: WNC source → WN-32 machine program.
 
-    The middle of the pipeline is an explicit, named, ordered list of
-    passes.  IR-level passes rewrite the kernel body
-    ([stmt list -> stmt list]); assembly-level passes rewrite the
-    generated program ([Asm.program -> Asm.program]).  After {e every}
-    pass its output is linted — {!Wn_analysis.Ircheck} for IR,
+    The middle of the pipeline is one explicit, named, ordered list of
+    passes; {!pass_names}, [dump_after], the lints and pass-blamed
+    errors all read it.  IR-level passes rewrite the kernel body and its
+    storage-level globals ({!Transform.ir}); assembly-level passes
+    rewrite the generated program ([Asm.program -> Asm.program]).  After
+    {e every} pass its output is linted — {!Wn_analysis.Ircheck} for IR,
     {!Wn_analysis.Check} for assembly — so a pass that breaks an
     invariant is blamed by name with its complete findings.
 
     Pipeline order:
-    + [lower-anytime] — SWP / SWV / skim insertion per pragmas
-      ({!Transform}), or plain lowering for the precise baseline;
+    + [anytime-swp], [anytime-sqrt], [anytime-swv] — Algorithm 1's
+      sub-passes ({!Transform}): SWP fission and MUL_ASP substitution,
+      the anytime square root, and SWV with its reductions, each
+      inserting skim points between its stages.  Anytime builds only;
+      the precise baseline leaves its regions for codegen to inline;
     + [constfold] — 32-bit constant folding ({!Constfold});
     + [strength-reduce] — byte-offset induction variables for affine
       array indices ({!Strength_reduce});
@@ -33,8 +37,8 @@ type passes = {
   licm : bool;
   addr_cse : bool;
 }
-(** Optimizer-pass toggles.  [lower-anytime] and [codegen] are not
-    optional — they are the pipeline's spine. *)
+(** Optimizer-pass toggles.  The anytime sub-passes follow the build's
+    mode and [codegen] always runs — they are the pipeline's spine. *)
 
 val all_passes : passes
 val no_passes : passes
@@ -85,7 +89,8 @@ exception Error of string
 val compile :
   ?options:options -> ?strict:bool -> ?dump_after:string ->
   Wn_lang.Ast.program -> t
-(** Compiles, linting after every pass and running the full
+(** Compiles, linting after every pass (codegen also lints its input
+    when the build runs no IR pass) and running the full
     {!Wn_analysis} static verifier over the final program as a
     self-check.  Diagnostics print to stderr as warnings by default;
     with [strict:true] any error-severity finding raises {!Error}

@@ -1,8 +1,6 @@
 open Wn_lang
 open Ast
 
-let pass_name = "constfold"
-
 let u32 v = v land 0xFFFF_FFFF
 
 (* The signed value of a 32-bit pattern, for arithmetic right shift. *)

@@ -12,9 +12,6 @@
     ([Mul_asp], [Sub_load], [Asv_op], ...) keep their structure; only
     their operand expressions are folded. *)
 
-val pass_name : string
-(** ["constfold"] *)
-
 val expr : Wn_lang.Ast.expr -> Wn_lang.Ast.expr
 (** Fold a single expression bottom-up. *)
 

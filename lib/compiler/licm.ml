@@ -1,8 +1,6 @@
 open Wn_lang
 open Ast
 
-let pass_name = "licm"
-
 let count_writes name stmts =
   let n = ref 0 in
   let rec go = function

@@ -18,7 +18,4 @@
     loops give up their motions shallowest first until the kernel fits
     ({!Wn_analysis.Ircheck.fit_pool}). *)
 
-val pass_name : string
-(** ["licm"] *)
-
 val run : Wn_lang.Ast.stmt list -> Wn_lang.Ast.stmt list

@@ -1,7 +1,6 @@
 open Wn_lang
 open Ast
 
-let pass_name = "strength-reduce"
 let iv_prefix = "__sr_iv"
 
 let u32 v = v land 0xFFFF_FFFF

@@ -41,9 +41,6 @@
     offset equals [idx * elem_bytes (mod 2^32)] exactly — bit-identical
     addresses to the unreduced code. *)
 
-val pass_name : string
-(** ["strength-reduce"] *)
-
 val iv_prefix : string
 (** Name prefix of synthesised induction variables (["__sr_iv"]). *)
 
@@ -52,5 +49,5 @@ val run :
   Wn_lang.Ast.stmt list ->
   Wn_lang.Ast.stmt list
 (** [run ~globals body] strength-reduces every loop of [body].
-    [globals] must be the {e storage-level} globals (post
-    [lower-anytime]), whose element widths scale the byte offsets. *)
+    [globals] must be the {e storage-level} globals (after the anytime
+    sub-passes), whose element widths scale the byte offsets. *)

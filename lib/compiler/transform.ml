@@ -1,83 +1,102 @@
 open Wn_lang
 open Ast
 
-exception Error of { pass : string; message : string }
+exception Error of string
 
-(* Every failure in this module originates in the anytime-lowering
-   pass; the pipeline driver threads the name into its diagnostics. *)
-let pass_name = "lower-anytime"
+let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-let err fmt =
-  Printf.ksprintf (fun s -> raise (Error { pass = pass_name; message = s })) fmt
-
-type result = {
+type ir = {
   body : stmt list;
   storage_globals : global list;
   layouts : (string * Layout.t) list;
 }
 
 (* ------------------------------------------------------------------ *)
-(* Shared helpers                                                      *)
+(* Shared by the sub-passes                                            *)
 
-let expr_names e =
-  let acc = ref Names.empty in
-  let record = function
-    | Var v -> acc := Names.add v !acc
-    | Load (a, _) | Sub_load { sl_arr = a; _ } -> acc := Names.add a !acc
-    | Int _ | Neg _ | Bnot _ | Binop _ | Mul_asp _ | Asv_op _ | Sqrt _
-    | Sqrt_asp _ | Raw_off _ ->
-        ()
+(* One sub-pass's view of the program while it lowers its regions. *)
+type st = {
+  info : Sema.info;
+  mutable globals : global list;  (** storage-level globals so far *)
+  mutable layouts : (string * Layout.t) list;
+  mutable fresh : int;
+}
+
+(* The shared walker: a sub-pass lowers, in program order, every
+   top-level region it claims and leaves the rest to the sub-passes
+   after it. *)
+let lower_regions ~claims lower info (ir : ir) =
+  let st =
+    { info; globals = ir.storage_globals; layouts = ir.layouts; fresh = 0 }
   in
-  iter_expr record e;
-  !acc
+  let body =
+    List.concat_map
+      (fun stmt ->
+        match stmt with
+        | Anytime { body; commit } ->
+            if claims info body then lower st ~commit body else [ stmt ]
+        | s ->
+            let check_nested = function
+              | Anytime _ -> err "anytime blocks must be top-level statements"
+              | inner -> inner
+            in
+            ignore (map_stmt check_nested s);
+            [ s ])
+      ir.body
+  in
+  { body; storage_globals = st.globals; layouts = st.layouts }
 
-let lhs_name = function Lvar v -> v | Larr (a, _) -> a
+(* Algorithm 1's skeleton: the commit block follows every stage, so the
+   best-so-far output is materialised in memory, and a skim point
+   separates consecutive stages. *)
+let replicate ~commit stages =
+  List.concat
+    (List.mapi
+       (fun i stage -> (if i = 0 then [] else [ Skim_here ]) @ stage @ commit)
+       stages)
 
-(* Names a statement writes (its own direct effects only). *)
-let rec stmt_writes stmt =
-  match stmt with
-  | Decl (n, _) -> Names.singleton n
-  | Assign (lhs, _) | Aug_assign (lhs, _, _) -> Names.singleton (lhs_name lhs)
-  | For l ->
-      List.fold_left
-        (fun acc s -> Names.union acc (stmt_writes s))
-        (Names.singleton l.var) l.body
-  | If (_, a, b) ->
-      let of_list = List.fold_left (fun acc s -> Names.union acc (stmt_writes s)) in
-      of_list (of_list Names.empty a) b
-  | Anytime { body; commit } ->
-      let of_list = List.fold_left (fun acc s -> Names.union acc (stmt_writes s)) in
-      of_list (of_list Names.empty body) commit
-  | Skim_here -> Names.empty
+(* Does any expression in [stmts] satisfy [p]? *)
+let exists_expr p stmts =
+  let found = ref false in
+  List.iter (iter_exprs_stmt (fun e -> if p e then found := true)) stmts;
+  !found
 
-let rec stmt_reads stmt =
-  let of_expr = expr_names in
-  match stmt with
-  | Decl (_, e) -> of_expr e
-  | Assign (lhs, e) -> Names.union (lhs_reads lhs) (of_expr e)
-  | Aug_assign (lhs, e_op, e) ->
-      ignore e_op;
-      (* the target is also read *)
-      Names.union
-        (Names.add (lhs_name lhs) (lhs_reads lhs))
-        (of_expr e)
-  | For l ->
-      List.fold_left
-        (fun acc s -> Names.union acc (stmt_reads s))
-        (Names.union (of_expr l.lo) (of_expr l.hi))
-        l.body
-  | If (c, a, b) ->
-      let of_list = List.fold_left (fun acc s -> Names.union acc (stmt_reads s)) in
-      of_list (of_list (of_expr c) a) b
-  | Anytime { body; commit } ->
-      let of_list = List.fold_left (fun acc s -> Names.union acc (stmt_reads s)) in
-      of_list (of_list Names.empty body) commit
-  | Skim_here -> Names.empty
+let asp_load info = function
+  | Load (arr, _) -> Sema.asp_input info arr <> None
+  | _ -> false
 
-and lhs_reads = function Lvar _ -> Names.empty | Larr (_, i) -> expr_names i
+let asp_mul info = function
+  | Binop (Mul, a, b) -> asp_load info a || asp_load info b
+  | _ -> false
+
+let split_region body =
+  (* prelude* ; For ; (nothing after) *)
+  let rec split prelude = function
+    | For l :: rest ->
+        if rest <> [] then
+          err "anytime block must end with its main loop";
+        (List.rev prelude, l)
+    | (Decl _ as s) :: rest | (Assign _ as s) :: rest
+    | (Aug_assign _ as s) :: rest ->
+        split (s :: prelude) rest
+    | [] -> err "anytime block has no loop"
+    | (If _ | Anytime _ | Skim_here) :: _ ->
+        err "anytime block prelude must be straight-line code"
+  in
+  split [] body
+
+let elem_signed_of info arr =
+  match Sema.global info arr with
+  | Some g -> ty_signed g.g_ty
+  | None -> err "unknown array %s" arr
+
+(* Build a left-leaning chain  e0 + e1 + ... *)
+let add_chain = function
+  | [] -> Int 0
+  | e :: rest -> List.fold_left (fun acc e -> Binop (Add, acc, e)) e rest
 
 (* ------------------------------------------------------------------ *)
-(* Anytime subword pipelining                                          *)
+(* anytime-swp: loop fission and MUL_ASP substitution                  *)
 
 (* Subword geometry for a 16-bit operand split into nominal [bits]-wide
    digits, least significant first.  When [bits] does not divide the
@@ -89,23 +108,6 @@ let asp_positions ~elem_bits ~bits =
   let full = elem_bits / bits in
   let fulls = List.init full (fun i -> (ragged + (i * bits), bits)) in
   if ragged = 0 then fulls else (0, ragged) :: fulls
-
-let is_asp_load info e =
-  match e with
-  | Load (arr, _) -> Sema.asp_input info arr <> None
-  | _ -> false
-
-(* Does a statement contain a multiplication by an annotated array? *)
-let stmt_has_asp_mul info stmt =
-  let found = ref false in
-  iter_exprs_stmt
-    (fun e ->
-      match e with
-      | Binop (Mul, a, b) when is_asp_load info a || is_asp_load info b ->
-          found := true
-      | _ -> ())
-    stmt;
-  !found
 
 (* Rewrite one fission replica: multiplications with an annotated
    operand become MUL_ASP stages over that operand's digit at
@@ -179,10 +181,11 @@ let rewrite_asp_stmt info ~elem_signed ~shift ~width ~top stmt =
 type hot = { hot_read : Names.t; hot_written : Names.t }
 
 let stmt_is_hot info hot stmt =
-  stmt_has_asp_mul info stmt
-  || (not (Names.is_empty (Names.inter (stmt_writes stmt) hot.hot_read)))
-  || (not (Names.is_empty (Names.inter (stmt_reads stmt) hot.hot_written)))
-  || not (Names.is_empty (Names.inter (stmt_writes stmt) hot.hot_written))
+  let writes = writes_of_stmts [ stmt ] in
+  exists_expr (asp_mul info) [ stmt ]
+  || (not (Names.disjoint writes hot.hot_read))
+  || (not (Names.disjoint (reads_of_stmts [ stmt ]) hot.hot_written))
+  || not (Names.disjoint writes hot.hot_written)
 
 let hot_analysis info loop_body =
   let leafs = ref [] in
@@ -204,8 +207,8 @@ let hot_analysis info loop_body =
     List.iter
       (fun stmt ->
         if stmt_is_hot info !hot stmt then begin
-          let r = Names.union !hot.hot_read (stmt_reads stmt)
-          and w = Names.union !hot.hot_written (stmt_writes stmt) in
+          let r = Names.union !hot.hot_read (reads_of_stmts [ stmt ])
+          and w = Names.union !hot.hot_written (writes_of_stmts [ stmt ]) in
           if
             not
               (Names.equal r !hot.hot_read && Names.equal w !hot.hot_written)
@@ -236,7 +239,7 @@ let rec filter_hot info hot stmts =
     stmts
 
 (* ------------------------------------------------------------------ *)
-(* Anytime subword vectorization                                       *)
+(* asv geometry, shared by anytime-swv and SWP's vectorized loads       *)
 
 type asv_config = {
   cfg_bits : int;
@@ -247,6 +250,15 @@ type asv_config = {
   cfg_planes : int;
 }
 
+let require_provisioned info arr =
+  match Sema.asv_spec info arr with
+  | Some spec when not spec.Sema.asv_provisioned ->
+      err
+        "asv reduction over %s must be provisioned (banked partial sums \
+         need carry headroom)"
+        arr
+  | _ -> ()
+
 let asv_config_of info ~reduction arr =
   match (Sema.asv_spec info arr, Sema.global info arr) with
   | Some spec, Some g ->
@@ -255,11 +267,7 @@ let asv_config_of info ~reduction arr =
         err "asv %s: bits do not divide element width" arr;
       let lane =
         if reduction then begin
-          if not spec.asv_provisioned then
-            err
-              "asv reduction over %s must be provisioned (banked partial \
-               sums need carry headroom)"
-              arr;
+          require_provisioned info arr;
           max 16 (2 * spec.asv_bits)
         end
         else if spec.asv_provisioned then 2 * spec.asv_bits
@@ -281,73 +289,43 @@ let asv_config_of info ~reduction arr =
   | None, _ -> err "array %s is not asv-annotated" arr
   | _, None -> err "unknown array %s" arr
 
-let same_config a b =
-  a.cfg_bits = b.cfg_bits && a.cfg_lane = b.cfg_lane
-  && a.cfg_elem_bits = b.cfg_elem_bits
-  && a.cfg_count = b.cfg_count
+(* The one geometry every asv array of a region must share. *)
+let shared_config info ~reduction arrays =
+  match List.map (asv_config_of info ~reduction) arrays with
+  | cfg :: rest when List.for_all (( = ) cfg) rest -> cfg
+  | _ -> err "asv arrays in one anytime block must share size and provisioning"
 
-(* Build a left-leaning chain  e0 + e1 + ... *)
-let add_chain = function
-  | [] -> Int 0
-  | e :: rest -> List.fold_left (fun acc e -> Binop (Add, acc, e)) e rest
+(* Store [arr] subword-major: its storage global becomes the plane
+   words. *)
+let retype_asv ?(biased = false) st arr cfg =
+  let words = cfg.cfg_planes * cfg.cfg_wpp in
+  let layout =
+    Layout.subword_major ~biased ~elem_bits:cfg.cfg_elem_bits
+      ~signed:(elem_signed_of st.info arr) ~bits:cfg.cfg_bits
+      ~lane_bits:cfg.cfg_lane ~count:cfg.cfg_count ()
+  in
+  match List.assoc_opt arr st.layouts with
+  | None ->
+      st.layouts <- (arr, layout) :: st.layouts;
+      st.globals <-
+        List.map
+          (fun g ->
+            if g.g_name = arr then { g with g_ty = U32; g_count = words }
+            else g)
+          st.globals
+  | Some existing ->
+      if (List.find (fun g -> g.g_name = arr) st.globals).g_count <> words
+      then err "array %s used with two different plane shapes" arr;
+      if existing <> layout then
+        err "array %s used with two different layouts" arr
 
 (* ------------------------------------------------------------------ *)
+(* The sub-passes                                                      *)
 
-type ctx = {
-  info : Sema.info;
-  mutable extra_globals : global list;  (** synthesised, reversed *)
-  mutable retypes : (string * global) list;  (** storage retype of asv arrays *)
-  mutable layouts : (string * Layout.t) list;
-  mutable fresh : int;
-}
-
-let set_layout ctx name layout =
-  match List.assoc_opt name ctx.layouts with
-  | Some existing when existing <> layout ->
-      err "array %s used with two different layouts" name
-  | Some _ -> ()
-  | None -> ctx.layouts <- (name, layout) :: ctx.layouts
-
-let retype_asv ?(biased = false) ctx arr cfg =
-  let storage_words = cfg.cfg_planes * cfg.cfg_wpp in
-  (match List.assoc_opt arr ctx.retypes with
-  | Some g when g.g_count <> storage_words ->
-      err "array %s used with two different plane shapes" arr
-  | Some _ -> ()
-  | None ->
-      ctx.retypes <- (arr, { g_name = arr; g_ty = U32; g_count = storage_words }) :: ctx.retypes);
-  let g = Option.get (Sema.global ctx.info arr) in
-  set_layout ctx arr
-    (Layout.subword_major ~biased ~elem_bits:cfg.cfg_elem_bits
-       ~signed:(ty_signed g.g_ty) ~bits:cfg.cfg_bits ~lane_bits:cfg.cfg_lane
-       ~count:cfg.cfg_count ())
-
-(* ---------------- SWP region ---------------- *)
-
-let elem_signed_of info arr =
-  match Sema.global info arr with
-  | Some g -> ty_signed g.g_ty
-  | None -> err "unknown array %s" arr
-
-let split_region body =
-  (* prelude* ; For ; (nothing after) *)
-  let rec split prelude = function
-    | (For _ as loop) :: rest ->
-        if rest <> [] then
-          err "anytime block must end with its main loop";
-        (List.rev prelude, loop)
-    | (Decl _ as s) :: rest | (Assign _ as s) :: rest
-    | (Aug_assign _ as s) :: rest ->
-        split (s :: prelude) rest
-    | [] -> err "anytime block has no loop"
-    | (If _ | Anytime _ | Skim_here) :: _ ->
-        err "anytime block prelude must be straight-line code"
-  in
-  split [] body
-
-let swp_region ctx ~vector_loads ~commit body =
-  let info = ctx.info in
-  let prelude, loop = split_region body in
+let swp_region ~vector_loads st ~commit body =
+  let info = st.info in
+  let prelude, l = split_region body in
+  let loop = For l in
   (* All annotated arrays used in this region share the subword size of
      their own pragma; take geometry from each multiply's own array, but
      pass count from the widest annotation present. *)
@@ -368,16 +346,9 @@ let swp_region ctx ~vector_loads ~commit body =
     | [ b ] -> b
     | _ -> err "asp arrays in one anytime block must share a subword size"
   in
-  let elem_bits = 16 in
-  let positions = List.rev (asp_positions ~elem_bits ~bits) in
-  (* most significant first *)
-  let n_passes = List.length positions in
   let hot = hot_analysis info [ loop ] in
   (* The commit block must not disturb the pipelined state. *)
-  let commit_writes =
-    List.fold_left (fun acc s -> Names.union acc (stmt_writes s)) Names.empty commit
-  in
-  let bad = Names.inter commit_writes hot.hot_written in
+  let bad = Names.inter (writes_of_stmts commit) hot.hot_written in
   if not (Names.is_empty bad) then
     err "commit block writes pipelined state: %s"
       (String.concat ", " (Names.elements bad));
@@ -385,36 +356,31 @@ let swp_region ctx ~vector_loads ~commit body =
   let vectorize = vector_loads && List.for_all (fun a -> Sema.asv_spec info a <> None) !arrays_used in
   if vector_loads && not vectorize then
     err "vector_loads requires the asp arrays to also carry asv pragmas";
-  let passes =
-    List.concat
-      (List.mapi
-         (fun i (shift, width) ->
-           let top = i = 0 in
-           let loop_i =
-             if top then loop
-             else
-               match filter_hot info hot [ loop ] with
-               | [ l ] -> l
-               | _ -> err "fission dropped the main loop"
-           in
-           let rewritten =
-             rewrite_asp_stmt info ~elem_signed ~shift ~width ~top loop_i
-           in
-           let rewritten =
-             if vectorize then begin
-               let geom arr =
-                 let cfg = asv_config_of info ~reduction:false arr in
-                 (cfg.cfg_wpp, cfg.cfg_bits)
-               in
-               match Vector_loads.rewrite ~geom rewritten with
-               | Some s -> s
-               | None -> err "vector_loads: no vectorizable inner loop found"
-             end
-             else rewritten
-           in
-           let skim = if i < n_passes - 1 then [ Skim_here ] else [] in
-           (rewritten :: commit) @ skim)
-         positions)
+  let stage i (shift, width) =
+    let top = i = 0 in
+    let loop_i =
+      if top then loop
+      else
+        match filter_hot info hot [ loop ] with
+        | [ l ] -> l
+        | _ -> err "fission dropped the main loop"
+    in
+    let rewritten =
+      rewrite_asp_stmt info ~elem_signed ~shift ~width ~top loop_i
+    in
+    if not vectorize then [ rewritten ]
+    else
+      let geom arr =
+        let cfg = asv_config_of info ~reduction:false arr in
+        (cfg.cfg_wpp, cfg.cfg_bits)
+      in
+      match Vector_loads.rewrite ~geom rewritten with
+      | Some s -> [ s ]
+      | None -> err "vector_loads: no vectorizable inner loop found"
+  in
+  (* most significant first *)
+  let stages =
+    List.mapi stage (List.rev (asp_positions ~elem_bits:16 ~bits))
   in
   (if vectorize then
      List.iter
@@ -424,11 +390,37 @@ let swp_region ctx ~vector_loads ~commit body =
            err "vector_loads requires unprovisioned asv storage on %s" arr;
          if cfg.cfg_bits <> bits then
            err "vector_loads: asv and asp subword sizes differ on %s" arr;
-         retype_asv ctx arr cfg)
+         retype_asv st arr cfg)
        !arrays_used);
-  prelude @ passes
+  prelude @ replicate ~commit stages
 
-(* ---------------- SWV region ---------------- *)
+(* An anytime region whose refinement target is a square root: the loop
+   is replicated with SQRT_ASP stages of increasing result width, each
+   replica *overwriting* the previous approximation (the digit
+   recurrence makes every computed bit final, so successive stages
+   refine monotonically and the last — full — stage is exact). *)
+let sqrt_region st ~commit body =
+  let info = st.info in
+  let bits = Option.value ~default:4 info.Sema.asp_output_bits in
+  if bits < 1 || bits > 16 then err "sqrt stage size %d out of range" bits;
+  let prelude, l = split_region body in
+  (* Overwrite semantics: accumulating into the output across replicas
+     would double-count. *)
+  let check_overwrite = function
+    | Aug_assign (Larr (arr, _), _, _) when List.mem arr info.Sema.asp_outputs
+      ->
+        err "sqrt anytime region must overwrite its output, not accumulate"
+    | s -> s
+  in
+  ignore (map_stmt check_overwrite (For l));
+  (* bits, 2·bits, … capped and terminated at the full 16. *)
+  let rec widths k = if k >= 16 then [ 16 ] else k :: widths (k + bits) in
+  let stage k =
+    [ map_exprs_stmt
+        (function Sqrt a when k < 16 -> Sqrt_asp (a, k) | e -> e)
+        (For l) ]
+  in
+  prelude @ replicate ~commit (List.map stage (widths bits))
 
 type ew_rhs = Copy of string | Op of binop * string * string
 
@@ -465,11 +457,66 @@ let classify_swv loop_body loop_var =
          reduction (s += A[i]); got:\n%s"
         (Format.asprintf "%a" (Format.pp_print_list pp_stmt) loop_body)
 
-let fresh_var ctx base =
-  ctx.fresh <- ctx.fresh + 1;
-  Printf.sprintf "__wn_%s%d" base ctx.fresh
+let fresh_var st base =
+  st.fresh <- st.fresh + 1;
+  Printf.sprintf "__wn_%s%d" base st.fresh
 
-(* ---------------- windowed reductions (Schema D) ---------------- *)
+(* A synthesised non-volatile array of banked digit-plane sums. *)
+let bank_array st name count =
+  st.globals <- st.globals @ [ { g_name = name; g_ty = U32; g_count = count } ]
+
+let acc_var s = "__wn_acc_" ^ s
+
+(* Declare each accumulator's lane-parallel partial sum and gather [n]
+   plane words, the [wi]-th at [idx], into it. *)
+let partial_sums cfg accs ~wi ~n idx =
+  List.map (fun (s, _) -> Decl (acc_var s, Int 0)) accs
+  @ [ For
+        {
+          var = wi;
+          lo = Int 0;
+          hi = Int n;
+          step = 1;
+          body =
+            List.map
+              (fun (s, a) ->
+                Assign
+                  ( Lvar (acc_var s),
+                    Asv_op
+                      (Add, cfg.cfg_lane, Var (acc_var s), Load (a, idx)) ))
+              accs;
+        } ]
+
+(* The horizontal sum of an accumulator's [32 / lane] lanes. *)
+let lane_sum cfg s =
+  let lpw = 32 / cfg.cfg_lane in
+  if lpw = 1 then Var (acc_var s)
+  else
+    add_chain
+      (List.init lpw (fun lane ->
+           let shifted =
+             if lane = 0 then Var (acc_var s)
+             else Binop (Shr, Var (acc_var s), Int (lane * cfg.cfg_lane))
+           in
+           Binop (And, shifted, Int (Wn_util.Subword.mask cfg.cfg_lane))))
+
+(* Replace every read of an accumulator in [stmts] by its exact
+   reconstruction [Σ plane_p << (p·bits)], plane [p] read by
+   [plane s p]. *)
+let reconstruct cfg plane accs stmts =
+  let value s =
+    add_chain
+      (List.init cfg.cfg_planes (fun p ->
+           if p = 0 then plane s 0
+           else Binop (Shl, plane s p, Int (p * cfg.cfg_bits))))
+  in
+  List.map
+    (map_exprs_stmt (function Var v when List.mem v accs -> value v | e -> e))
+    stmts
+
+(* Stage [p] for every digit plane, most significant first. *)
+let planes_msb_first cfg stage =
+  List.init cfg.cfg_planes (fun i -> stage (cfg.cfg_planes - 1 - i))
 
 (* Per-window sums — Home's zone averages and NetMotion's per-interval
    net movement:
@@ -562,27 +609,13 @@ let classify_windowed (l : for_loop) =
   Some { win_z = l.var; win_zones = zones; win_size = w; win_accs = accs;
          win_stores = stores }
 
-let swv_windowed ctx ~commit ~prelude (wd : windowed) =
-  let info = ctx.info in
+let swv_windowed st ~commit ~prelude (wd : windowed) =
+  let info = st.info in
   (* Windowed reductions bank per window, so the plain provisioned lane
      (2x digits) is enough headroom; the overflow guard below rejects
      windows too large for it. *)
-  List.iter
-    (fun (_, a) ->
-      match Sema.asv_spec info a with
-      | Some spec when not spec.Sema.asv_provisioned ->
-          err
-            "asv reduction over %s must be provisioned (banked partial sums \
-             need carry headroom)"
-            a
-      | _ -> ())
-    wd.win_accs;
-  let cfgs =
-    List.map (fun (_, a) -> asv_config_of info ~reduction:false a) wd.win_accs
-  in
-  let cfg = List.hd cfgs in
-  if not (List.for_all (same_config cfg) cfgs) then
-    err "asv arrays in one anytime block must share size and provisioning";
+  List.iter (fun (_, a) -> require_provisioned info a) wd.win_accs;
+  let cfg = shared_config info ~reduction:false (List.map snd wd.win_accs) in
   if cfg.cfg_count <> wd.win_zones * wd.win_size then
     err "windowed reduction: %d windows of %d do not cover %d elements"
       wd.win_zones wd.win_size cfg.cfg_count;
@@ -595,23 +628,18 @@ let swv_windowed ctx ~commit ~prelude (wd : windowed) =
       cfg.cfg_lane;
   List.iter
     (fun (_, a) ->
-      let g = Option.get (Sema.global info a) in
-      if ty_signed g.g_ty && wd.win_size mod 2 <> 0 then
+      let signed = elem_signed_of info a in
+      if signed && wd.win_size mod 2 <> 0 then
         err "signed windowed reduction needs an even window size";
-      retype_asv ~biased:(ty_signed g.g_ty) ctx a cfg)
+      retype_asv ~biased:signed st a cfg)
     wd.win_accs;
   let np = cfg.cfg_planes in
   let acc_names = List.map fst wd.win_accs in
   let planes_arr s = "__wn_zplanes_" ^ s in
   List.iter
-    (fun s ->
-      let g =
-        { g_name = planes_arr s; g_ty = U32; g_count = wd.win_zones * np }
-      in
-      ctx.extra_globals <- g :: ctx.extra_globals;
-      set_layout ctx g.g_name (Layout.row_major U32))
+    (fun s -> bank_array st (planes_arr s) (wd.win_zones * np))
     acc_names;
-  let zero_var = fresh_var ctx "zz" in
+  let zero_var = fresh_var st "zz" in
   let zeroing =
     [ For
         {
@@ -626,91 +654,46 @@ let swv_windowed ctx ~commit ~prelude (wd : windowed) =
         } ]
   in
   let zv = wd.win_z in
-  let wi = fresh_var ctx "wi" in
-  let acc_var s = "__wn_acc_" ^ s in
-  let reconstruct s =
-    add_chain
-      (List.init np (fun p ->
-           let bank =
-             Load (planes_arr s, Binop (Add, Binop (Mul, Var zv, Int np), Int p))
-           in
-           if p = 0 then bank else Binop (Shl, bank, Int (p * cfg.cfg_bits))))
-  in
+  let wi = fresh_var st "wi" in
+  let slot p = Binop (Add, Binop (Mul, Var zv, Int np), Int p) in
   let rewritten_stores =
-    List.map
-      (map_exprs_stmt (fun e ->
-           match e with
-           | Var v when List.mem v acc_names -> reconstruct v
-           | e -> e))
-      wd.win_stores
+    reconstruct cfg
+      (fun s p -> Load (planes_arr s, slot p))
+      acc_names wd.win_stores
   in
-  let wb = fresh_var ctx "wb" in
-  let pass p =
+  let wb = fresh_var st "wb" in
+  let stage p =
     (* The window's plane base is loop-invariant in [wi]; hoist it so
        the inner loop's addressing matches the precise build's. *)
     let base_decl =
       Decl
         (wb, Binop (Add, Int (p * cfg.cfg_wpp), Binop (Mul, Var zv, Int wpz)))
     in
-    let decls =
-      base_decl :: List.map (fun s -> Decl (acc_var s, Int 0)) acc_names
-    in
-    let elem_idx = Binop (Add, Var wb, Var wi) in
-    let accumulate =
-      List.map
-        (fun (s, a) ->
-          Assign
-            ( Lvar (acc_var s),
-              Asv_op (Add, cfg.cfg_lane, Var (acc_var s), Load (a, elem_idx)) ))
-        wd.win_accs
-    in
-    let inner =
-      For { var = wi; lo = Int 0; hi = Int wpz; step = 1; body = accumulate }
-    in
     let bank =
       List.map
-        (fun s ->
-          let hsum =
-            if lpw = 1 then Var (acc_var s)
-            else
-              add_chain
-                (List.init lpw (fun lane ->
-                     let shifted =
-                       if lane = 0 then Var (acc_var s)
-                       else
-                         Binop (Shr, Var (acc_var s), Int (lane * cfg.cfg_lane))
-                     in
-                     Binop (And, shifted, Int (Wn_util.Subword.mask cfg.cfg_lane))))
-          in
-          Assign
-            ( Larr (planes_arr s, Binop (Add, Binop (Mul, Var zv, Int np), Int p)),
-              hsum ))
+        (fun s -> Assign (Larr (planes_arr s, slot p), lane_sum cfg s))
         acc_names
     in
-    For
-      {
-        var = zv;
-        lo = Int 0;
-        hi = Int wd.win_zones;
-        step = 1;
-        body = decls @ [ inner ] @ bank @ rewritten_stores;
-      }
+    [ For
+        {
+          var = zv;
+          lo = Int 0;
+          hi = Int wd.win_zones;
+          step = 1;
+          body =
+            (base_decl
+             :: partial_sums cfg wd.win_accs ~wi ~n:wpz
+                  (Binop (Add, Var wb, Var wi)))
+            @ bank @ rewritten_stores;
+        } ]
   in
-  let passes =
-    List.concat
-      (List.init np (fun i ->
-           let p = np - 1 - i in
-           let skim = if p > 0 then [ Skim_here ] else [] in
-           (pass p :: commit) @ skim))
-  in
-  prelude @ zeroing @ passes
+  prelude @ zeroing @ replicate ~commit (planes_msb_first cfg stage)
 
-let swv_region ctx ~commit body =
-  let info = ctx.info in
-  let prelude, loop = split_region body in
-  let l = match loop with For l -> l | _ -> assert false in
+let swv_region st ~commit body =
+  let info = st.info in
+  let prelude, l = split_region body in
   match classify_windowed l with
-  | Some wd -> swv_windowed ctx ~commit ~prelude wd
+  | Some wd -> swv_windowed st ~commit ~prelude wd
   | None ->
   (match (l.lo, l.step) with
   | Int 0, 1 -> ()
@@ -728,16 +711,13 @@ let swv_region ctx ~commit body =
             match rhs with Copy a -> [ x; a ] | Op (_, a, b) -> [ x; a; b ])
           assigns
       in
-      let cfgs = List.map (asv_config_of info ~reduction:false) arrays in
-      let cfg = List.hd cfgs in
-      if not (List.for_all (same_config cfg) cfgs) then
-        err "asv arrays in one anytime block must share size and provisioning";
+      let cfg = shared_config info ~reduction:false arrays in
       if cfg.cfg_count <> n then
         err "SWV loop bound %d does not match array length %d" n cfg.cfg_count;
-      List.iter (fun a -> retype_asv ctx a cfg) arrays;
-      let wvar = fresh_var ctx "w" in
+      List.iter (fun a -> retype_asv st a cfg) arrays;
+      let wvar = fresh_var st "w" in
       let plane_idx p = Binop (Add, Int (p * cfg.cfg_wpp), Var wvar) in
-      let pass p =
+      let stage p =
         let stmts =
           List.map
             (fun (x, rhs) ->
@@ -756,24 +736,14 @@ let swv_region ctx ~commit body =
               Assign (Larr (x, plane_idx p), rhs'))
             assigns
         in
-        For { var = wvar; lo = Int 0; hi = Int cfg.cfg_wpp; step = 1; body = stmts }
+        [ For { var = wvar; lo = Int 0; hi = Int cfg.cfg_wpp; step = 1; body = stmts } ]
       in
-      let passes =
-        List.concat
-          (List.init cfg.cfg_planes (fun i ->
-               let p = cfg.cfg_planes - 1 - i in
-               let skim = if p > 0 then [ Skim_here ] else [] in
-               (pass p :: commit) @ skim))
-      in
-      prelude @ passes
+      prelude @ replicate ~commit (planes_msb_first cfg stage)
   | Reduction accs ->
-      let cfgs = List.map (fun (_, a) -> asv_config_of info ~reduction:true a) accs in
-      let cfg = List.hd cfgs in
-      if not (List.for_all (same_config cfg) cfgs) then
-        err "asv arrays in one anytime block must share size and provisioning";
+      let cfg = shared_config info ~reduction:true (List.map snd accs) in
       if cfg.cfg_count <> n then
         err "SWV loop bound %d does not match array length %d" n cfg.cfg_count;
-      List.iter (fun (_, a) -> retype_asv ctx a cfg) accs;
+      List.iter (fun (_, a) -> retype_asv st a cfg) accs;
       let acc_names = List.map fst accs in
       (* Drop the accumulators' prelude declarations: banked planes in
          NVM replace them. *)
@@ -784,10 +754,7 @@ let swv_region ctx ~commit body =
       in
       let planes_arr s = "__wn_planes_" ^ s in
       List.iter
-        (fun s ->
-          let g = { g_name = planes_arr s; g_ty = U32; g_count = cfg.cfg_planes } in
-          ctx.extra_globals <- g :: ctx.extra_globals;
-          set_layout ctx g.g_name (Layout.row_major U32))
+        (fun s -> bank_array st (planes_arr s) cfg.cfg_planes)
         acc_names;
       let zeroing =
         List.concat_map
@@ -796,7 +763,6 @@ let swv_region ctx ~commit body =
                 Assign (Larr (planes_arr s, Int p), Int 0)))
           acc_names
       in
-      let lpw = 32 / cfg.cfg_lane in
       (* Lane-parallel partial sums are banked into the plane array
          every [chunk] words so a lane (carry headroom included) can
          never overflow: chunk · (2^bits - 1) < 2^lane. *)
@@ -807,215 +773,59 @@ let swv_region ctx ~commit body =
       if cfg.cfg_wpp mod chunk <> 0 then
         err "SWV reduction: %d plane words not divisible into %d-word chunks"
           cfg.cfg_wpp chunk;
-      let wo = fresh_var ctx "wo" in
-      let wi = fresh_var ctx "wi" in
-      let acc_var s = "__wn_acc_" ^ s in
-      let plane_idx p =
-        Binop (Add, Binop (Add, Int (p * cfg.cfg_wpp), Var wo), Var wi)
+      let wo = fresh_var st "wo" in
+      let wi = fresh_var st "wi" in
+      let sum_var s = "__wn_sum_" ^ s in
+      let commit =
+        reconstruct cfg (fun s p -> Load (planes_arr s, Int p)) acc_names commit
       in
-      let reconstruct s =
-        add_chain
-          (List.init cfg.cfg_planes (fun p ->
-               if p = 0 then Load (planes_arr s, Int 0)
-               else
-                 Binop
-                   (Shl, Load (planes_arr s, Int p), Int (p * cfg.cfg_bits))))
-      in
-      let substituted_commit =
-        List.map
-          (map_exprs_stmt (fun e ->
-               match e with
-               | Var v when List.mem v acc_names -> reconstruct v
-               | e -> e))
-          commit
-      in
-      let pass p =
-        let decls = List.map (fun s -> Decl (acc_var s, Int 0)) acc_names in
-        let accumulate =
-          List.map
-            (fun (s, a) ->
-              Assign
-                ( Lvar (acc_var s),
-                  Asv_op (Add, cfg.cfg_lane, Var (acc_var s), Load (a, plane_idx p))
-                ))
-            accs
-        in
-        let inner =
-          For { var = wi; lo = Int 0; hi = Int chunk; step = 1; body = accumulate }
-        in
-        let bank =
-          List.map
-            (fun s ->
-              let hsum =
-                if lpw = 1 then Var (acc_var s)
-                else
-                  add_chain
-                    (List.init lpw (fun lane ->
-                         let shifted =
-                           if lane = 0 then Var (acc_var s)
-                           else
-                             Binop
-                               (Shr, Var (acc_var s), Int (lane * cfg.cfg_lane))
-                         in
-                         Binop
-                           (And, shifted, Int (Wn_util.Subword.mask cfg.cfg_lane))))
-              in
-              Aug_assign (Larr (planes_arr s, Int p), Add, hsum))
+      (* The plane's total stays in a register until the sweep ends, so
+         the bank is one plain store rather than a read-modify-write of
+         non-volatile memory. *)
+      let stage p =
+        List.map (fun s -> Decl (sum_var s, Int 0)) acc_names
+        @ [ For
+              {
+                var = wo;
+                lo = Int 0;
+                hi = Int cfg.cfg_wpp;
+                step = chunk;
+                body =
+                  partial_sums cfg accs ~wi ~n:chunk
+                    (Binop
+                       (Add, Binop (Add, Int (p * cfg.cfg_wpp), Var wo), Var wi))
+                  @ List.map
+                      (fun s ->
+                        Aug_assign (Lvar (sum_var s), Add, lane_sum cfg s))
+                      acc_names;
+              } ]
+        @ List.map
+            (fun s -> Assign (Larr (planes_arr s, Int p), Var (sum_var s)))
             acc_names
-        in
-        [ For
-            { var = wo; lo = Int 0; hi = Int cfg.cfg_wpp; step = chunk;
-              body = decls @ [ inner ] @ bank } ]
       in
-      let passes =
-        List.concat
-          (List.init cfg.cfg_planes (fun i ->
-               let p = cfg.cfg_planes - 1 - i in
-               let skim = if p > 0 then [ Skim_here ] else [] in
-               pass p @ substituted_commit @ skim))
+      prelude @ zeroing @ replicate ~commit (planes_msb_first cfg stage)
+
+let swp ~vector_loads =
+  lower_regions
+    ~claims:(fun info -> exists_expr (asp_load info))
+    (swp_region ~vector_loads)
+
+let sqrt =
+  lower_regions
+    ~claims:(fun info body ->
+      info.Sema.asp_outputs <> []
+      && exists_expr (function Sqrt _ -> true | _ -> false) body)
+    sqrt_region
+
+(* The last sub-pass: a region that uses no annotated array is left as
+   the precise build runs it, its body then its commit. *)
+let swv =
+  lower_regions
+    ~claims:(fun _ _ -> true)
+    (fun st ~commit body ->
+      let asv_load = function
+        | Load (arr, _) -> Sema.asv_spec st.info arr <> None
+        | _ -> false
       in
-      prelude @ zeroing @ passes
-
-(* ------------------------------------------------------------------ *)
-
-let region_uses_asp info body =
-  let found = ref false in
-  List.iter
-    (iter_exprs_stmt (fun e ->
-         match e with
-         | Load (arr, _) when Sema.asp_input info arr <> None -> found := true
-         | _ -> ()))
-    body;
-  !found
-
-(* ---------------- anytime square root (footnote 3) ---------------- *)
-
-(* An anytime region whose refinement target is a square root: the loop
-   is replicated with SQRT_ASP stages of increasing result width, each
-   replica *overwriting* the previous approximation (the digit
-   recurrence makes every computed bit final, so successive stages
-   refine monotonically and the last — full — stage is exact). *)
-let sqrt_region ctx ~commit body =
-  let info = ctx.info in
-  let bits = Option.value ~default:4 info.Sema.asp_output_bits in
-  if bits < 1 || bits > 16 then err "sqrt stage size %d out of range" bits;
-  let prelude, loop = split_region body in
-  (* Overwrite semantics: accumulating into the output across replicas
-     would double-count. *)
-  iter_exprs_stmt
-    (fun e ->
-      match e with
-      | Binop (Mul, a, b) when is_asp_load info a || is_asp_load info b ->
-          err "sqrt anytime region cannot also pipeline multiplies"
-      | _ -> ())
-    loop;
-  (match loop with
-  | For _ -> ()
-  | _ -> assert false);
-  let rec check_overwrites stmt =
-    match stmt with
-    | Aug_assign (Larr (arr, _), _, _)
-      when List.mem arr info.Sema.asp_outputs ->
-        err "sqrt anytime region must overwrite its output, not accumulate"
-    | For l -> List.iter check_overwrites l.body
-    | If (_, a, b) ->
-        List.iter check_overwrites a;
-        List.iter check_overwrites b
-    | Decl _ | Assign _ | Aug_assign _ | Skim_here -> ()
-    | Anytime _ -> err "nested anytime block"
-  in
-  check_overwrites loop;
-  let stage_widths =
-    (* bits, 2·bits, … capped and terminated at the full 16. *)
-    let rec widths k = if k >= 16 then [ 16 ] else k :: widths (k + bits) in
-    widths bits
-  in
-  let rewrite_stage k stmt =
-    let rw e =
-      map_expr
-        (fun e ->
-          match e with
-          | Sqrt a -> if k = 16 then Sqrt a else Sqrt_asp (a, k)
-          | e -> e)
-        e
-    in
-    map_exprs_stmt rw stmt
-  in
-  let n = List.length stage_widths in
-  let passes =
-    List.concat
-      (List.mapi
-         (fun i k ->
-           let skim = if i < n - 1 then [ Skim_here ] else [] in
-           (rewrite_stage k loop :: commit) @ skim)
-         stage_widths)
-  in
-  prelude @ passes
-
-let region_uses_sqrt body =
-  let found = ref false in
-  List.iter
-    (iter_exprs_stmt (fun e -> match e with Sqrt _ -> found := true | _ -> ()))
-    body;
-  !found
-
-let region_uses_asv info body =
-  let found = ref false in
-  List.iter
-    (iter_exprs_stmt (fun e ->
-         match e with
-         | Load (arr, _) when Sema.asv_spec info arr <> None -> found := true
-         | _ -> ()))
-    body;
-  !found
-
-let apply ~mode ?(vector_loads = false) info (p : program) =
-  match mode with
-  | `Precise ->
-      {
-        body = p.body;
-        storage_globals = p.globals;
-        layouts = List.map (fun g -> (g.g_name, Layout.row_major g.g_ty)) p.globals;
-      }
-  | `Anytime ->
-      let ctx = { info; extra_globals = []; retypes = []; layouts = []; fresh = 0 } in
-      let body =
-        List.concat_map
-          (fun stmt ->
-            match stmt with
-            | Anytime { body; commit } ->
-                let asp = region_uses_asp info body in
-                let asv = region_uses_asv info body in
-                if asp then swp_region ctx ~vector_loads ~commit body
-                else if
-                  region_uses_sqrt body && info.Sema.asp_outputs <> []
-                then sqrt_region ctx ~commit body
-                else if asv then swv_region ctx ~commit body
-                else body @ commit
-            | s ->
-                let check_nested inner =
-                  match inner with
-                  | Anytime _ -> err "anytime blocks must be top-level statements"
-                  | s -> s
-                in
-                [ map_stmt check_nested s ])
-          p.body
-      in
-      let storage_globals =
-        List.map
-          (fun g ->
-            match List.assoc_opt g.g_name ctx.retypes with
-            | Some g' -> g'
-            | None -> g)
-          p.globals
-        @ List.rev ctx.extra_globals
-      in
-      let layouts =
-        List.map
-          (fun g ->
-            match List.assoc_opt g.g_name ctx.layouts with
-            | Some l -> (g.g_name, l)
-            | None -> (g.g_name, Layout.row_major g.g_ty))
-          p.globals
-      in
-      { body; storage_globals; layouts }
+      if exists_expr asv_load body then swv_region st ~commit body
+      else body @ commit)

@@ -127,9 +127,13 @@ let rec iter_exprs_stmt f stmt =
 
 module Names = Set.Make (String)
 
+let add_name acc = function
+  | Var v | Load (v, _) | Sub_load { sl_arr = v; _ } -> acc := Names.add v !acc
+  | _ -> ()
+
 let names_of_expr e =
   let acc = ref Names.empty in
-  iter_expr (function Var v -> acc := Names.add v !acc | _ -> ()) e;
+  iter_expr (add_name acc) e;
   !acc
 
 let writes_of_stmts stmts =
@@ -137,19 +141,35 @@ let writes_of_stmts stmts =
   let add n = acc := Names.add n !acc in
   let rec go = function
     | Decl (n, _) -> add n
-    | Assign (Lvar v, _) | Aug_assign (Lvar v, _, _) -> add v
-    | Assign (Larr _, _) | Aug_assign (Larr _, _, _) | Skim_here -> ()
+    | Assign ((Lvar v | Larr (v, _)), _)
+    | Aug_assign ((Lvar v | Larr (v, _)), _, _) ->
+        add v
+    | Skim_here -> ()
     | For l ->
         add l.var;
         List.iter go l.body
-    | If (_, a, b) ->
+    | If (_, a, b) | Anytime { body = a; commit = b } ->
         List.iter go a;
         List.iter go b
-    | Anytime { body; commit } ->
-        List.iter go body;
-        List.iter go commit
   in
   List.iter go stmts;
+  !acc
+
+let reads_of_stmts stmts =
+  let acc = ref Names.empty in
+  let rec targets = function
+    | Aug_assign ((Lvar v | Larr (v, _)), _, _) -> acc := Names.add v !acc
+    | Decl _ | Assign _ | Skim_here -> ()
+    | For l -> List.iter targets l.body
+    | If (_, a, b) | Anytime { body = a; commit = b } ->
+        List.iter targets a;
+        List.iter targets b
+  in
+  List.iter
+    (fun s ->
+      iter_exprs_stmt (add_name acc) s;
+      targets s)
+    stmts;
   !acc
 
 let rec pure_arith e =

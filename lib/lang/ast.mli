@@ -132,13 +132,17 @@ val iter_exprs_stmt : (expr -> unit) -> stmt -> unit
 module Names : Set.S with type elt = string
 
 val names_of_expr : expr -> Names.t
-(** Scalar variables an expression reads (array names excluded). *)
+(** Scalar variables and arrays an expression reads. *)
 
 val writes_of_stmts : stmt list -> Names.t
-(** Every scalar a statement list can write: declarations (which assign
+(** Every name a statement list can write: declarations (which assign
     an existing binding under the no-shadowing [Decl] rule), scalar
-    assignments and loop variables of contained loops.  Array stores
-    are excluded. *)
+    assignments, array stores and loop variables of contained loops. *)
+
+val reads_of_stmts : stmt list -> Names.t
+(** Every name a statement list reads: those of its expressions, array
+    indices and loop bounds included, plus the target of every
+    [op=]. *)
 
 val pure_arith : expr -> bool
 (** Pure integer arithmetic over constants and scalars (no comparison,

@@ -303,13 +303,54 @@ kernel red() {
 }
 |}
   in
-  let compiled = Compile.compile_source ~options:Compile.anytime src in
+  (* Strict: the bank is a plain store, verifier-clean. *)
+  let compiled =
+    Compile.compile_source ~options:Compile.anytime ~strict:true src
+  in
   let rng = Wn_util.Rng.create 17 in
   let a = Array.init 256 (fun _ -> Wn_util.Rng.int rng 0x7FFFFF) in
   let _, mem, _ = execute compiled [ ("a", a) ] in
   Alcotest.(check int) "banked reduction exact"
     (Array.fold_left ( + ) 0 a asr 8)
     (read_array compiled mem "o" 1).(0)
+
+(* A reduction region before an SWP region: the reverse of the order in
+   which their sub-passes run. *)
+let test_two_region_kinds () =
+  let src =
+    {|
+#pragma asv input(a, 8, provisioned)
+#pragma asp input(b, 4)
+#pragma asp output(x)
+uint32 a[64];
+uint16 b[8];
+uint16 f[8];
+uint32 x[8];
+uint32 o[1];
+kernel two() {
+  anytime {
+    int32 s = 0;
+    for (i = 0; i < 64; i += 1) { s += a[i]; }
+  } commit { o[0] = s; }
+  anytime {
+    for (j = 0; j < 8; j += 1) { x[j] = f[j] * b[j]; }
+  } commit { }
+}
+|}
+  in
+  let compiled =
+    Compile.compile_source ~options:Compile.anytime ~strict:true src
+  in
+  let rng = Wn_util.Rng.create 41 in
+  let a = Array.init 64 (fun _ -> Wn_util.Rng.int rng 0x7FFFFF) in
+  let b = Array.init 8 (fun _ -> Wn_util.Rng.int rng 0x10000) in
+  let f = Array.init 8 (fun _ -> Wn_util.Rng.int rng 0x8000) in
+  let _, mem, _ = execute compiled [ ("a", a); ("b", b); ("f", f) ] in
+  Alcotest.(check int) "reduction exact" (Array.fold_left ( + ) 0 a)
+    (read_array compiled mem "o" 1).(0);
+  Alcotest.(check bool) "products exact" true
+    (Array.map (fun v -> v land 0xFFFFFFFF) (read_array compiled mem "x" 8)
+    = Array.map2 (fun x y -> x * y land 0xFFFFFFFF) f b)
 
 let test_swv_windowed_reduction () =
   let src =
@@ -566,6 +607,8 @@ let () =
             test_swv_unprovisioned_drops_carries;
           Alcotest.test_case "banked reduction" `Quick test_swv_reduction_banked;
           Alcotest.test_case "windowed reduction" `Quick test_swv_windowed_reduction;
+          Alcotest.test_case "reduction then SWP region" `Quick
+            test_two_region_kinds;
         ] );
       ( "anytime sqrt",
         [

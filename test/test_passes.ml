@@ -185,12 +185,10 @@ let test_error_names_pass () =
   with
   | _ -> Alcotest.fail "expected the lowering pass to refuse vector_loads"
   | exception Wn_compiler.Compile.Error msg ->
-      let prefix = "pass lower-anytime:" in
-      let n = String.length prefix in
-      Alcotest.(check bool)
-        (Printf.sprintf "%S names the pass" msg)
-        true
-        (String.length msg >= n && String.sub msg 0 n = prefix)
+      Alcotest.(check string) "names the sub-pass"
+        "pass anytime-swp: vector_loads requires the asp arrays to also \
+         carry asv pragmas"
+        msg
 
 (* ---------------- codegen RMW address materialization ----------------
 
@@ -274,15 +272,19 @@ let test_rmw_indexed_instruction_count () =
 let test_pass_names () =
   Alcotest.(check (list string))
     "full pipeline"
-    [ "lower-anytime"; "constfold"; "strength-reduce"; "licm"; "codegen";
-      "addr-cse" ]
+    [ "anytime-swp"; "anytime-sqrt"; "anytime-swv"; "constfold";
+      "strength-reduce"; "licm"; "codegen"; "addr-cse" ]
     (Wn_compiler.Compile.pass_names Wn_compiler.Compile.anytime);
   Alcotest.(check (list string))
     "spine only"
-    [ "lower-anytime"; "codegen" ]
+    [ "anytime-swp"; "anytime-sqrt"; "anytime-swv"; "codegen" ]
     (Wn_compiler.Compile.pass_names
        { Wn_compiler.Compile.anytime with
-         Wn_compiler.Compile.passes = Wn_compiler.Compile.no_passes })
+         Wn_compiler.Compile.passes = Wn_compiler.Compile.no_passes });
+  Alcotest.(check (list string))
+    "precise builds run no anytime sub-pass"
+    [ "constfold"; "strength-reduce"; "licm"; "codegen"; "addr-cse" ]
+    (Wn_compiler.Compile.pass_names Wn_compiler.Compile.precise)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -304,8 +306,8 @@ let test_dump_after () =
   Alcotest.check_raises "unknown pass"
     (Wn_compiler.Compile.Error
        "dump-after: unknown or disabled pass \"frobnicate\"; this build \
-        runs: lower-anytime, constfold, strength-reduce, licm, codegen, \
-        addr-cse")
+        runs: anytime-swp, anytime-sqrt, anytime-swv, constfold, \
+        strength-reduce, licm, codegen, addr-cse")
     (fun () ->
       ignore (Wn_compiler.Compile.compile_source ~dump_after:"frobnicate" source))
 
