@@ -73,7 +73,8 @@ type memo_report = {
   ratio_pct : float;
 }
 
-let memo_table ?(entries = 16) ?(operand_bits = 16) () =
+let memo_table () =
+  let entries = 16 and operand_bits = 16 in
   let index_bits =
     let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
     log2 entries

@@ -36,9 +36,10 @@ type memo_report = {
   ratio_pct : float;  (** paper: 40.5% of a 16×16 multiplier *)
 }
 
-val memo_table : ?entries:int -> ?operand_bits:int -> unit -> memo_report
-(** Tag width follows the paper: both operands' bits minus the index
-    bits (28 tag bits for 16-bit memoization with a 16-entry table). *)
+val memo_table : unit -> memo_report
+(** The paper's 16-entry table for 16-bit operands.  Tag width follows
+    the paper: both operands' bits minus the index bits (28 tag
+    bits). *)
 
 val pp_adder : Format.formatter -> adder_report -> unit
 val pp_memo : Format.formatter -> memo_report -> unit

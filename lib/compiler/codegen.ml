@@ -60,7 +60,7 @@ let local_reg st name =
 
 let alloc_local st name =
   match st.pool with
-  | [] -> err "codegen: out of registers for local %S" name
+  | [] -> err "out of registers for local %S" name
   | r :: rest ->
       st.pool <- rest;
       st.env <- (name, r) :: st.env;

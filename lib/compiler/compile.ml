@@ -119,39 +119,58 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
     if dump_after = Some name then
       dumps := (name, Format.asprintf "%a" pp x) :: !dumps
   in
-  (* Every pass is followed by a lint of its output; a failing pass is
-     blamed by name, with the complete findings of the first pass that
-     failed (not just the first finding). *)
-  let check_pass name diags =
-    if diags <> [] then
-      let report = Format.asprintf "%a" Wn_analysis.Diag.pp_report diags in
-      if
-        strict
-        && Wn_analysis.Diag.worst diags = Some Wn_analysis.Diag.Error
-      then pass_err name report
-      else Format.eprintf "after pass %s:@.%s@." name report
+  (* The source is linted once and every pass's output after it.  Each
+     stage reports only the findings its input did not have, so a
+     finding is blamed on the stage that introduced it, the source
+     included, with all of that stage's new findings; under [strict] an
+     error fails that stage.  Findings are matched without their pc,
+     which a pass that moves code shifts, and counted, so a second copy
+     of a finding is new.  Returns the stage's findings, the next
+     stage's input. *)
+  let check stage ~input diags =
+    let unplaced d = { d with Wn_analysis.Diag.pc = None } in
+    let rec take d = function
+      | [] -> None
+      | d' :: rest when d' = d -> Some rest
+      | d' :: rest -> Option.map (List.cons d') (take d rest)
+    in
+    let left = ref (List.map unplaced input) in
+    let is_new d =
+      match take (unplaced d) !left with
+      | Some rest -> left := rest; false
+      | None -> true
+    in
+    (match List.filter is_new diags with
+    | [] -> ()
+    | fresh ->
+        let report = Format.asprintf "%a" Wn_analysis.Diag.pp_report fresh in
+        if strict && Wn_analysis.Diag.worst fresh = Some Wn_analysis.Diag.Error
+        then err stage report
+        else Format.eprintf "%s:@.%s@." stage report);
+    diags
   in
   let passes = enabled options in
-  let lint_ir name (ir : Transform.ir) =
-    check_pass name
-      (Wn_analysis.Ircheck.stmts ~globals:ir.storage_globals ir.body)
+  let lint_ir (ir : Transform.ir) =
+    Wn_analysis.Ircheck.stmts ~globals:ir.storage_globals ir.body
   in
   (* --- IR passes -------------------------------------------------- *)
-  let ir_pass (ir : Transform.ir) (name, _, step) =
+  let ir_pass ((ir : Transform.ir), input) (name, _, step) =
     match step with
     | Ir f ->
         let ir =
           try f options info ir with Transform.Error e -> pass_err name e
         in
-        lint_ir name ir;
+        let diags = check ("pass " ^ name) ~input (lint_ir ir) in
         record name Ast.pp_block ir.body;
-        ir
-    | Codegen | Asm _ -> ir
+        (ir, diags)
+    | Codegen | Asm _ -> (ir, input)
   in
-  let ir =
-    List.fold_left ir_pass
-      { body = source.body; storage_globals = source.globals; layouts = [] }
-      passes
+  let ir, ir_diags =
+    let ir =
+      { Transform.body = source.body; storage_globals = source.globals;
+        layouts = [] }
+    in
+    List.fold_left ir_pass (ir, check "source" ~input:[] (lint_ir ir)) passes
   in
   (* --- address assignment ----------------------------------------- *)
   let addresses, data_bytes =
@@ -170,14 +189,14 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
   (* --- assembly passes -------------------------------------------- *)
   (* Each pass's output is assembled and checked once; the last one's
      program and findings are the build's. *)
-  let lint_asm name asm =
+  let lint_asm name ~input asm =
     match Asm.assemble asm with
     | Error e -> pass_err name e
     | Ok program ->
         let diags =
-          Wn_analysis.Check.program ~symbols:(addr_symbols storage) program
+          check ("pass " ^ name) ~input
+            (Wn_analysis.Check.program ~symbols:(addr_symbols storage) program)
         in
-        check_pass name diags;
         record name Asm.pp_listing asm;
         Some (asm, program, diags)
   in
@@ -185,19 +204,15 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
     match (step, last) with
     | Ir _, _ -> last
     | Codegen, None ->
-        (* Codegen always receives linted IR: a build that runs no IR
-           pass has its source linted here. *)
-        if not (List.exists (function _, _, Ir _ -> true | _ -> false) passes)
-        then lint_ir name ir;
         let cg_globals =
           List.map (fun (g : Ast.global) -> (g.g_name, g)) ir.storage_globals
         in
-        lint_asm name
+        lint_asm name ~input:ir_diags
           (try
              Codegen.generate
                { cg_body = ir.body; cg_globals; cg_addresses = addresses }
            with Codegen.Error e -> err "codegen" e)
-    | Asm f, Some (asm, _, _) -> lint_asm name (f asm)
+    | Asm f, Some (asm, _, input) -> lint_asm name ~input (f asm)
     | Codegen, Some _ | Asm _, None ->
         invalid_arg "Compile.pipeline: codegen must precede every asm pass"
   in
@@ -242,13 +257,8 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
       data_bytes; dumps = List.rev !dumps }
   in
   (* Post-codegen self-check: the static verifier must accept its own
-     output.  Diagnostics are warnings by default; [strict] promotes
-     error-severity findings to a compilation failure. *)
-  let diags = findings structural t in
-  (if diags <> [] then
-     if strict && Wn_analysis.Diag.worst diags = Some Wn_analysis.Diag.Error
-     then err "verify" (Format.asprintf "%a" Wn_analysis.Diag.pp_report diags)
-     else Format.eprintf "%a@." Wn_analysis.Diag.pp_report diags);
+     output, forward progress included. *)
+  ignore (check "verify" ~input:structural (findings structural t));
   t
 
 let compile_source ?options ?strict ?dump_after src =

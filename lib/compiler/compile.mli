@@ -4,10 +4,11 @@
     passes; {!pass_names}, [dump_after], the lints and pass-blamed
     errors all read it.  IR-level passes rewrite the kernel body and its
     storage-level globals ({!Transform.ir}); assembly-level passes
-    rewrite the generated program ([Asm.program -> Asm.program]).  After
-    {e every} pass its output is linted — {!Wn_analysis.Ircheck} for IR,
-    {!Wn_analysis.Check} for assembly — so a pass that breaks an
-    invariant is blamed by name with its complete findings.
+    rewrite the generated program ([Asm.program -> Asm.program]).  The
+    source is linted once, and after {e every} pass its output —
+    {!Wn_analysis.Ircheck} for IR, {!Wn_analysis.Check} for assembly —
+    so a finding is blamed on the stage that introduced it, the source
+    included, by name and with all of that stage's new findings.
 
     Pipeline order:
     + [anytime-swp], [anytime-sqrt], [anytime-swv] — Algorithm 1's
@@ -82,20 +83,21 @@ type t = {
 
 exception Error of string
 (** Any front-end, pass or back-end failure.  Pass failures are
-    prefixed ["pass <name>: "] with the originating pass's name and, for
-    lint failures under [strict], the complete findings of the first
-    failing pass. *)
+    prefixed ["pass <name>: "] with the originating pass's name; lint
+    failures under [strict] name the stage that introduced the error
+    (["source: "] for a finding already in the source) and carry all of
+    that stage's new findings. *)
 
 val compile :
   ?options:options -> ?strict:bool -> ?dump_after:string ->
   Wn_lang.Ast.program -> t
-(** Compiles, linting after every pass (codegen also lints its input
-    when the build runs no IR pass) and running the full
-    {!Wn_analysis} static verifier over the final program as a
-    self-check.  Diagnostics print to stderr as warnings by default;
-    with [strict:true] any error-severity finding raises {!Error}
-    naming the first failing pass (stage ["verify"] for the final full
-    lint).  [dump_after] records the named pass's output in {!t.dumps}
+(** Compiles, linting the source and the output of every pass and
+    running the full {!Wn_analysis} static verifier over the final
+    program as a self-check.  Each stage reports only the findings its
+    input did not have: they print to stderr under the stage's name as
+    warnings by default; with [strict:true] an error-severity finding
+    raises {!Error} naming the stage that introduced it (["verify"] for
+    the final full lint).  [dump_after] records the named pass's output in {!t.dumps}
     (IR passes print as statements, assembly passes as a listing);
     unknown names raise (stage ["dump-after"]). *)
 

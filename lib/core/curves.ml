@@ -45,7 +45,7 @@ let runtime_quality ?(points = 48) ?(vector_loads = false) ?(provisioned = true)
       next := !next + period
     end
   in
-  let outcome = Runner.run_always_on ~on_step anytime machine in
+  let outcome = Runner.run_always_on ~on_step machine in
   if not outcome.Wn_runtime.Executor.completed then
     failwith "Curves.runtime_quality: anytime build did not complete";
   sample outcome.Wn_runtime.Executor.active_cycles;

@@ -28,7 +28,7 @@ let measure ~fn ~memo_entries ~zero_skip ~halt_at_skim b inputs =
     Runner.machine ~machine_config:(machine_config ~memo_entries ~zero_skip) b
   in
   Runner.load_sample b machine inputs;
-  let outcome = Runner.run_always_on ~halt_at_skim b machine in
+  let outcome = Runner.run_always_on ~halt_at_skim machine in
   if not outcome.Wn_runtime.Executor.completed then
     failwith ("Earliest." ^ fn ^ ": task did not complete");
   let out = Runner.output b machine in

@@ -22,7 +22,7 @@ type report = {
 let retired_of build inputs =
   let machine = Runner.machine build in
   Runner.load_sample build machine inputs;
-  let o = Runner.run_always_on build machine in
+  let o = Runner.run_always_on machine in
   if not o.Wn_runtime.Executor.completed then
     failwith ("Insn: " ^ build.Runner.workload.Workload.name
               ^ " did not complete under continuous power");

@@ -35,8 +35,7 @@ let output b machine =
 
 let nrmse_pct ~reference out = Wn_util.Stats.nrmse_pct ~reference out
 
-let run_always_on ?halt_at_skim ?on_step b machine =
-  ignore b;
+let run_always_on ?halt_at_skim ?on_step machine =
   let supply = Wn_power.Supply.always_on () in
   Wn_runtime.Executor.run ?halt_at_skim ?on_step ~machine ~supply ()
 
@@ -44,7 +43,7 @@ let precise_reference b inputs =
   let pb = build ~precise:true b.workload b.cfg in
   let m = machine pb in
   load_sample pb m inputs;
-  let outcome = run_always_on pb m in
+  let outcome = run_always_on m in
   if not outcome.Wn_runtime.Executor.completed then
     failwith "precise reference did not complete";
   let out = output pb m in

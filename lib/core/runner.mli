@@ -39,7 +39,6 @@ val nrmse_pct : reference:float array -> float array -> float
 val run_always_on :
   ?halt_at_skim:bool ->
   ?on_step:(Wn_runtime.Executor.live -> unit) ->
-  build ->
   Wn_machine.Machine.t ->
   Wn_runtime.Executor.outcome
 (** One task under continuous power; [on_step] observes every retired

@@ -36,7 +36,7 @@ let var_study ?(datasets = 24) ?(seed = 5) ?(bits = 4) scale =
            window variances. *)
         let exact = Wn_util.Stats.mean (w.Workload.golden inputs) in
         Runner.load_sample anytime machine inputs;
-        let o = Runner.run_always_on ~halt_at_skim:true anytime machine in
+        let o = Runner.run_always_on ~halt_at_skim:true machine in
         if not o.Wn_runtime.Executor.completed then
           failwith "Sampling.var_study: task did not complete";
         let wn = Wn_util.Stats.mean (Runner.output anytime machine) in

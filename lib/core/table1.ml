@@ -19,7 +19,7 @@ let row ?(seed = 3) ?(bits = 8) (w : Workload.t) =
   let _, baseline_cycles = Runner.precise_reference anytime inputs in
   let machine = Runner.machine anytime in
   Runner.load_sample anytime machine inputs;
-  let o = Runner.run_always_on anytime machine in
+  let o = Runner.run_always_on machine in
   if not o.Wn_runtime.Executor.completed then
     failwith "Table1: anytime build did not complete";
   let wn = Wn_machine.Machine.wn_instructions machine in

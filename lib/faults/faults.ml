@@ -13,7 +13,8 @@ type profile = {
   checkpoint_boundaries : int array;
 }
 
-let default_max_steps = 1_000_000_000
+(* A program that retires this many instructions is taken not to halt. *)
+let max_steps = 1_000_000_000
 
 let mem_digest m = Wn_mem.Memory.digest (Machine.mem m)
 
@@ -26,11 +27,11 @@ type keyframe = {
 }
 
 (* The rejoin candidates at one PC: the keyframes recorded there,
-   latest first (the order the probe scans them: the first match decides
-   the reconstructed cycle fields), and each one's value of [key], the
-   register whose values differ most among them.  A candidate whose key
-   value differs from the machine's cannot match, so one integer compare
-   rules it out before [Machine.matches_state] runs. *)
+   latest first (the order the probe scans them), and each one's value
+   of [key], the register whose values differ most among them.  A
+   candidate whose key value differs from the machine's cannot match,
+   so one integer compare rules it out before [Machine.matches_state]
+   runs. *)
 type candidates = {
   key : Wn_isa.Reg.t;
   at_pc : keyframe array;
@@ -96,8 +97,8 @@ type survey_result = {
    bit-identical to raw stepping (checkpoints only read the register
    file), so the recorded boundaries and digests equal the raw
    continuous run's. *)
-let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
-    ?keyframe_interval ?(full_frames = false) scenario =
+let survey ?(boundaries = [||]) ?keyframe_interval ?(full_frames = false)
+    scenario =
   (match keyframe_interval with
   | Some k when k < 1 -> invalid_arg "Faults.survey: keyframe_interval"
   | _ -> ());
@@ -176,10 +177,7 @@ let survey ?(max_steps = default_max_steps) ?(boundaries = [||])
         keyframe_interval;
   }
 
-let profile ?max_steps scenario = (survey ?max_steps scenario).sv_profile
-
-let prefix_digests ?max_steps scenario ~boundaries =
-  (survey ?max_steps ~boundaries scenario).sv_digests
+let profile scenario = (survey scenario).sv_profile
 
 (* Largest frame at or before [retired_max] (frames ascend in
    kf_retired), or [None] if the store has nothing that early. *)
@@ -259,20 +257,22 @@ let run_point ?(engine = Executor.Block)
                 r_mem_digest = mem_digest m;
               }
   in
-  (* Rejoin fast-forward: once the injected run is past the outage, the
-     first instant its architectural state bit-matches a keyframe of the
-     continuous run the remainder is that run's remainder (the observer
-     never cuts again), so the executor can stop and reconstruct
-     the tail from the survey's recorded final outcome.  The gate on
-     [outage_seen] keeps the prefix replay — which matches keyframes
-     trivially — running normally, and a skim commit leaves the
-     trajectory the keyframes describe, so the probe stops there rather
-     than being paid on every commit-tail step.  Per post-outage step the
-     probe reads the store's index at the current PC: a candidate whose
-     key register differs cannot match, so [Machine.matches_state] runs
-     only on key matches, in the index's scan order, and the probe
-     allocates nothing. *)
-  let ffired = ref false in
+  (* Rejoin: once the injected run is past the outage, the first instant
+     its architectural state bit-matches a keyframe of the continuous run
+     and its Clank policy state equals the keyframe's, the remainder is
+     that run's remainder (the observer never cuts again), so the
+     executor can stop and take the tail from the survey's recorded final
+     outcome.  The gate on [outage_seen] keeps the prefix replay — which
+     matches keyframes trivially — running normally, and a skim commit
+     leaves the trajectory the keyframes describe, so the probe stops
+     there rather than being paid on every commit-tail step.  Per
+     post-outage step the probe reads the store's index at the current
+     PC: a candidate whose key register differs cannot match, so
+     [Machine.matches_state] runs only on key matches, in the index's
+     scan order, and [Executor.rejoin] compares the policy state only on
+     a state match; a refused candidate passes the probe to the next
+     one.  The probe allocates nothing until it rejoins. *)
+  let rejoined = ref false in
   let probe =
     match keyframes with
     | Some kfs ->
@@ -286,11 +286,11 @@ let run_point ?(engine = Executor.Block)
             let i = ref 0 in
             while !i < Array.length c.at_pc do
               let kf = c.at_pc.(!i) in
-              if c.key_vals.(!i) = v && Machine.matches_state m kf.kf_machine
+              if c.key_vals.(!i) = v
+                 && Machine.matches_state m kf.kf_machine
+                 && Executor.rejoin live ~at:kf.kf_exec ~final:kfs.kf_final
               then begin
-                ffired := true;
-                Executor.rejoin live
-                  { Executor.ff_at = kf.kf_exec; ff_final = kfs.kf_final };
+                rejoined := true;
                 i := Array.length c.at_pc
               end
               else incr i
@@ -313,7 +313,7 @@ let run_point ?(engine = Executor.Block)
       ~machine:m ~supply ()
   in
   let final_digest =
-    if !ffired then
+    if !rejoined then
       match keyframes with
       | Some kfs -> kfs.kf_final_digest
       | None -> assert false
@@ -342,8 +342,8 @@ type skim_cache = {
 
 let skim_cache () = { sc_mutex = Mutex.create (); sc_tbl = Hashtbl.create 256 }
 
-let skim_reference ?(max_steps = default_max_steps) ?keyframes ?cache
-    ?prefix_digest ?machine scenario ~boundary =
+let skim_reference ?keyframes ?cache ?prefix_digest ?machine scenario
+    ~boundary =
   (* A keyframe at exactly [boundary] is usable here: the latched skim
      target is part of the snapshot. *)
   let frame =

@@ -105,7 +105,6 @@ type survey_result = {
 }
 
 val survey :
-  ?max_steps:int ->
   ?boundaries:int array ->
   ?keyframe_interval:int ->
   ?full_frames:bool ->
@@ -124,18 +123,12 @@ val survey :
     isolated full-copy frames (every page copied) — observably
     identical, only bigger and slower to capture.
 
-    Raises [Failure] if the program does not halt within [max_steps]
-    (default one billion) instructions, [Invalid_argument] on malformed
+    Raises [Failure] if the program does not halt within one billion
+    instructions, [Invalid_argument] on malformed
     [boundaries], a boundary past halt, or [keyframe_interval < 1]. *)
 
-val profile : ?max_steps:int -> scenario -> profile
+val profile : scenario -> profile
 (** [profile s = (survey s).sv_profile] — one pass. *)
-
-val prefix_digests :
-  ?max_steps:int -> scenario -> boundaries:int array -> Digest.t array
-(** Memory digests of the continuous run at each boundary of the
-    strictly-ascending [boundaries] (all within [1, retired]), computed
-    in one pass: [(survey ~boundaries s).sv_digests]. *)
 
 (** Machine state captured by the oracle at the instant restore
     completes (the executor's first [Restore] or [Skim_restore]
@@ -173,20 +166,14 @@ val run_point :
 
     With [keyframes] the point costs O(interval + recovery) instead of
     O(retired): the continuous prefix resumes from the nearest keyframe
-    strictly before [boundary], and after the outage the run
-    fast-forwards the moment its architectural state bit-matches a
-    keyframe of the continuous run ({!Wn_machine.Machine.matches_state}
-    — at that instant the remainder is fully determined, so the
-    executor reconstructs the tail from the survey's recorded final
-    outcome and digest).  Everything the oracle and the report consume
-    — [boundary], [restore], [final_digest], and the outcome's
-    [completed], [skimmed] and [outage_count] — is bit-identical to the
-    from-scratch run.  The outcome's cycle-accounting fields (wall,
-    active, overhead, re-executed, checkpoint count) are reconstructed
-    from the continuous run's tail, whose Clank watchdog phase can
-    differ from a literal post-outage continuation; for those fields
-    treat a keyframed run as its own deterministic quantity (identical
-    across engines and jobs, not across [keyframes] on/off).
+    strictly before [boundary], and after the outage the run rejoins the
+    continuous run the moment its architectural state bit-matches a
+    keyframe's ({!Wn_machine.Machine.matches_state}) and its Clank
+    policy state equals the keyframe's ({!Wn_runtime.Executor.rejoin}):
+    at that instant the remainder is fully determined, so the executor
+    takes the tail from the survey's recorded final outcome and digest.
+    The result is bit-identical to the from-scratch run's, every
+    outcome field included.
 
     Cost of a keyframed point: a fixed set-up (the frame restore and the
     executor's resume), then the replayed prefix, then per post-outage
@@ -196,7 +183,9 @@ val run_point :
     without allocating: over the 40,979 points of an exhaustive MatAdd
     sweep that is 71.6 M key compares (about 2.5 per post-outage step)
     and 83,896 state compares.  A state compare reaches memory only when
-    the registers and flags already match.
+    the registers and flags already match, and the Clank state is
+    compared only when the machine state matches: no candidate is
+    refused in that sweep.
 
     [machine] is an optional scratch machine (from this scenario's
     [fresh]) whose entire state the call may clobber.  It is used only
@@ -222,7 +211,6 @@ type skim_cache
 val skim_cache : unit -> skim_cache
 
 val skim_reference :
-  ?max_steps:int ->
   ?keyframes:keyframes ->
   ?cache:skim_cache ->
   ?prefix_digest:Digest.t ->

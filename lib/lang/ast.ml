@@ -264,15 +264,19 @@ let rec pp_stmt ppf stmt =
   | If (c, a, []) ->
       Format.fprintf ppf "@[<v 2>if (%a) {@,%a@]@,}" pp_expr c pp_block a
   | If (c, a, b) ->
-      Format.fprintf ppf "@[<v 2>if (%a) {@,%a@]@,} else {@,%a@,}" pp_expr c
-        pp_block a pp_block b
+      Format.fprintf ppf "@[<v 2>if (%a) {@,%a@]@,@[<v 2>} else {@,%a@]@,}"
+        pp_expr c pp_block a pp_block b
   | Anytime { body; commit } ->
       Format.fprintf ppf "@[<v 2>anytime {@,%a@]@,@[<v 2>} commit {@,%a@]@,}"
         pp_block body pp_block commit
   | Skim_here -> Format.pp_print_string ppf "skim;"
 
+(* One vertical box per statement list, so each statement starts a line
+   at the list's indentation wherever the list is printed. *)
 and pp_block ppf stmts =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt ppf stmts
+  Format.fprintf ppf "@[<v 0>%a@]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt)
+    stmts
 
 let pp_program ppf p =
   List.iter

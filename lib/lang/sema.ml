@@ -68,6 +68,20 @@ let check_pragmas pragmas globals =
    1-element arrays). *)
 type scope = { globals : (string, Ast.global) Hashtbl.t; mutable locals : string list }
 
+(* An indexed array must be declared, and a constant index must lie
+   inside it. *)
+let check_index sc a idx =
+  match Hashtbl.find_opt sc.globals a with
+  | None -> err "undeclared array %S" a
+  | Some g -> (
+      let constant =
+        match idx with Int n -> Some n | Neg (Int n) -> Some (-n) | _ -> None
+      in
+      match constant with
+      | Some n when n < 0 || n >= g.g_count ->
+          err "%s[%d] out of bounds (count %d)" a n g.g_count
+      | _ -> ())
+
 let rec check_expr sc ~in_condition e =
   match e with
   | Int _ -> ()
@@ -77,7 +91,7 @@ let rec check_expr sc ~in_condition e =
           err "array %S used without an index" v
         else err "undeclared variable %S" v
   | Load (a, idx) ->
-      if not (Hashtbl.mem sc.globals a) then err "undeclared array %S" a;
+      check_index sc a idx;
       check_expr sc ~in_condition:false idx
   | Neg a | Bnot a | Sqrt a -> check_expr sc ~in_condition:false a
   | Binop (op, a, b) ->
@@ -97,7 +111,7 @@ let check_lhs sc = function
           err "array %S assigned without an index" v
         else err "assignment to undeclared variable %S" v
   | Larr (a, idx) ->
-      if not (Hashtbl.mem sc.globals a) then err "undeclared array %S" a;
+      check_index sc a idx;
       check_expr sc ~in_condition:false idx
 
 let rec check_stmts sc ~in_anytime stmts =

@@ -42,10 +42,11 @@ let square ~on_ms ~off_ms ~power ~duration_s =
   let period = on_ms + off_ms in
   checked (Array.init n (fun i -> if i mod period < on_ms then power else 0.0))
 
-let rf_burst ?(burst_mean_ms = 3.0) ?(quiet_mean_ms = 40.0)
-    ?(burst_power = 1.5e-3) ?(power_jitter = 0.3) ~seed ~duration_s () =
+let rf_burst ?(burst_mean_ms = 3.0) ?(quiet_mean_ms = 40.0) ~seed ~duration_s
+    () =
   if burst_mean_ms <= 0.0 || quiet_mean_ms <= 0.0 then
     invalid_arg "Trace.rf_burst";
+  let burst_power = 1.5e-3 and power_jitter = 0.3 in
   let rng = Wn_util.Rng.create seed in
   let n = ticks_of_duration duration_s in
   let samples = Array.make n 0.0 in

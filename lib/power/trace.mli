@@ -37,17 +37,15 @@ val square : on_ms:int -> off_ms:int -> power:float -> duration_s:float -> t
 val rf_burst :
   ?burst_mean_ms:float ->
   ?quiet_mean_ms:float ->
-  ?burst_power:float ->
-  ?power_jitter:float ->
   seed:int ->
   duration_s:float ->
   unit ->
   t
 (** Markov burst/quiet RF-harvesting model.  Dwell times in each state
-    are geometric with the given means; burst power is lognormal-ish
-    around [burst_power] with relative jitter [power_jitter].  Defaults:
-    3 ms bursts, 40 ms quiet, 1.5 mW, 0.3 jitter — which yields the
-    paper's regime of active periods up to a few milliseconds. *)
+    are geometric with the given means (defaults: 3 ms bursts, 40 ms
+    quiet); burst power is lognormal-ish around 1.5 mW with relative
+    jitter 0.3 — which yields the paper's regime of active periods up to
+    a few milliseconds. *)
 
 val paper_suite : ?count:int -> seed:int -> duration_s:float -> unit -> t list
 (** The evaluation's trace set: [count] (default 9, as in the paper)

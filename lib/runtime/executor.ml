@@ -45,13 +45,14 @@ type outcome = {
 
 type event = Checkpoint | Outage | Restore | Skim_restore
 
-(* Clank epoch state: the last checkpoint plus the read-first/write
-   sets used to detect idempotency (write-after-read) violations at
-   word granularity.  The sets live in one packed [shadow] map over data
-   memory — 2 bits per word, four words per byte (bit 0: read first this
-   epoch, bit 1: fully written this epoch) — so membership tests and
-   inserts are byte indexing instead of hashing, a resume state stores
-   the map as it is, and capture and resume are one [Bytes.copy] each.
+(* Clank's policy state, one record for the live run, a capture and a
+   resumed run: the config, the last checkpoint and the read-first/write
+   sets used to detect idempotency (write-after-read) violations at word
+   granularity, plus the cycles and instructions since the checkpoint.
+   The sets live in one packed [shadow] map over data memory — 2 bits
+   per word, four words per byte (bit 0: read first this epoch, bit 1:
+   fully written this epoch) — so membership tests and inserts are byte
+   indexing instead of hashing, and [copy] is one [Bytes.copy].
    Clearing the sets at a checkpoint or restore is one [Bytes.fill] of
    at most (data words / 4) bytes: 4,388 on the largest suite build.
    [tracked] counts set bits across both planes (a word in both planes
@@ -62,30 +63,73 @@ type event = Checkpoint | Outage | Restore | Skim_restore
    partial (byte/halfword) store must not suppress read tracking of its
    sibling bytes, or a later write to them would escape WAR detection
    and re-execution would read the new value. *)
-type clank_state = {
-  mutable checkpoint : Machine.register_file;
-  shadow : Bytes.t;
-  mutable tracked : int;
-  mutable since_ckpt_cycles : int;
-  mutable since_ckpt_retired : int;
-}
+module Clank = struct
+  type t = {
+    cfg : clank_config;
+    mutable checkpoint : Machine.register_file;
+    shadow : Bytes.t;
+    mutable tracked : int;
+    mutable since_cycles : int;
+    mutable since_retired : int;
+  }
 
-let read_bit = 1
-let write_bit = 2
+  let read_bit = 1
+  let write_bit = 2
 
-let shadow_bits st w =
-  (Char.code (Bytes.unsafe_get st.shadow (w lsr 2)) lsr ((w land 3) lsl 1))
-  land 3
+  let bits t w =
+    (Char.code (Bytes.unsafe_get t.shadow (w lsr 2)) lsr ((w land 3) lsl 1))
+    land 3
 
-let shadow_set st w bit =
-  let i = w lsr 2 in
-  Bytes.unsafe_set st.shadow i
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get st.shadow i) lor (bit lsl ((w land 3) lsl 1))))
+  let set t w bit =
+    let i = w lsr 2 in
+    Bytes.unsafe_set t.shadow i
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get t.shadow i) lor (bit lsl ((w land 3) lsl 1))))
 
-let shadow_clear st =
-  Bytes.fill st.shadow 0 (Bytes.length st.shadow) '\000';
-  st.tracked <- 0
+  (* Four words of data memory per shadow byte. *)
+  let shadow_bytes m = (((Wn_mem.Memory.size (Machine.mem m) + 3) / 4) + 3) / 4
+
+  let create cfg m =
+    {
+      cfg;
+      checkpoint = Machine.capture_registers m;
+      shadow = Bytes.make (shadow_bytes m) '\000';
+      tracked = 0;
+      since_cycles = 0;
+      since_retired = 0;
+    }
+
+  (* The checkpoint register file is replaced wholesale, never mutated,
+     so a copy may share it. *)
+  let copy t = { t with shadow = Bytes.copy t.shadow }
+
+  let equal a b =
+    a.tracked = b.tracked
+    && a.since_cycles = b.since_cycles
+    && a.since_retired = b.since_retired
+    && a.cfg = b.cfg
+    && a.checkpoint = b.checkpoint
+    && Bytes.equal a.shadow b.shadow
+
+  let clear t =
+    Bytes.fill t.shadow 0 (Bytes.length t.shadow) '\000';
+    t.tracked <- 0;
+    t.since_cycles <- 0;
+    t.since_retired <- 0
+
+  (* A new epoch from the machine's registers as they are. *)
+  let commit t m =
+    t.checkpoint <- Machine.capture_registers m;
+    clear t
+
+  (* A new epoch from the last checkpoint; returns the instructions
+     retired since it, which re-execute. *)
+  let rollback t m =
+    let redo = t.since_retired in
+    Machine.restore_registers m t.checkpoint;
+    clear t;
+    redo
+end
 
 let word_of_addr addr = addr lsr 2
 
@@ -126,43 +170,17 @@ let build_store_table program =
     program;
   t
 
-(* Mid-run resume state: the loop counters plus the Clank policy state,
-   captured at a clean instruction boundary of an uninterrupted run.
-   Everything inside is immutable once captured (the shadow map is
-   copied at capture and again at resume; the checkpoint register file
-   is replaced wholesale on checkpoint, never mutated), so one
-   [resume_state] can seed any number of [run] calls from any number of
-   domains. *)
-type clank_resume = {
-  rc_checkpoint : Machine.register_file;
-  rc_shadow : Bytes.t;
-  rc_tracked : int;
-  rc_since_cycles : int;
-  rc_since_retired : int;
-}
-
+(* Mid-run resume state, captured at a clean instruction boundary of an
+   uninterrupted run: the policy, its Clank state and the outcome the
+   run would report had it ended there.  Nothing inside is mutated once
+   captured (the shadow map is copied at capture and again at resume),
+   so one [resume_state] can seed any number of [run] calls from any
+   number of domains. *)
 type resume_state = {
-  rs_policy : policy;  (* the policy the state was captured under *)
-  rs_clank : clank_resume option;  (* [Some] exactly under [Clank] *)
-  rs_active : int;
-  rs_overhead : int;
-  rs_reexecuted : int;
-  rs_outages : int;
-  rs_checkpoints : int;
-  rs_skimmed : bool;
-  rs_first_skim_active : int option;
-  rs_wall : int;  (* wall cycles elapsed from task start to capture *)
-  rs_retired : int;  (* instructions retired from task start to capture *)
+  rs_policy : policy;
+  rs_clank : Clank.t option;  (* [Some] exactly under [Clank] *)
+  rs_at : outcome;
 }
-
-(* Fast-forward: the caller has detected that the machine's
-   architectural state bit-matches a recorded boundary of a reference
-   run whose completion is already known, so the rest of this run is
-   fully determined.  [ff_at] holds the reference counters at the
-   matched boundary, [ff_final] the reference outcome at halt; the
-   outcome of this run is its live counters plus the reference
-   deltas. *)
-type fast_forward = { ff_at : resume_state; ff_final : outcome }
 
 (* The run in progress: the loop counters, the bound policy state and
    what the step functions below read from the caller. *)
@@ -170,7 +188,7 @@ type live = {
   machine : Machine.t;
   supply : Supply.t;
   policy : policy;
-  clank : (clank_config * clank_state) option;
+  clank : Clank.t option;
   stores : store_table;
   halt_at_skim : bool;
   emit : event -> unit;
@@ -195,12 +213,24 @@ type live = {
   mutable skimmed : bool;
   mutable first_skim_active : int option;
   mutable observing : bool;  (* inside the caller's [on_step] *)
-  mutable rejoined : fast_forward option;
+  mutable rejoined : outcome option;  (* the run's outcome, once rejoined *)
 }
 
 let wall_elapsed l = Supply.now_cycles l.supply + l.pending + l.wall_offset
 
-let task_retired l = Machine.instructions_retired l.machine + l.retired_offset
+let outcome_of l =
+  {
+    completed = Machine.halted l.machine;
+    skimmed = l.skimmed;
+    first_skim_active = l.first_skim_active;
+    wall_cycles = wall_elapsed l;
+    active_cycles = l.active;
+    overhead_cycles = l.overhead;
+    reexecuted_instructions = l.reexecuted;
+    outage_count = l.outages;
+    checkpoint_count = l.checkpoints;
+    retired = Machine.instructions_retired l.machine + l.retired_offset;
+  }
 
 let flush_pending l =
   if l.pending > 0 then begin
@@ -216,12 +246,9 @@ let spend_overhead l cycles =
   l.overhead <- l.overhead + cycles;
   spend l cycles
 
-let do_checkpoint l cfg st =
-  spend_overhead l cfg.checkpoint_cycles;
-  st.checkpoint <- Machine.capture_registers l.machine;
-  shadow_clear st;
-  st.since_ckpt_cycles <- 0;
-  st.since_ckpt_retired <- 0;
+let do_checkpoint l (st : Clank.t) =
+  spend_overhead l st.cfg.checkpoint_cycles;
+  Clank.commit st l.machine;
   l.checkpoints <- l.checkpoints + 1;
   (* A checkpoint fires inside an instruction's step, so an outage cut
      here would only be taken after that instruction retired on the cut
@@ -236,25 +263,25 @@ let do_checkpoint l cfg st =
 (* Insert into one tracking plane, checkpointing first on overflow
    (capacity is checked before the insert, as the hardware tests the
    buffer before latching a new entry). *)
-let track l cfg st w bit =
-  if shadow_bits st w land bit = 0 then begin
-    if st.tracked >= cfg.buffer_entries then do_checkpoint l cfg st;
-    shadow_set st w bit;
+let track l (st : Clank.t) w bit =
+  if Clank.bits st w land bit = 0 then begin
+    if st.tracked >= st.cfg.buffer_entries then do_checkpoint l st;
+    Clank.set st w bit;
     st.tracked <- st.tracked + 1
   end
 
 (* Skip only reads dominated by a *full-word* write, which
    re-execution is guaranteed to reproduce. *)
-let track_read l cfg st addr =
+let track_read l st addr =
   let w = word_of_addr addr in
-  if shadow_bits st w land write_bit = 0 then track l cfg st w read_bit
+  if Clank.bits st w land Clank.write_bit = 0 then track l st w Clank.read_bit
 
 (* Watchdog and WAR-violation pre-check: a store about to write a word
    read first in this epoch forces a checkpoint *before* the violating
    write commits.  The store's target address comes from the per-PC
    table and live registers. *)
-let pre_step l cfg st =
-  if st.since_ckpt_cycles >= cfg.watchdog_period then do_checkpoint l cfg st
+let pre_step l (st : Clank.t) =
+  if st.since_cycles >= st.cfg.watchdog_period then do_checkpoint l st
   else begin
     let m = l.machine and stores = l.stores in
     let pc = Machine.pc m in
@@ -269,16 +296,16 @@ let pre_step l cfg st =
              can a word past the end of memory that shares the map's
              last byte. *)
           if w >= 0 && w lsr 2 < Bytes.length st.shadow
-             && shadow_bits st w land read_bit <> 0
-          then do_checkpoint l cfg st
+             && Clank.bits st w land Clank.read_bit <> 0
+          then do_checkpoint l st
       | 2 ->
           let w =
             word_of_addr
               (Machine.reg m stores.st_base.(pc) + Machine.reg m stores.st_idx.(pc))
           in
           if w >= 0 && w lsr 2 < Bytes.length st.shadow
-             && shadow_bits st w land read_bit <> 0
-          then do_checkpoint l cfg st
+             && Clank.bits st w land Clank.read_bit <> 0
+          then do_checkpoint l st
       | _ -> ()
   end
 
@@ -307,8 +334,8 @@ let handle_outage l =
           (match l.policy with Nvp c -> c.nvp_restore_cycles | _ -> 0);
         (* NVP keeps all state; just honour a pending skim point. *)
         handle_skim_jump l
-    | Some (cfg, st) ->
-        spend_overhead l cfg.clank_restore_cycles;
+    | Some st ->
+        spend_overhead l st.cfg.clank_restore_cycles;
         let skim = handle_skim_jump l in
         if skim then begin
           (* The skim target's code depends only on NVM state, so a
@@ -317,16 +344,11 @@ let handle_outage l =
           let pc = Machine.pc m in
           Machine.scrub_volatile m;
           Machine.set_pc m pc;
-          st.checkpoint <- Machine.capture_registers m
+          Clank.commit st m
         end
-        else begin
+        else
           (* Roll back: everything since the checkpoint re-executes. *)
-          l.reexecuted <- l.reexecuted + st.since_ckpt_retired;
-          Machine.restore_registers m st.checkpoint
-        end;
-        shadow_clear st;
-        st.since_ckpt_cycles <- 0;
-        st.since_ckpt_retired <- 0;
+          l.reexecuted <- l.reexecuted + Clank.rollback st m;
         skim
   in
   (* Restore complete: the machine is in exactly the state execution
@@ -341,14 +363,14 @@ let post_step l =
   l.active <- l.active + cycles;
   spend l cycles;
   (match l.clank with
-  | Some (cfg, st) ->
-      st.since_ckpt_cycles <- st.since_ckpt_cycles + cycles;
-      st.since_ckpt_retired <- st.since_ckpt_retired + 1;
+  | Some st ->
+      st.since_cycles <- st.since_cycles + cycles;
+      st.since_retired <- st.since_retired + 1;
       let read_addr = Machine.last_read_addr m in
-      if read_addr >= 0 then track_read l cfg st read_addr;
+      if read_addr >= 0 then track_read l st read_addr;
       let wrote_addr = Machine.last_wrote_addr m in
       if wrote_addr >= 0 && Machine.last_wrote_bytes m = 4 then
-        track l cfg st (word_of_addr wrote_addr) write_bit
+        track l st (word_of_addr wrote_addr) Clank.write_bit
   | None -> ());
   if Machine.last_was_skm m then begin
     if l.first_skim_active = None then l.first_skim_active <- Some l.active;
@@ -371,12 +393,12 @@ let try_block l ~max_wall_cycles b =
   let c = Machine.block_cycles b in
   wall_elapsed l + c <= max_wall_cycles
   && (match l.clank with
-     | Some (cfg, st) ->
+     | Some st ->
          (* No interior pre-step can trip the watchdog, and the read set
             cannot overflow the buffer mid-run (runs are store-free, so
             WAR pre-checks are vacuous). *)
-         st.since_ckpt_cycles + Machine.block_pre_cycles b < cfg.watchdog_period
-         && st.tracked + Machine.block_loads b <= cfg.buffer_entries
+         st.since_cycles + Machine.block_pre_cycles b < st.cfg.watchdog_period
+         && st.tracked + Machine.block_loads b <= st.cfg.buffer_entries
      | None -> true)
   && (l.coalesce || Supply.assured l.supply ~cycles:c)
   && begin
@@ -394,15 +416,15 @@ let try_block l ~max_wall_cycles b =
          done
        end;
        (match l.clank with
-       | Some (cfg, st) ->
-           st.since_ckpt_cycles <- st.since_ckpt_cycles + c;
-           st.since_ckpt_retired <- st.since_ckpt_retired + n;
+       | Some st ->
+           st.since_cycles <- st.since_cycles + c;
+           st.since_retired <- st.since_retired + n;
            (* Replay read tracking from the recorded load addresses, in
               order — no store ran in between, so the shadow-map
               transitions equal the per-step ones, and the entry guard
               ruled out an overflow checkpoint. *)
            for i = 0 to Machine.block_loads b - 1 do
-             track_read l cfg st (Machine.block_read_addr m b i)
+             track_read l st (Machine.block_read_addr m b i)
            done
        | None -> ());
        (* Runs latch no skim point: [post_step]'s skim handling has
@@ -419,73 +441,77 @@ let capture l =
     invalid_arg "Executor.capture: not a clean boundary";
   {
     rs_policy = l.policy;
-    rs_clank =
-      Option.map
-        (fun (_cfg, st) ->
-          {
-            rc_checkpoint = st.checkpoint;
-            rc_shadow = Bytes.copy st.shadow;
-            rc_tracked = st.tracked;
-            rc_since_cycles = st.since_ckpt_cycles;
-            rc_since_retired = st.since_ckpt_retired;
-          })
-        l.clank;
-    rs_active = l.active;
-    rs_overhead = l.overhead;
-    rs_reexecuted = l.reexecuted;
-    rs_outages = l.outages;
-    rs_checkpoints = l.checkpoints;
-    rs_skimmed = l.skimmed;
-    rs_first_skim_active = l.first_skim_active;
-    rs_wall = wall_elapsed l;
-    rs_retired = task_retired l;
+    rs_clank = Option.map Clank.copy l.clank;
+    rs_at = outcome_of l;
   }
 
-let rejoin l ff =
+(* The run's outcome so far plus the reference run's progress from the
+   matched boundary [at] to its end [final]. *)
+let rejoin l ~at ~final =
   observed "rejoin" l;
-  l.rejoined <- Some ff
+  at.rs_policy = l.policy
+  && Option.equal Clank.equal l.clank at.rs_clank
+  && begin
+       let o = outcome_of l and a = at.rs_at in
+       let moved f = f o + (f final - f a) in
+       l.rejoined <-
+         Some
+           {
+             completed = final.completed;
+             skimmed = o.skimmed || (final.skimmed && not a.skimmed);
+             first_skim_active =
+               (match (o.first_skim_active, final.first_skim_active) with
+               | (Some _ as s), _ -> s
+               | None, Some f when a.first_skim_active = None ->
+                   Some (o.active_cycles + (f - a.active_cycles))
+               | None, _ -> None);
+             wall_cycles = moved (fun o -> o.wall_cycles);
+             active_cycles = moved (fun o -> o.active_cycles);
+             overhead_cycles = moved (fun o -> o.overhead_cycles);
+             reexecuted_instructions =
+               moved (fun o -> o.reexecuted_instructions);
+             outage_count = moved (fun o -> o.outage_count);
+             checkpoint_count = moved (fun o -> o.checkpoint_count);
+             retired = moved (fun o -> o.retired);
+           };
+       true
+     end
 
 let no_event (_ : event) = ()
+
+let task_start =
+  {
+    completed = false;
+    skimmed = false;
+    first_skim_active = None;
+    wall_cycles = 0;
+    active_cycles = 0;
+    overhead_cycles = 0;
+    reexecuted_instructions = 0;
+    outage_count = 0;
+    checkpoint_count = 0;
+    retired = 0;
+  }
 
 let run ?(policy = Always_on) ?(engine = Block)
     ?(max_wall_cycles = 20_000_000_000) ?(halt_at_skim = false) ?resume
     ?on_step ?(on_event = no_event) ~machine ~supply () =
-  (match resume with
-  | Some rs when rs.rs_policy <> policy ->
-      invalid_arg "Executor.run: resume state captured under another policy"
-  | _ -> ());
-  let clank =
-    match policy with
-    | Clank cfg ->
-        (* Four words of data memory per shadow byte. *)
-        let shadow_bytes =
-          (((Wn_mem.Memory.size (Machine.mem machine) + 3) / 4) + 3) / 4
-        in
-        let st =
-          match resume with
-          | Some { rs_clank = Some rc; _ } ->
-              if Bytes.length rc.rc_shadow <> shadow_bytes then
-                invalid_arg "Executor.run: resume shadow map size mismatch";
-              {
-                checkpoint = rc.rc_checkpoint;
-                shadow = Bytes.copy rc.rc_shadow;
-                tracked = rc.rc_tracked;
-                since_ckpt_cycles = rc.rc_since_cycles;
-                since_ckpt_retired = rc.rc_since_retired;
-              }
-          | _ ->
-              {
-                checkpoint = Machine.capture_registers machine;
-                shadow = Bytes.make shadow_bytes '\000';
-                tracked = 0;
-                since_ckpt_cycles = 0;
-                since_ckpt_retired = 0;
-              }
-        in
-        Some (cfg, st)
-    | Always_on | Nvp _ -> None
+  let at =
+    match resume with
+    | None -> task_start
+    | Some rs when rs.rs_policy <> policy ->
+        invalid_arg "Executor.run: resume state captured under another policy"
+    | Some rs -> rs.rs_at
   in
-  let field f zero = match resume with Some rs -> f rs | None -> zero in
+  let clank =
+    match (policy, resume) with
+    | Clank _, Some { rs_clank = Some st; _ } ->
+        if Bytes.length st.shadow <> Clank.shadow_bytes machine then
+          invalid_arg "Executor.run: resume shadow map size mismatch";
+        Some (Clank.copy st)
+    | Clank cfg, _ -> Some (Clank.create cfg machine)
+    | (Always_on | Nvp _), _ -> None
+  in
   let l =
     {
       machine;
@@ -497,16 +523,15 @@ let run ?(policy = Always_on) ?(engine = Block)
       emit = on_event;
       coalesce = Supply.never_cuts supply;
       pending = 0;
-      wall_offset = field (fun r -> r.rs_wall) 0 - Supply.now_cycles supply;
-      retired_offset =
-        field (fun r -> r.rs_retired) 0 - Machine.instructions_retired machine;
-      active = field (fun r -> r.rs_active) 0;
-      overhead = field (fun r -> r.rs_overhead) 0;
-      reexecuted = field (fun r -> r.rs_reexecuted) 0;
-      outages = field (fun r -> r.rs_outages) 0;
-      checkpoints = field (fun r -> r.rs_checkpoints) 0;
-      skimmed = field (fun r -> r.rs_skimmed) false;
-      first_skim_active = field (fun r -> r.rs_first_skim_active) None;
+      wall_offset = at.wall_cycles - Supply.now_cycles supply;
+      retired_offset = at.retired - Machine.instructions_retired machine;
+      active = at.active_cycles;
+      overhead = at.overhead_cycles;
+      reexecuted = at.reexecuted_instructions;
+      outages = at.outage_count;
+      checkpoints = at.checkpoint_count;
+      skimmed = at.skimmed;
+      first_skim_active = at.first_skim_active;
       observing = false;
       rejoined = None;
     }
@@ -525,7 +550,7 @@ let run ?(policy = Always_on) ?(engine = Block)
       loop ()
     end
     else begin
-      (match l.clank with Some (cfg, st) -> pre_step l cfg st | None -> ());
+      (match l.clank with Some st -> pre_step l st | None -> ());
       let fused =
         fuse
         && (match Machine.block_at machine (Machine.pc machine) with
@@ -548,38 +573,6 @@ let run ?(policy = Always_on) ?(engine = Block)
   in
   loop ();
   flush_pending l;
-  match l.rejoined with
-  | None ->
-      {
-        completed = Machine.halted machine;
-        skimmed = l.skimmed;
-        first_skim_active = l.first_skim_active;
-        wall_cycles = wall_elapsed l;
-        active_cycles = l.active;
-        overhead_cycles = l.overhead;
-        reexecuted_instructions = l.reexecuted;
-        outage_count = l.outages;
-        checkpoint_count = l.checkpoints;
-        retired = task_retired l;
-      }
-  | Some ff ->
-      (* The machine is left at the matched state, not at halt. *)
-      let at = ff.ff_at and fin = ff.ff_final in
-      {
-        completed = fin.completed;
-        skimmed = l.skimmed || (fin.skimmed && not at.rs_skimmed);
-        first_skim_active =
-          (match (l.first_skim_active, fin.first_skim_active, at.rs_first_skim_active) with
-          | (Some _ as s), _, _ -> s
-          | None, Some a, None -> Some (l.active + (a - at.rs_active))
-          | None, _, _ -> None);
-        wall_cycles = wall_elapsed l + (fin.wall_cycles - at.rs_wall);
-        active_cycles = l.active + (fin.active_cycles - at.rs_active);
-        overhead_cycles = l.overhead + (fin.overhead_cycles - at.rs_overhead);
-        reexecuted_instructions =
-          l.reexecuted + (fin.reexecuted_instructions - at.rs_reexecuted);
-        outage_count = l.outages + (fin.outage_count - at.rs_outages);
-        checkpoint_count =
-          l.checkpoints + (fin.checkpoint_count - at.rs_checkpoints);
-        retired = task_retired l + (fin.retired - at.rs_retired);
-      }
+  (* A rejoined run leaves the machine at the matched state, not at
+     halt. *)
+  match l.rejoined with Some o -> o | None -> outcome_of l

@@ -86,27 +86,16 @@ type event =
 
 type resume_state
 (** Executor-visible state at a clean instruction boundary of an
-    uninterrupted run: the policy, the loop's accumulated counters
-    (active, overhead and wall cycles, retired instructions, outage /
-    checkpoint counts, skim bookkeeping) plus, under [Clank], the
-    policy state — the last register-file checkpoint, the packed
-    read-first/written shadow map, the tracked-entry count and the
-    cycles and instructions since the checkpoint.  Taken with
-    {!capture}; immutable once captured, so one value can seed any
-    number of resumed runs from any number of domains (each
-    [run ~resume] deep-copies the mutable parts).  Pair it with the
-    {!Wn_machine.Machine.snapshot} taken at the same boundary to resume
-    execution as if the run had never stopped: the resumed run's
-    [outcome] is bit-identical to the from-scratch run's. *)
-
-type fast_forward = { ff_at : resume_state; ff_final : outcome }
-(** A rejoin certificate: the caller has observed that the machine's
-    architectural state bit-matches a boundary of a reference run whose
-    completion is already recorded.  Since the architectural state alone
-    determines all future execution once no cut is due, the rest of
-    this run is the rest of that one.  [ff_at] is the reference run's
-    [resume_state] at the matched boundary; [ff_final] its outcome at
-    halt. *)
+    uninterrupted run: the policy, under [Clank] its policy state — the
+    last register-file checkpoint, the packed read-first/written shadow
+    map, the tracked-entry count and the cycles and instructions since
+    the checkpoint — and the outcome the run would report had it ended
+    at that boundary.  Taken with {!capture}; immutable once captured,
+    so one value can seed any number of resumed runs from any number of
+    domains (each [run ~resume] deep-copies the mutable parts).  Pair it
+    with the {!Wn_machine.Machine.snapshot} taken at the same boundary
+    to resume execution as if the run had never stopped: the resumed
+    run's [outcome] is bit-identical to the from-scratch run's. *)
 
 type live
 (** The run in progress, handed to [on_step]. *)
@@ -117,19 +106,18 @@ val capture : live -> resume_state
     halted and power up — a supply the observer has just cut leaves no
     clean boundary until the outage is taken. *)
 
-val rejoin : live -> fast_forward -> unit
-(** End the run after this step, its outcome reconstructed as the live
-    counters plus the reference deltas [ff_final - ff_at].  The caller
-    must only certify a genuine bit-level architectural match
-    ({!Wn_machine.Machine.matches_state}) against the run [ff] came
-    from, with no cut due from there on — then the reconstruction is exact
-    for [completed], [skimmed], [outage_count] and [retired], while the
-    cycle-accounting fields ([wall], [active], [overhead],
-    [reexecuted], [checkpoint_count]) are exact relative to the
-    reference run's own policy phase (a Clank watchdog realigned by an
-    earlier outage may differ from a literal continuation).  The
-    machine is left at the matched state, not at halt.  Raises
-    [Invalid_argument] outside [on_step]. *)
+val rejoin : live -> at:resume_state -> final:outcome -> bool
+(** Try to end the run after this step as the rest of a reference run:
+    [at] is that run's {!capture} at a boundary whose machine state the
+    caller has found to bit-match this one
+    ({!Wn_machine.Machine.matches_state}), and [final] its outcome at
+    halt.  Refuses, returning [false], unless the policy and its Clank
+    state equal [at]'s as well.  Then, with no cut due from here on, the
+    rest of this run is the rest of that one, and its outcome is the
+    live outcome plus the reference run's progress from [at] to
+    [final], exact in every field.  The machine is left at the matched
+    state, not at halt.  Raises [Invalid_argument] outside
+    [on_step]. *)
 
 val run :
   ?policy:policy ->

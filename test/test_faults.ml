@@ -86,7 +86,7 @@ let test_profile_shapes () =
 let exhaustive_sweep name sc =
   let p = Faults.profile sc in
   let boundaries = Array.init (p.Faults.retired - 1) (fun i -> i + 1) in
-  let prefixes = Faults.prefix_digests sc ~boundaries in
+  let prefixes = (Faults.survey ~boundaries sc).Faults.sv_digests in
   let skims = ref 0 in
   Array.iteri
     (fun i boundary ->
@@ -245,24 +245,13 @@ let test_skim_reference_past_halt () =
 (* -------------------- keyframe resume identity --------------------- *)
 
 (* Every injected point resumed from a keyframe must agree with the
-   same point replayed from scratch on everything the oracle and the
-   report consume: boundary, captured restore state, final memory
-   digest, completion, skim verdict and outage count.  (The outcome's
-   cycle-accounting fields are reconstructed from the continuous run's
-   tail once the replay provably rejoins it, so they are deterministic
-   but not compared against scratch.)  Additionally the two engines
-   must agree bit-exactly with each other, keyframed or not.  Exercised
-   across policies (incl. a tight Clank watchdog, so resumes cross live
-   checkpoint/shadow state), builds and engines, at every boundary. *)
+   same point replayed from scratch in everything: boundary, captured
+   restore state, final memory digest and every outcome field.
+   Additionally the two engines must agree bit-exactly with each other,
+   keyframed or not.  Exercised across policies (incl. a tight Clank
+   watchdog, so resumes cross live checkpoint/shadow state), builds and
+   engines, at every boundary. *)
 let test_keyframe_point_identity () =
-  let report_view (r : Faults.point_result) =
-    ( r.Faults.boundary,
-      r.Faults.restore,
-      Digest.to_hex r.Faults.final_digest,
-      r.Faults.outcome.Executor.completed,
-      r.Faults.outcome.Executor.skimmed,
-      r.Faults.outcome.Executor.outage_count )
-  in
   List.iter
     (fun (pname, policy, program) ->
       let sc = scenario ~policy program in
@@ -276,7 +265,7 @@ let test_keyframe_point_identity () =
             (fun engine ->
               let scratch = Faults.run_point ~engine sc ~boundary in
               let resumed = Faults.run_point ~engine ~keyframes sc ~boundary in
-              if report_view scratch <> report_view resumed then
+              if scratch <> resumed then
                 Alcotest.failf "%s, boundary %d: keyframed point diverges" pname
                   boundary;
               (scratch, resumed))
@@ -307,7 +296,8 @@ let test_keyframe_point_identity () =
 (* [Faults.run_point ~keyframes] as a plain scan, from public calls
    only: restore the last frame before the boundary, cut there, and
    after the outage compare the machine against every frame, latest
-   first, with [Machine.matches_state]; the first match is the rejoin.
+   first, with [Machine.matches_state]; the first match that
+   [Executor.rejoin] accepts is the rejoin.
    The store's rejoin index may skip a candidate only when it cannot
    match, so both must give the same point, every outcome field
    included, and stop at the same retired count. *)
@@ -348,19 +338,13 @@ let scan_point ~keyframes ~machine sc ~boundary =
   let on_step live =
     if Machine.instructions_retired m = boundary then Wn_power.Supply.cut supply
     else if !restore <> None && not !skimmed then
-      match
-        List.find_opt
-          (fun kf -> Machine.matches_state m kf.Faults.kf_machine)
+      rejoined :=
+        List.exists
+          (fun kf ->
+            Machine.matches_state m kf.Faults.kf_machine
+            && Executor.rejoin live ~at:kf.Faults.kf_exec
+                 ~final:keyframes.Faults.kf_final)
           latest_first
-      with
-      | Some kf ->
-          rejoined := true;
-          Executor.rejoin live
-            {
-              Executor.ff_at = kf.Faults.kf_exec;
-              ff_final = keyframes.Faults.kf_final;
-            }
-      | None -> ()
   in
   let outcome =
     Executor.run ~policy:sc.Faults.policy ~on_event ~on_step ?resume ~machine:m
@@ -428,6 +412,54 @@ let test_exact_rejoin_matadd () =
       ("MatAdd/nvp", Wn_core.Intermittent.Nvp);
     ]
 
+(* A small read/write-set buffer makes overflow checkpoints frequent,
+   so a run that re-executes after an outage can reach a keyframe's
+   machine state with other tracking state than the continuous run had
+   there.  The rejoin must wait for the policy state to match as well:
+   a keyframed point equals the from-scratch point in every field.
+   MatAdd anytime@8 with a 4-entry buffer, at every 131st boundary, and
+   Home precise@8 with a 3-entry buffer and a 250-cycle watchdog, at
+   every 101st. *)
+let test_exact_rejoin_small_buffers () =
+  List.iter
+    (fun (name, skim, clank, stride) ->
+      let w = Wn_workloads.Suite.find Wn_workloads.Workload.Small name in
+      let sc =
+        {
+          (Inject.scenario ~config:{ Inject.default_config with Inject.skim } w) with
+          Faults.policy = Executor.Clank clank;
+        }
+      in
+      let retired = (Faults.profile sc).Faults.retired in
+      let keyframe_interval =
+        Faults.auto_keyframe_interval ~boundaries:(retired - 1)
+      in
+      let keyframes =
+        Option.get (Faults.survey ~keyframe_interval sc).Faults.sv_keyframes
+      in
+      let machine = sc.Faults.fresh () in
+      let differ = ref [] and points = ref 0 in
+      let boundary = ref 1 in
+      while !boundary < retired do
+        let scratch = Faults.run_point sc ~boundary:!boundary in
+        if scratch <> Faults.run_point ~keyframes ~machine sc ~boundary:!boundary
+        then differ := !boundary :: !differ;
+        incr points;
+        boundary := !boundary + stride
+      done;
+      match List.rev !differ with
+      | [] -> ()
+      | first :: _ ->
+          Alcotest.failf "%s: %d of %d keyframed points differ, first at %d" name
+            (List.length !differ) !points first)
+    [
+      ("MatAdd", true, { Executor.default_clank with buffer_entries = 4 }, 131);
+      ( "Home",
+        false,
+        { Executor.default_clank with buffer_entries = 3; watchdog_period = 250 },
+        101 );
+    ]
+
 (* A keyframed point pays for what it changes: on one scratch machine a
    Clank point of exhaustive MatAdd allocates about 500 major words (386
    of them the resumed tracking planes, 3,076 bytes), where one word per
@@ -467,7 +499,7 @@ let test_oracle_not_vacuous () =
   let sc = scenario (anytime_program ()) in
   let p = Faults.profile sc in
   let boundary = Option.get p.Faults.first_skim + 2 in
-  let prefixes = Faults.prefix_digests sc ~boundaries:[| boundary |] in
+  let prefixes = (Faults.survey ~boundaries:[| boundary |] sc).Faults.sv_digests in
   let result = Faults.run_point sc ~boundary in
   let bogus = Digest.string "not the prefix image" in
   (match
@@ -656,6 +688,8 @@ let () =
             test_exact_rejoin_small;
           Alcotest.test_case "exact rejoin (sampled MatAdd)" `Quick
             test_exact_rejoin_matadd;
+          Alcotest.test_case "exact rejoin (small buffers)" `Quick
+            test_exact_rejoin_small_buffers;
           Alcotest.test_case "major words per point" `Quick test_point_major_words;
         ] );
       ( "oracle",

@@ -205,7 +205,11 @@ let test_sema_rejections () =
   (* local shadows global *)
   expect_sema_error "uint16 a[4];\nkernel k() { int32 a = 0; }";
   (* if condition must be a comparison *)
-  expect_sema_error "kernel k() { int32 z = 1; if (z) { } }"
+  expect_sema_error "kernel k() { int32 z = 1; if (z) { } }";
+  (* constant index outside the array, written or read *)
+  expect_sema_error "uint32 x[4];\nkernel k() { x[4] = 1; }";
+  expect_sema_error "uint32 x[4];\nkernel k() { int32 z = x[-1]; }";
+  ignore (analyze "uint32 x[4];\nkernel k() { x[3] = x[0]; }")
 
 let test_sema_commit_sees_body_locals () =
   (* The accumulator declared in the anytime body is visible in commit. *)

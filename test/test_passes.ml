@@ -19,7 +19,7 @@ let optional_passes = [ "constfold"; "strength-reduce"; "licm"; "addr-cse" ]
 let run_once build inputs =
   let machine = Wn_core.Runner.machine build in
   Wn_core.Runner.load_sample build machine inputs;
-  let o = Wn_core.Runner.run_always_on build machine in
+  let o = Wn_core.Runner.run_always_on machine in
   (o, Wn_core.Runner.output build machine)
 
 (* ---------------- per-pass differential harness ----------------

@@ -527,6 +527,40 @@ let test_resume_rejects_other_policy () =
   Alcotest.(check bool) "same clank config resumes" true
     (resume_under tight from_tight).Executor.completed
 
+(* [rejoin] takes a capture only when the policy and its Clank state
+   equal the live run's.  A run's first capture is accepted at the same
+   boundary of an identical run, whose outcome is then the uninterrupted
+   run's; it is refused one step later (the since-checkpoint counters
+   have moved) and under another policy. *)
+let test_rejoin_compares_policy_state () =
+  let tight =
+    Executor.Clank { Executor.default_clank with watchdog_period = 50 }
+  in
+  let _, at = first_capture tight in
+  let final =
+    let machine, _ = fresh () in
+    Executor.run ~policy:tight ~machine ~supply:(Supply.always_on ()) ()
+  in
+  let attempt policy ~step =
+    let machine, _ = fresh () in
+    let verdict = ref None in
+    let o =
+      Executor.run ~policy
+        ~on_step:(fun live ->
+          if Machine.instructions_retired machine = step then
+            verdict := Some (Executor.rejoin live ~at ~final))
+        ~machine ~supply:(Supply.always_on ()) ()
+    in
+    (Option.get !verdict, o)
+  in
+  let accepted, o = attempt tight ~step:1 in
+  Alcotest.(check bool) "same state accepted" true accepted;
+  if o <> final then Alcotest.fail "rejoined outcome differs from the run's";
+  Alcotest.(check bool) "one step later refused" false
+    (fst (attempt tight ~step:2));
+  Alcotest.(check bool) "another policy refused" false
+    (fst (attempt (Executor.Nvp Executor.default_nvp) ~step:1))
+
 (* Clank's tracking planes pack four words per byte, so on a 260-byte
    memory (65 words) the map's last byte holds word 64 alone.  The task
    reads word 64, fully writes it (a WAR checkpoint first), reads it
@@ -627,6 +661,8 @@ let () =
             test_cut_on_checkpoint_rejected;
           Alcotest.test_case "resume rejects another policy" `Quick
             test_resume_rejects_other_policy;
+          Alcotest.test_case "rejoin compares the policy state" `Quick
+            test_rejoin_compares_policy_state;
           Alcotest.test_case "resume keeps the last packed byte" `Quick
             test_resume_last_packed_byte;
         ] );

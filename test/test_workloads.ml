@@ -10,7 +10,7 @@ let scale = Workload.Small
 let run_build b inputs =
   let machine = Wn_core.Runner.machine b in
   Wn_core.Runner.load_sample b machine inputs;
-  let o = Wn_core.Runner.run_always_on b machine in
+  let o = Wn_core.Runner.run_always_on machine in
   Alcotest.(check bool) "completed" true o.Wn_runtime.Executor.completed;
   (Wn_core.Runner.output b machine, o)
 
