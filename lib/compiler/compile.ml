@@ -216,7 +216,7 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
     | Codegen, Some _ | Asm _, None ->
         invalid_arg "Compile.pipeline: codegen must precede every asm pass"
   in
-  let asm, program, structural =
+  let asm, program, _ =
     Option.get (List.fold_left asm_pass None passes)
   in
   (match dump_after with
@@ -258,7 +258,10 @@ let compile ?(options = anytime) ?(strict = false) ?dump_after
   in
   (* Post-codegen self-check: the static verifier must accept its own
      output, forward progress included. *)
-  ignore (check "verify" ~input:structural (findings structural t));
+  ignore
+    (check "verify" ~input:[]
+       (List.sort Wn_analysis.Diag.compare
+          (Wn_analysis.Progress.diagnostics (verify t))));
   t
 
 let compile_source ?options ?strict ?dump_after src =

@@ -53,10 +53,10 @@ let row ~seed ~bits (w : Workload.t) =
       /. float_of_int anytime_retired_noopt;
   }
 
-(* The CI gate's scenario counter: the Var workload under the Clank
+(* The pinned scenario counter: the Var workload under the Clank
    runtime on an always-on supply — the same run the
    fig10:executor_clank_shadowmap microbenchmark times, counted in
-   retired instructions instead of nanoseconds so the gate is
+   retired instructions instead of nanoseconds so the count is
    deterministic across machines. *)
 let shadowmap_key = "fig10:executor_clank_shadowmap"
 
@@ -99,8 +99,8 @@ let pp ppf r =
     r.scenarios
 
 (* Flat machine-readable form: one counter per line, mirroring the
-   BENCH_machine.json shape; CI compares its [results] against the
-   [insn] section of BASELINE_work.json. *)
+   BENCH_machine.json shape; a runtest rule in test/dune compares its
+   [results] against the [insn] section of BASELINE_work.json. *)
 let json r =
   let counters =
     List.concat_map

@@ -4,8 +4,8 @@
     benchmark, for the precise baseline, the anytime build, and the
     anytime build with every optimizer pass disabled.  All counts are
     pure functions of (workload, seed, bits), so they are bit-identical
-    across machines — which is what lets CI gate on them, unlike the
-    wall-clock numbers in BENCH_machine.json. *)
+    across machines — which is what lets a runtest rule in test/dune
+    pin them, unlike the wall-clock numbers in BENCH_machine.json. *)
 
 open Wn_workloads
 
@@ -32,7 +32,7 @@ type report = {
 }
 
 val shadowmap_key : string
-(** ["fig10:executor_clank_shadowmap"] — the CI gate's scenario
+(** ["fig10:executor_clank_shadowmap"] — the pinned scenario
     counter: the Var\@8 anytime task under the Clank runtime on an
     always-on supply (the scenario the microbenchmark of the same name
     times), in retired instructions. *)
@@ -46,4 +46,5 @@ val json : report -> string
 (** Flat ["wn-insn/1"] object mirroring the BENCH_machine.json shape:
     one integer counter per benchmark/build pair plus the scenario
     counters.  Its [results] must equal the [insn] section of the
-    committed BASELINE_work.json key for key (a CI gate). *)
+    committed BASELINE_work.json key for key (a runtest rule in
+    test/dune). *)
