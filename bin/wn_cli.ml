@@ -73,6 +73,22 @@ let require_non_negative name v =
   if v >= 0 then Ok v
   else Error (`Msg (Printf.sprintf "--%s must be >= 0 (got %d)" name v))
 
+(* A capacitor of [cap_uf] microfarads: [Capacitor.create] also rejects
+   one whose full charge the integer energy accounting cannot hold. *)
+let capacitor_of_uf ?v_on ?v_off ?v_max cap_uf =
+  if not (cap_uf > 0.0) then Error (`Msg "--cap must be positive")
+  else
+    match
+      Wn_power.Capacitor.create ~capacitance:(cap_uf *. 1e-6) ?v_on ?v_off
+        ?v_max ()
+    with
+    | c -> Ok c
+    | exception Invalid_argument _ ->
+        Error
+          (`Msg
+             "capacitor out of range: its full charge must stay below 2^60 \
+              fJ (about 1.15 kJ)")
+
 let ( let* ) = Result.bind
 
 let find_bench scale name =
@@ -568,9 +584,7 @@ let fleet_cmd =
       if sketch >= 8 then Ok ()
       else Error (`Msg (Printf.sprintf "--sketch-capacity must be >= 8 (got %d)" sketch))
     in
-    let* () =
-      if cap_uf > 0.0 then Ok () else Error (`Msg "--cap must be positive")
-    in
+    let* _ = capacitor_of_uf cap_uf in
     let* trace_class =
       match Wn_fleet.Fleet.trace_class_of_string trace_name with
       | Some t -> Ok t
@@ -753,12 +767,11 @@ let verify_cmd =
   let run bench scale bits precise system cap_uf v_on v_off watchdog json =
     let* watchdog = require_positive "watchdog" watchdog in
     let* () =
-      if cap_uf > 0.0 then Ok ()
-      else Error (`Msg "--cap must be positive")
-    in
-    let* () =
       if 0.0 < v_off && v_off < v_on then Ok ()
       else Error (`Msg "need 0 < --v-off < --v-on")
+    in
+    let* capacitor =
+      capacitor_of_uf ~v_on ~v_off ~v_max:(Float.max v_on 2.5) cap_uf
     in
     match build_compiled bench scale bits precise with
     | Error e -> Error e
@@ -770,11 +783,7 @@ let verify_cmd =
           | `Nvp -> Wn_analysis.Progress.nvp ()
           | `Skim -> Wn_analysis.Progress.skim_only ()
         in
-        let budget =
-          Wn_power.Capacitor.restart_budget
-            (Wn_power.Capacitor.create ~capacitance:(cap_uf *. 1e-6) ~v_on
-               ~v_off ~v_max:(Float.max v_on 2.5) ())
-        in
+        let budget = Wn_power.Capacitor.restart_budget capacitor in
         let report = Wn_compiler.Compile.verify ~runtime ~budget compiled in
         let diags = Wn_analysis.Progress.diagnostics report in
         if json then

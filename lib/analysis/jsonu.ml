@@ -75,6 +75,9 @@ let of_bound (b : Progress.bound) =
   | Progress.Unbounded { binding_loop } ->
       obj [ ("bounded", bool false); ("binding_loop_pc", int binding_loop) ]
 
+(* The verifier's femtojoules, reported in joules. *)
+let joules fj = float (Wn_power.Capacitor.joules fj)
+
 let of_region (r : Progress.region) =
   obj
     [
@@ -85,7 +88,7 @@ let of_region (r : Progress.region) =
       ("instructions", int r.rg_size);
       ("raw_wcec", of_bound r.rg_raw);
       ("per_charge", of_bound r.rg_capped);
-      ("energy_joules", opt float r.rg_energy);
+      ("energy_joules", opt joules r.rg_energy);
       ("dominant_loop_pc", opt int r.rg_heavy_loop);
     ]
 
@@ -93,7 +96,7 @@ let of_progress (rp : Progress.report) =
   obj
     [
       ("runtime", str rp.rp_runtime.rt_name);
-      ("budget_joules", float rp.rp_budget);
+      ("budget_joules", joules rp.rp_budget);
       ("cycle_energy_joules", float rp.rp_cycle_energy);
       ("max_instruction_cycles", int rp.rp_max_instr);
       ("whole_program_wcec", of_bound rp.rp_total);

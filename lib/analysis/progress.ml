@@ -245,13 +245,13 @@ type region = {
   rg_size : int;
   rg_raw : bound;
   rg_capped : bound;
-  rg_energy : float option;
+  rg_energy : int option;
   rg_heavy_loop : int option;
 }
 
 type report = {
   rp_runtime : runtime;
-  rp_budget : float;
+  rp_budget : int;
   rp_cycle_energy : float;
   rp_max_instr : int;
   rp_total : bound;
@@ -485,7 +485,7 @@ let max_region_cycles report =
       | Finite a, Finite b -> Finite (max a b))
     (Finite 0) report.rp_regions
 
-let uj j = j *. 1e6
+let uj fj = Wn_power.Capacitor.joules fj *. 1e6
 
 let diagnostics report =
   List.concat_map

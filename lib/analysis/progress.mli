@@ -63,13 +63,15 @@ type region = {
   rg_size : int;  (** number of instructions in the region *)
   rg_raw : bound;  (** static WCEC of the region, cycles *)
   rg_capped : bound;  (** per-charge bound under the runtime model *)
-  rg_energy : float option;  (** joules of [rg_capped] when finite *)
+  rg_energy : int option;
+      (** femtojoules of [rg_capped] when finite
+          ({!Energy.energy_of_cycles}) *)
   rg_heavy_loop : int option;  (** header pc of the dominant loop *)
 }
 
 type report = {
   rp_runtime : runtime;
-  rp_budget : float;  (** usable capacitor energy, joules *)
+  rp_budget : int;  (** usable capacitor energy, femtojoules *)
   rp_cycle_energy : float;  (** joules per cycle *)
   rp_max_instr : int;  (** worst single-instruction latency *)
   rp_total : bound;  (** whole-program WCEC from the task entry *)
@@ -79,7 +81,7 @@ type report = {
 }
 
 val analyze :
-  ?runtime:runtime -> ?budget:float -> ?cycle_energy:float -> Cfg.t -> report
+  ?runtime:runtime -> ?budget:int -> ?cycle_energy:float -> Cfg.t -> report
 (** Defaults: {!clank}[ ()], {!Energy.default_restart_budget},
     {!Energy.default_cycle_energy}. *)
 
@@ -92,7 +94,7 @@ val diagnostics : report -> Diag.t list
 
 val check :
   ?runtime:runtime ->
-  ?budget:float ->
+  ?budget:int ->
   ?cycle_energy:float ->
   Cfg.t ->
   Diag.t list

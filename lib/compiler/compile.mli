@@ -112,7 +112,7 @@ val lint : t -> Wn_analysis.Diag.t list
 
 val verify :
   ?runtime:Wn_analysis.Progress.runtime ->
-  ?budget:float ->
+  ?budget:int ->
   ?cycle_energy:float ->
   t ->
   Wn_analysis.Progress.report

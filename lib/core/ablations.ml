@@ -68,7 +68,8 @@ type energy_point = {
 
 let burst_cycles_of cycle_energy =
   int_of_float
-    (Wn_power.Capacitor.burst_budget (Wn_power.Capacitor.create ())
+    (Wn_power.Capacitor.joules
+       (Wn_power.Capacitor.burst_budget (Wn_power.Capacitor.create ()))
     /. cycle_energy)
 
 let energy_sweep ?(jobs = 1) ?(energies = [ 0.5e-9; 1.0e-9; 2.0e-9 ])

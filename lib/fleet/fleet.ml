@@ -70,7 +70,10 @@ let validate d =
   if d.batch < 0 then invalid_arg "Fleet: batch must be >= 0";
   if d.sketch_capacity < 8 then
     invalid_arg "Fleet: sketch_capacity must be >= 8";
-  if d.capacitance <= 0.0 then invalid_arg "Fleet: capacitance must be > 0";
+  (match Wn_power.Capacitor.create ~capacitance:d.capacitance () with
+  | _ -> ()
+  | exception Invalid_argument _ ->
+      invalid_arg "Fleet: capacitance out of range");
   if d.benchmarks = [] || d.systems = [] || d.bits_list = [] then
     invalid_arg "Fleet: empty configuration axis"
 

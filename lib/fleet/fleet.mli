@@ -82,7 +82,8 @@ type report = {
 val run : ?jobs:int -> descriptor -> report
 (** Simulate the fleet.  Raises [Invalid_argument] on a malformed
     descriptor ([devices]/[samples_per_device]/[sketch_capacity] out of
-    range, empty configuration lists) and [Not_found] on an unknown
+    range, a [capacitance] {!Wn_power.Capacitor.create} rejects, empty
+    configuration lists) and [Not_found] on an unknown
     benchmark name — the CLI validates first.  The report is
     byte-identical under {!pp}/{!to_json} for every [jobs] >= 1. *)
 

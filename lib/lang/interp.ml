@@ -90,6 +90,11 @@ let rec eval env e =
   | Sub_load _ | Mul_asp _ | Asv_op _ | Sqrt_asp _ | Raw_off _ ->
       err "internal expression form in the reference interpreter"
 
+let constant e =
+  match eval { globals = Hashtbl.create 1; locals = [] } e with
+  | v -> Some (s32 v)
+  | exception Error _ -> None
+
 let loop_guard = 100_000_000
 
 let rec exec env stmt =

@@ -24,6 +24,11 @@ val set_array : env -> string -> int array -> unit
 (** Load an input array (element bit patterns).  Raises {!Error} on
     unknown names or length mismatch. *)
 
+val constant : Ast.expr -> int option
+(** The value of an expression with no variable and no array load,
+    under the same 32-bit semantics, read as a signed 32-bit index the
+    way an array access reads one; [None] if it has either. *)
+
 val run : env -> Ast.program -> unit
 (** Execute the kernel body.  Raises {!Error} on dynamic errors and
     [Failure] if a loop exceeds a large iteration guard. *)

@@ -68,16 +68,14 @@ let check_pragmas pragmas globals =
    1-element arrays). *)
 type scope = { globals : (string, Ast.global) Hashtbl.t; mutable locals : string list }
 
-(* An indexed array must be declared, and a constant index must lie
-   inside it. *)
+(* An indexed array must be declared, and a constant index — any index
+   expression without a variable or a load, folded with the language's
+   32-bit semantics — must lie inside it. *)
 let check_index sc a idx =
   match Hashtbl.find_opt sc.globals a with
   | None -> err "undeclared array %S" a
   | Some g -> (
-      let constant =
-        match idx with Int n -> Some n | Neg (Int n) -> Some (-n) | _ -> None
-      in
-      match constant with
+      match Interp.constant idx with
       | Some n when n < 0 || n >= g.g_count ->
           err "%s[%d] out of bounds (count %d)" a n g.g_count
       | _ -> ())

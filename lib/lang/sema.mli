@@ -21,6 +21,9 @@ val analyze : Ast.program -> info
 (** Validates the program and returns its annotation summary.
     Raises {!Error} on:
     - duplicate or unknown names, use of an array without an index;
+    - an index outside its array that is a constant: any index
+      expression without a variable or a load, folded with the
+      language's 32-bit semantics ({!Interp.constant});
     - locals that shadow globals, use of undeclared variables;
     - comparison operators outside [if] conditions, non-constant shift
       amounts;

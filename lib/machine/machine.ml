@@ -68,7 +68,6 @@ and fused = {
   b_len : int;
   b_cycles : int;  (* total latency, exact *)
   b_pre_cycles : int;  (* cycles before the last instruction *)
-  b_costs : int array;  (* [cost] over the run, in order *)
   b_load_pcs : int array;  (* pcs of the run's loads, in order *)
   b_last_is_load : bool;
 }
@@ -419,8 +418,7 @@ let build_blocks t =
     (fun (r : Wn_analysis.Fuse.run) ->
       let first = r.Wn_analysis.Fuse.r_first and len = r.Wn_analysis.Fuse.r_len in
       let last = first + len - 1 in
-      let costs = Array.sub t.cost first len in
-      let cycles = Array.fold_left ( + ) 0 costs in
+      let cycles = Array.fold_left ( + ) 0 (Array.sub t.cost first len) in
       let load_pcs =
         List.init len (( + ) first)
         |> List.filter (fun pc -> Instr.reads_memory t.program.(pc))
@@ -433,7 +431,6 @@ let build_blocks t =
             b_len = len;
             b_cycles = cycles;
             b_pre_cycles = cycles - t.cost.(last);
-            b_costs = costs;
             b_load_pcs = load_pcs;
             b_last_is_load = Instr.reads_memory t.program.(last);
           })
@@ -450,7 +447,6 @@ let block_at t pc =
 let block_len b = b.b_len
 let block_cycles b = b.b_cycles
 let block_pre_cycles b = b.b_pre_cycles
-let block_costs b = b.b_costs
 let block_loads b = Array.length b.b_load_pcs
 let block_read_addr t b i = t.load_addr.(b.b_load_pcs.(i))
 

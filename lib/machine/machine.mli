@@ -129,8 +129,9 @@ val last_was_skm : t -> bool
     Runs never contain a store or a skim latch, so a power failure at
     the run boundary tears nothing a mid-run failure wouldn't; the
     per-instruction effects an intermittency runtime must still observe
-    are exposed statically ({!block_costs}) or read back after the run
-    ({!block_read_addr}: the effective address of each load). *)
+    are exposed statically ({!block_cycles}, {!block_loads}) or read
+    back after the run ({!block_read_addr}: the effective address of
+    each load). *)
 
 type fused
 
@@ -144,19 +145,16 @@ val block_at : t -> int -> fused option
 val block_len : fused -> int
 
 val block_cycles : fused -> int
-(** Total latency of the run — the sum of {!block_costs}, which equals
-    the sum of {!worst_case_cycles} over its pc range because fusible
-    instructions have static latency.  This is the run's worst-case
-    energy in cycles, the quantity the executor's entry guard prices
-    against the capacitor. *)
+(** Total latency of the run — the sum of its instructions' latencies
+    ([Instr.cycles ~taken:false]), which equals the sum of
+    {!worst_case_cycles} over its pc range because fusible instructions
+    have static latency.  This is the run's energy in cycles: the
+    executor's entry guard prices it against the capacitor and charges
+    it in one supply call. *)
 
 val block_pre_cycles : fused -> int
 (** [block_cycles] minus the last instruction's latency: the watchdog
     slack needed so no interior boundary can trip a Clank checkpoint. *)
-
-val block_costs : fused -> int array
-(** Per-instruction latency ([Instr.cycles ~taken:false]), in order.
-    Shared, do not mutate. *)
 
 val block_loads : fused -> int
 

@@ -4,14 +4,18 @@
     device turns on once the capacitor charges to [v_on] and browns out
     when it sags to [v_off]; stored energy is E = ½CV².
 
-    The on/off latch compares stored energy with two exact thresholds
-    fixed at {!create}: for each of [v_off] and [v_on], the least float
-    energy [s] whose {!voltage}, [sqrt (2s / C)] as rounded, reaches it.
-    The voltage is monotone in [s], so [voltage < v] holds exactly when
-    [s] is below that float, and the latch takes every transition the
-    square-root comparison would, bit for bit, without a square root.
-    The threshold is not [½Cv²] rounded: at the defaults that lands 2
-    ulps above the exact turn-on energy. *)
+    Energy is an integer count of femtojoules (fJ): a full 10 µF charge
+    at 2.5 V is 3.125e10 fJ and 1 nJ is 10^6 fJ.  Integer harvest and
+    drain reassociate, so charging a span in one call or in pieces
+    leaves the same energy whenever no clamp intervenes (see
+    {!in_band}).
+
+    Three levels are fixed at {!create}, each the least stored energy
+    whose {!voltage} reaches a voltage: [v_off] (the brown-out
+    threshold, {!off_below}), [v_on] (the turn-on threshold,
+    {!on_from}) and [v_max] (the regulator clamp, {!full}).  The
+    voltage is monotone in stored energy, so the latch takes every
+    transition a square-root comparison would, without a square root. *)
 
 type t
 
@@ -23,60 +27,69 @@ val create :
   unit ->
   t
 (** Defaults: 10 µF, turn-on 2.3 V, brown-out 1.8 V, regulator clamp
-    2.5 V.  Starts fully charged (at [v_max]).  Raises
-    [Invalid_argument] unless [capacitance > 0],
-    [0 < v_off < v_on <= v_max] and the full charge [½C v_max²] is
-    finite, so NaN and infinities are rejected. *)
+    2.5 V.  Starts fully charged.  Raises [Invalid_argument] unless
+    [capacitance > 0], [0 < v_off < v_on <= v_max] and the full charge
+    [½C v_max²] is below 2^60 fJ (about 1.15 kJ, or 369 F at 2.5 V):
+    NaN and infinities are rejected, and no sum of two charges can
+    overflow. *)
+
+val femtojoules : float -> int
+(** Joules to the nearest femtojoule, for a non-negative amount;
+    saturates at [max_int]. *)
+
+val joules : int -> float
+(** Femtojoules to joules, for reports. *)
 
 val voltage : t -> float
-(** [sqrt (2E / C)]: for reports and tests; the latch never takes a
-    square root. *)
+(** [sqrt (2E / C)]: for reports, tests and fixing the levels; the
+    latch never takes a square root. *)
 
-val energy : t -> float
+val energy : t -> int
+(** Stored energy, fJ. *)
 
-val usable_energy : t -> float
-(** Energy available before brown-out: ½C(V² - v_off²), floored at 0. *)
+val full : t -> int
+(** Full charge, fJ: the least energy whose voltage reaches [v_max]. *)
 
-val burst_budget : t -> float
-(** Energy of one full on-period, ½C(v_max² - v_off²) — the "few
+val off_below : t -> int
+(** Brown-out threshold, fJ: the least energy whose voltage reaches
+    [v_off]; an on latch turns off below it. *)
+
+val on_from : t -> int
+(** Turn-on threshold, fJ: the least energy whose voltage reaches
+    [v_on]; an off latch turns on from it. *)
+
+val burst_budget : t -> int
+(** Energy of one full on-period, [full - off_below] — the "few
     milliseconds at a time" budget. *)
 
-val restart_budget : t -> float
+val restart_budget : t -> int
 (** Energy guaranteed between turning on and browning out with zero
-    harvest, ½C(v_on² - v_off²).  After an outage the device restarts
-    at exactly [v_on], so this is the budget every
+    harvest, [on_from - off_below].  After an outage the device
+    restarts at exactly [on_from], so this is the budget every
     checkpoint-to-checkpoint region must fit in for forward progress —
     the bound the static WCEC verifier checks against. *)
 
 val is_on : t -> bool
 (** True while the capacitor can power the core.  Hysteresis: becomes
-    true when the voltage reaches [v_on], false when it sags below
-    [v_off]. *)
+    true when stored energy reaches {!on_from}, false when it sags below
+    {!off_below}. *)
 
-val drain : t -> float -> unit
-(** Remove joules (floored at zero energy).  May switch [is_on] off.
-    Raises [Invalid_argument] on a negative amount or NaN. *)
+val charge : t -> harvest:int -> drain:int -> bool
+(** One span of core time: add [harvest] fJ, clamped at {!full}, then
+    remove [drain] fJ, floored at zero, updating the latch after each,
+    and return {!is_on}.  Amounts below 2^60 never overflow; any amount
+    past a full charge acts as a full charge plus one.  Allocates
+    nothing.  Raises [Invalid_argument] on a negative amount. *)
 
-val harvest : t -> float -> unit
-(** Add joules, clamped at [v_max].  May switch [is_on] on.  Raises
-    [Invalid_argument] on a negative amount or NaN. *)
-
-val run :
-  t -> power:float -> clock_hz:float -> cycle_energy:float -> cycles:int -> bool
-(** [run t ~power ~clock_hz ~cycle_energy ~cycles] is
-    [harvest t (power *. (float cycles /. clock_hz))] followed by
-    [drain t (float cycles *. cycle_energy)], bit for bit, then
-    [is_on t]: [cycles] core cycles at [clock_hz] on [power] watts of
-    harvest.  It allocates nothing: the arithmetic stays in unboxed
-    locals and the float arguments are passed through as the caller
-    holds them, which is why a within-tick [Supply.consume] allocates
-    nothing either. *)
-
-val affords : t -> cycle_energy:float -> cycles:int -> bool
-(** [usable_energy t >= float cycles *. cycle_energy], without
-    allocating. *)
+val in_band : t -> harvest:int -> drain:int -> bool
+(** True when the latch is on, [energy + harvest <= full] and
+    [energy - drain >= off_below].  Then one {!charge} of these totals
+    and any sequence of charges whose harvests and drains sum to them
+    leave the same energy, with no clamp and the latch on throughout.
+    Allocates nothing. *)
 
 val set_empty : t -> unit
-(** Discharge to [v_off] (device just browned out). *)
+(** Discharge to {!off_below} with the latch off (device just browned
+    out). *)
 
 val set_full : t -> unit

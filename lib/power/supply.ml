@@ -1,25 +1,26 @@
 type t = {
   clock_hz : float;
   cycle_energy : float;
+  drain_rate : int; (* [cycle_energy] in fJ, at most one full charge *)
   trace : Trace.t;
   capacitor : Capacitor.t;
+  saturated : int; (* one past the capacitor's full charge *)
   infinite : bool;
   per_tick : int; (* simulation cycles per trace tick, hoisted from the
                      per-call float round the seed paid *)
   mutable cycles : int;
   mutable outage_count : int;
-  (* Core-drain accounting in integer cycles, not accumulated floats:
-     [energy_consumed] is one multiply at read time, so a batched
-     multi-instruction consume reports exactly the same energy as the
-     per-instruction call sequence (no float summation-order drift). *)
+  (* Core-drain accounting in integer cycles: [energy_consumed] is one
+     multiply at read time, so a batched multi-instruction consume
+     reports exactly the same energy as the per-instruction call
+     sequence. *)
   mutable consumed_cycles : int;
-  (* Cached harvest segment: for cycle positions in
-     [tick_base, tick_end) the trace delivers [tick_power] watts.
-     Within-segment [consume] is then a multiply-add; the piecewise
-     integration only runs when an instruction spans a tick boundary. *)
-  mutable tick_base : int;
+  (* Cached harvest segment: up to [tick_end], the end of the tick
+     containing the clock, the trace delivers [tick_rate] fJ per cycle.
+     Within-tick [consume] is then one multiply; the piecewise
+     integration only runs when a span crosses a tick boundary. *)
   mutable tick_end : int;
-  mutable tick_power : float;
+  mutable tick_rate : int;
   (* Forced outages (fault injection): [cut] latches [forced_off] on an
      infinite supply, regardless of the clock, and [wait_for_power]
      restores power after a fixed off-period. *)
@@ -34,12 +35,32 @@ let default_cycle_energy = 1.0e-9
 let compute_per_tick clock_hz =
   int_of_float (Float.round (clock_hz *. Trace.sample_period_s))
 
+(* A per-cycle energy in fJ, rounded once, saturated at one full charge
+   per cycle: any larger rate clamps every span the same way. *)
+let per_cycle capacitor joules =
+  Int.min (Capacitor.femtojoules joules) (Capacitor.full capacitor)
+
+let harvest_rate t tick =
+  per_cycle t.capacitor (Trace.power_at_tick t.trace tick /. t.clock_hz)
+
+(* [rate] fJ per cycle over [cycles] cycles, saturated at one past a
+   full charge, where every larger amount clamps the same way; it never
+   overflows.  Below 2^30 each the product fits in 60 bits; otherwise a
+   quotient decides whether it stays below the limit. *)
+let over t ~rate ~cycles =
+  let limit = t.saturated in
+  if rate lor cycles < 1 lsl 30 || rate = 0 || cycles <= limit / rate then begin
+    let e = rate * cycles in
+    if e < limit then e else limit
+  end
+  else limit
+[@@inline]
+
 (* Re-anchor the cached segment on the tick containing [t.cycles]. *)
 let refresh_tick_cache t =
   let tick = t.cycles / t.per_tick in
-  t.tick_base <- tick * t.per_tick;
-  t.tick_end <- t.tick_base + t.per_tick;
-  t.tick_power <- Trace.power_at_tick t.trace tick
+  t.tick_end <- (tick + 1) * t.per_tick;
+  t.tick_rate <- harvest_rate t tick
 
 (* The one record literal: every constructor below differs only in
    these arguments. *)
@@ -48,16 +69,17 @@ let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~off_cycles =
     {
       clock_hz;
       cycle_energy;
+      drain_rate = per_cycle capacitor cycle_energy;
       trace;
       capacitor;
+      saturated = Capacitor.full capacitor + 1;
       infinite;
       per_tick = compute_per_tick clock_hz;
       cycles = 0;
       outage_count = 0;
       consumed_cycles = 0;
-      tick_base = 0;
       tick_end = 0;
-      tick_power = 0.0;
+      tick_rate = 0;
       forced_off = false;
       off_cycles;
     }
@@ -83,7 +105,7 @@ let default_off_cycles = 24_000
    share this trace ([Trace.t] is immutable) and this capacitor (never
    written through an infinite supply, and not reachable from outside),
    so building a supply per injected point allocates no 1,000-sample
-   trace and bisects no thresholds. *)
+   trace and builds no capacitor. *)
 let infinite_trace = Trace.constant ~power:1.0 ~duration_s:1.0
 
 let infinite_capacitor = Capacitor.create ()
@@ -113,50 +135,50 @@ let cut t =
     t.outage_count <- t.outage_count + 1
   end
 
-(* Harvest inflow over [start, start + cycles) cycles, integrated
-   piecewise across trace-tick boundaries: a multi-cycle instruction
-   (the 16-cycle MUL) that spans a burst edge must credit each segment
-   at that segment's power, not the whole instruction at the starting
-   tick's power.  Left-to-right summation, like each call to this
-   function always performed. *)
+(* Harvest inflow over [start, finish), integrated piecewise across
+   trace-tick boundaries: a multi-cycle instruction (the 16-cycle MUL)
+   that spans a burst edge must credit each segment at that segment's
+   rate, not the whole instruction at the starting tick's.  Integer
+   sums split exactly at any boundary, so the total is the sum of any
+   partition's totals; it saturates one past a full charge, like each
+   segment's. *)
 let harvest_spanning t ~start ~finish =
-  let per_tick = t.per_tick in
   let pos = ref start in
-  let acc = ref 0.0 in
+  let acc = ref 0 in
   while !pos < finish do
-    let tick = !pos / per_tick in
-    let seg_end = min finish ((tick + 1) * per_tick) in
-    let seg = seg_end - !pos in
-    acc :=
-      !acc
-      +. Trace.power_at_tick t.trace tick *. (float_of_int seg /. t.clock_hz);
+    let tick = !pos / t.per_tick in
+    let seg_end = Int.min finish ((tick + 1) * t.per_tick) in
+    let seg = over t ~rate:(harvest_rate t tick) ~cycles:(seg_end - !pos) in
+    acc := Int.min t.saturated (!acc + seg);
     pos := seg_end
   done;
   !acc
 
+(* Harvest over the next [cycles] cycles from the clock.  On a
+   capacitor-backed supply every call that moves the clock re-anchors
+   the cache once the clock leaves its tick, so a span that ends inside
+   that tick takes one multiply. *)
+let harvest_ahead t ~cycles =
+  let finish = t.cycles + cycles in
+  if finish <= t.tick_end then
+    over t ~rate:t.tick_rate ~cycles
+  else harvest_spanning t ~start:t.cycles ~finish
+[@@inline]
+
 let consume t ~cycles =
   if cycles < 0 then invalid_arg "Supply.consume";
-  let start = t.cycles in
-  let finish = start + cycles in
-  t.cycles <- finish;
   t.consumed_cycles <- t.consumed_cycles + cycles;
-  if t.infinite then not t.forced_off
+  if t.infinite then begin
+    t.cycles <- t.cycles + cycles;
+    not t.forced_off
+  end
   else begin
+    let harvest = harvest_ahead t ~cycles in
+    t.cycles <- t.cycles + cycles;
+    if t.cycles >= t.tick_end then refresh_tick_cache t;
     let on =
-      if start >= t.tick_base && finish <= t.tick_end then
-        (* Whole burst inside the cached tick: one multiply-add of
-           harvest, bit-identical to the one-segment integration
-           (0.0 +. x = x), passed as the supply's own fields so that
-           nothing is boxed. *)
-        Capacitor.run t.capacitor ~power:t.tick_power ~clock_hz:t.clock_hz
-          ~cycle_energy:t.cycle_energy ~cycles
-      else begin
-        let inflow = harvest_spanning t ~start ~finish in
-        refresh_tick_cache t;
-        Capacitor.harvest t.capacitor inflow;
-        Capacitor.drain t.capacitor (float_of_int cycles *. t.cycle_energy);
-        Capacitor.is_on t.capacitor
-      end
+      Capacitor.charge t.capacitor ~harvest
+        ~drain:(over t ~rate:t.drain_rate ~cycles)
     in
     if not on then t.outage_count <- t.outage_count + 1;
     on
@@ -186,17 +208,15 @@ let wait_for_power t =
       else begin
         (* Integrate only to the next tick boundary: an outage that
            begins mid-tick charges for the remaining fraction of that
-           tick at that tick's power, keeping the clock aligned to the
-           trace instead of drifting by the mid-tick offset. *)
+           tick at that tick's rate, keeping the clock aligned to the
+           trace instead of drifting by the mid-tick offset.  The core
+           is off and draws nothing. *)
         let tick = t.cycles / t.per_tick in
         let boundary = (tick + 1) * t.per_tick in
-        let seg = boundary - t.cycles in
-        (* The core is off and draws nothing: the capacitor runs
-           through the segment at zero cycle energy. *)
-        ignore
-          (Capacitor.run t.capacitor
-             ~power:(Trace.power_at_tick t.trace tick)
-             ~clock_hz:t.clock_hz ~cycle_energy:0.0 ~cycles:seg);
+        let harvest =
+          over t ~rate:(harvest_rate t tick) ~cycles:(boundary - t.cycles)
+        in
+        ignore (Capacitor.charge t.capacitor ~harvest ~drain:0);
         t.cycles <- boundary;
         charge ()
       end
@@ -210,14 +230,14 @@ let energy_consumed t = float_of_int t.consumed_cycles *. t.cycle_energy
 
 let never_cuts t = t.infinite
 
-(* Margin covering the float rounding gap between one batched drain and
-   the per-instruction drain sequence the guard stands in for: the
-   sequence's total rounding error is at most one ulp per instruction,
-   so sixteen whole cycles of headroom dwarfs it for any real block. *)
-let assured_margin_cycles = 16
-
+(* Exact: the guard refuses every span whose harvest could take the
+   capacitor past full charge or whose drain could take it below
+   brown-out, and within those bounds integer harvest and drain
+   reassociate, so one [consume] of [cycles] equals any split of them
+   into consecutive consumes — energy, latch, clock and outage count
+   alike. *)
 let assured t ~cycles =
   (not t.forced_off)
   && (t.infinite
-     || Capacitor.affords t.capacitor ~cycle_energy:t.cycle_energy
-          ~cycles:(cycles + assured_margin_cycles))
+     || Capacitor.in_band t.capacitor ~harvest:(harvest_ahead t ~cycles)
+          ~drain:(over t ~rate:t.drain_rate ~cycles))

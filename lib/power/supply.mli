@@ -8,7 +8,15 @@
     expensive, see DESIGN.md) and simultaneously integrates harvested
     energy.  When the capacitor sags below brown-out the core loses
     power; [wait_for_power] advances the clock until the turn-on
-    threshold is reached again. *)
+    threshold is reached again.
+
+    Both flows are integers in the capacitor's femtojoules (see
+    {!Capacitor}): the cycle energy is rounded once to fJ per cycle at
+    {!create}, and each trace tick's power to a harvest rate in fJ per
+    cycle, rounded once when the supply reaches the tick; both saturate
+    at one full charge per cycle.  Harvest over a span is the sum of
+    rate × overlap over the ticks it touches, which splits exactly at
+    any boundary. *)
 
 type t
 
@@ -57,15 +65,14 @@ val now_s : t -> float
 val is_on : t -> bool
 
 val consume : t -> cycles:int -> bool
-(** Run the core for [cycles] cycles: advances the clock, drains the
-    capacitor, integrates harvest.  Inflow is integrated piecewise
-    across trace-tick boundaries, so a multi-cycle instruction that
-    spans a burst edge credits each segment at that segment's power.
-    Returns [false] if the supply browned out (the core lost power at
-    the end of those cycles).  A consume that stays inside the cached
-    trace tick, nearly every per-instruction call, allocates nothing
-    ([Capacitor.run]); the latch decides on/off from exact energy
-    thresholds, with no square root (see {!Capacitor}). *)
+(** Run the core for [cycles] cycles: advances the clock and charges
+    the capacitor with the span's harvest and drain
+    ({!Capacitor.charge}).  Inflow is integrated piecewise across
+    trace-tick boundaries, so a multi-cycle instruction that spans a
+    burst edge credits each segment at that segment's rate.  Returns
+    [false] if the supply browned out (the core lost power at the end
+    of those cycles).  Allocates nothing; a span inside the current
+    trace tick, nearly every call, costs one multiply per flow. *)
 
 val wait_for_power : t -> int
 (** Block (advance the clock) until the capacitor recharges to turn-on;
@@ -85,13 +92,16 @@ val never_cuts : t -> bool
     out as if they had been flushed before it. *)
 
 val assured : t -> cycles:int -> bool
-(** Conservative guard: is the supply guaranteed to stay on through
-    [cycles] more consumed cycles (not cut, and — for a capacitor —
-    usable charge covering the drain with a 16-cycle margin for float
-    rounding, before counting any harvest inflow)?  A [false] answer
-    does not mean power will die, only that it cannot be promised;
-    harvest income during the window is ignored, which is sound because
-    it only adds.  Allocates nothing. *)
+(** Exact batching guard: may the next [cycles] cycles be charged by one
+    {!consume}, whatever their split into instructions?  True when the
+    supply is on and not cut and — for a capacitor — the span's drain
+    cannot take stored energy below the brown-out threshold (ignoring
+    harvest) and its harvest cannot take it past full charge (ignoring
+    drain; see {!Capacitor.in_band}).  Then one [consume ~cycles] leaves the same
+    energy, clock, latch and outage count as any sequence of consumes
+    summing to [cycles], bit for bit, and power stays on throughout.  A
+    [false] answer does not mean power will die, only that batching
+    could differ.  Allocates nothing. *)
 
 val outages : t -> int
 (** Number of brown-outs observed so far. *)

@@ -192,12 +192,14 @@ type live = {
   stores : store_table;
   halt_at_skim : bool;
   emit : event -> unit;
-  (* Consume coalescing: when the supply can never cut power on its own
-     (an always-on supply), per-instruction
-     [Supply.consume] calls are pure clock-and-drain arithmetic — so
-     they are batched into [pending] and flushed only at an outage or at
-     run end.  Energy accounting is in integer cycles on the supply side,
-     so the flush is bit-identical to the per-instruction sequence. *)
+  (* Consume coalescing: an always-on supply can never cut power on its
+     own, so its [Supply.consume] calls are pure clock-and-drain
+     arithmetic — the cycles of every step and fused run are batched
+     into [pending] and flushed only at an outage or at run end.  A
+     capacitor-backed supply is charged at once, one consume per step or
+     per fused run.  The supply counts in integers (cycles, and
+     femtojoules on a capacitor), so one consume of a batch is
+     bit-identical to the consumes of its pieces. *)
   coalesce : bool;
   mutable pending : int;
   (* Offsets that turn the supply clock and the machine's retired count
@@ -404,17 +406,11 @@ let try_block l ~max_wall_cycles b =
   && begin
        Machine.exec_block m b;
        l.active <- l.active + c;
-       if l.coalesce then l.pending <- l.pending + c
-       else begin
-         (* Capacitor-backed: the exact per-instruction consume sequence,
-            so harvest/drain interleaving (and its float rounding) is
-            bit-identical to per-step execution.  The guard ruled out an
-            interior brown-out. *)
-         let costs = Machine.block_costs b in
-         for i = 0 to Array.length costs - 1 do
-           ignore (Supply.consume l.supply ~cycles:(Array.unsafe_get costs i))
-         done
-       end;
+       (* One charge for the whole run.  On a capacitor the guard
+          admitted only a run whose harvest cannot pass full charge and
+          whose drain cannot reach brown-out, where one consume of [c]
+          cycles equals the per-instruction consumes bit for bit. *)
+       spend l c;
        (match l.clank with
        | Some st ->
            st.since_cycles <- st.since_cycles + c;

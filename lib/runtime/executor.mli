@@ -40,11 +40,11 @@ type engine = Block | Reference
     fused straight-line superinstructions
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
     guard passes — the wall-clock limit, watchdog slack and Clank
-    tracking capacity cover the run, and the capacitor's usable charge
-    covers the run's worst-case energy — and then consumes the run's
-    cycles per instruction on a capacitor-backed supply (so harvest and
-    drain round exactly as in stepping) or in one batch on an always-on
-    one; a failed guard falls back to per-instruction
+    tracking capacity cover the run, and on a capacitor the run can
+    neither brown out nor charge past full
+    ({!Wn_power.Supply.assured}) — and then charges the run's cycles in
+    one batch, bit-identical to charging them per instruction; a failed
+    guard falls back to per-instruction
     {!Wn_machine.Machine.step_fast} until the next run entry.  An
     [on_step] observer turns fusion off for the whole run, so it sees
     every instruction boundary.

@@ -650,9 +650,9 @@ let test_progress_diagnostics () =
        (fun d ->
          d.Diag.rule = "progress-unbounded" && d.Diag.severity = Diag.Warning)
        ds);
-  (* bounded loop but starved budget: an error *)
+  (* bounded loop but starved budget (100 nJ, in fJ): an error *)
   let ds =
-    Progress.check ~runtime:(Progress.skim_only ()) ~budget:100e-9
+    Progress.check ~runtime:(Progress.skim_only ()) ~budget:100_000_000
       (Cfg.build counted_loop)
   in
   Alcotest.(check bool) "over budget errored" true

@@ -37,34 +37,48 @@ let test_paper_suite () =
     (fun t -> if Trace.mean_power t <= 0.0 then Alcotest.fail "dead trace")
     traces
 
+(* Stored energy is in femtojoules; these drive one side of a charge. *)
+let harvest c fj = ignore (Capacitor.charge c ~harvest:fj ~drain:0)
+
+let drain c fj = ignore (Capacitor.charge c ~harvest:0 ~drain:fj)
+
 let test_capacitor_hysteresis () =
   let c = Capacitor.create () in
   Alcotest.(check bool) "starts on" true (Capacitor.is_on c);
   Alcotest.(check (float 1e-6)) "starts at v_max" 2.5 (Capacitor.voltage c);
-  (* Drain just past brown-out. *)
-  Capacitor.drain c (Capacitor.usable_energy c +. 1e-9);
+  (* Drain just past brown-out: down to the threshold it stays on, one
+     more femtojoule browns it out. *)
+  drain c (Capacitor.energy c - Capacitor.off_below c);
+  Alcotest.(check bool) "on at the brown-out threshold" true (Capacitor.is_on c);
+  drain c 1;
   Alcotest.(check bool) "browned out" false (Capacitor.is_on c);
   (* A little harvest is not enough: hysteresis waits for v_on. *)
-  Capacitor.harvest c 1e-7;
+  harvest c 100_000_000;
   Alcotest.(check bool) "still off below v_on" false (Capacitor.is_on c);
-  Capacitor.harvest c 1.0;
+  harvest c 1_000_000_000_000_000;
   Alcotest.(check bool) "back on" true (Capacitor.is_on c);
+  Alcotest.(check int) "clamped at full charge" (Capacitor.full c)
+    (Capacitor.energy c);
   Alcotest.(check (float 1e-6)) "clamped at v_max" 2.5 (Capacitor.voltage c)
 
+(* ½·10µF·(2.5² − 1.8²) = 15.05 µJ of usable charge, exactly. *)
 let test_capacitor_energy () =
   let c = Capacitor.create () in
-  (* ½·10µF·(2.5² − 1.8²) ≈ 15.05 µJ of usable charge. *)
-  Alcotest.(check (float 1e-7)) "usable energy" 1.505e-5 (Capacitor.usable_energy c);
-  Alcotest.(check (float 1e-7)) "burst budget" 1.505e-5 (Capacitor.burst_budget c);
+  Alcotest.(check int) "full charge" 31_250_000_000 (Capacitor.full c);
+  Alcotest.(check int) "burst budget" 15_050_000_000 (Capacitor.burst_budget c);
+  Alcotest.(check int) "restart budget" 10_250_000_000
+    (Capacitor.restart_budget c);
   Capacitor.set_empty c;
-  Alcotest.(check (float 1e-9)) "empty has none" 0.0 (Capacitor.usable_energy c);
+  Alcotest.(check int) "empty sits at the brown-out threshold"
+    (Capacitor.off_below c) (Capacitor.energy c);
+  Alcotest.(check bool) "empty is off" false (Capacitor.is_on c);
   Capacitor.set_full c;
   Alcotest.(check bool) "full is on" true (Capacitor.is_on c);
-  Alcotest.check_raises "negative drain" (Invalid_argument "Capacitor.drain")
-    (fun () -> Capacitor.drain c (-1.0))
+  Alcotest.(check int) "1 nJ" 1_000_000 (Capacitor.femtojoules 1e-9);
+  Alcotest.(check (float 0.0)) "back to joules" 1.025e-5 (Capacitor.joules 10_250_000_000)
 
 (* Including NaN and infinities, which each used to leave the device on
-   for good. *)
+   for good, and a capacitor whose full charge an int cannot hold. *)
 let test_capacitor_bad_config () =
   List.iter
     (fun (what, make) ->
@@ -78,52 +92,79 @@ let test_capacitor_bad_config () =
       ("NaN v_off", fun () -> Capacitor.create ~v_off:Float.nan ());
       ("NaN v_max", fun () -> Capacitor.create ~v_max:Float.nan ());
       ("infinite v_max", fun () -> Capacitor.create ~v_max:Float.infinity ());
+      (* 3.1e19 fJ, past max_int. *)
+      ("10 kF", fun () -> Capacitor.create ~capacitance:1e4 ());
+      ("1 kF at 2.5 V, past 2^60 fJ", fun () -> Capacitor.create ~capacitance:1e3 ());
     ]
 
+(* The largest capacitors accepted take charges and drains of more than
+   a full charge without overflowing. *)
+let test_capacitor_range () =
+  let c = Capacitor.create ~capacitance:300.0 () in
+  let full = Capacitor.full c in
+  if full >= 1 lsl 60 then Alcotest.failf "full charge %d past 2^60" full;
+  for _ = 1 to 3 do
+    let on = Capacitor.charge c ~harvest:((1 lsl 60) - 1) ~drain:0 in
+    Alcotest.(check bool) "full" true on;
+    Alcotest.(check int) "clamped at full" full (Capacitor.energy c);
+    ignore (Capacitor.charge c ~harvest:(full + 1) ~drain:((1 lsl 60) - 1));
+    Alcotest.(check int) "floored at zero" 0 (Capacitor.energy c);
+    Alcotest.(check bool) "browned out" false (Capacitor.is_on c)
+  done
+
 (* Property: under any interleaving of harvest and drain, the stored
-   energy clamps at full charge, and the on/off latch obeys the
-   hysteresis band — it never reads on below V_off, turns on only at or
-   above V_on, and turns off only below V_off. *)
+   energy stays in [0, full], and the on/off latch obeys the hysteresis
+   band — it never reads on below V_off, turns on only at or above V_on,
+   and turns off only below V_off. *)
 let test_capacitor_invariants_random () =
   let rng = Wn_util.Rng.create 42 in
   let c = Capacitor.create () in
-  let full = Capacitor.energy c in
-  let eps = 1e-12 in
+  let full = Capacitor.full c in
   for step = 1 to 20_000 do
     let was_on = Capacitor.is_on c in
-    let amount = Wn_util.Rng.float rng 4e-6 in
-    if Wn_util.Rng.bool rng then Capacitor.harvest c amount
-    else Capacitor.drain c amount;
+    let amount = Wn_util.Rng.int rng 4_000_000_000 in
+    if Wn_util.Rng.bool rng then harvest c amount else drain c amount;
     let v = Capacitor.voltage c in
-    if Capacitor.energy c > full +. eps then
-      Alcotest.failf "step %d: stored energy above full charge" step;
-    if Capacitor.is_on c && v < 1.8 -. 1e-9 then
+    let e = Capacitor.energy c in
+    if e > full || e < 0 then
+      Alcotest.failf "step %d: stored energy %d outside [0, %d]" step e full;
+    if Capacitor.is_on c && v < 1.8 then
       Alcotest.failf "step %d: on at %.4f V, below V_off" step v;
-    if (not was_on) && Capacitor.is_on c && v < 2.3 -. 1e-9 then
+    if (not was_on) && Capacitor.is_on c && v < 2.3 then
       Alcotest.failf "step %d: turned on at %.4f V, below V_on" step v;
-    if was_on && (not (Capacitor.is_on c)) && v >= 1.8 +. 1e-9 then
+    if was_on && (not (Capacitor.is_on c)) && v >= 1.8 then
       Alcotest.failf "step %d: turned off at %.4f V, above V_off" step v
   done
 
-(* The capacitor as first written, kept as the specification the exact
-   thresholds must reproduce bit for bit: a square root per latch
-   update compared with the voltages, and Float.min/Float.max clamps. *)
+(* The capacitor as first written, kept as the specification the levels
+   must reproduce exactly: a square root per latch update compared with
+   the voltages, and min/max clamps, over the same femtojoules. *)
 module Sqrt_capacitor = struct
   type t = {
     c : float;
     v_on : float;
     v_off : float;
-    v_max : float;
-    mutable stored : float;
+    full : int;
+    empty : int;
+    mutable stored : int;
     mutable on : bool;
   }
 
-  let energy_at c v = 0.5 *. c *. v *. v
+  let voltage_of c fj = sqrt (2.0 *. (float_of_int fj /. 1e15) /. c)
+
+  let reaches c v fj = voltage_of c fj >= v
+
+  (* The least energy whose voltage reaches [v], walked one femtojoule
+     at a time from the rounded ½Cv², which lies within a few of it. *)
+  let least c v =
+    let s = Float.to_int (Float.round (0.5 *. c *. v *. v *. 1e15)) in
+    let rec down s = if reaches c v (s - 1) then down (s - 1) else s in
+    let rec up s = if reaches c v s then s else up (s + 1) in
+    if reaches c v s then down s else up s
 
   let create ~c ~v_on ~v_off ~v_max =
-    { c; v_on; v_off; v_max; stored = energy_at c v_max; on = true }
-
-  let voltage_of c s = sqrt (2.0 *. s /. c)
+    let full = least c v_max in
+    { c; v_on; v_off; full; empty = least c v_off; stored = full; on = true }
 
   let update_state t =
     let v = voltage_of t.c t.stored in
@@ -131,19 +172,19 @@ module Sqrt_capacitor = struct
     else if (not t.on) && v >= t.v_on then t.on <- true
 
   let drain t j =
-    t.stored <- Float.max 0.0 (t.stored -. j);
+    t.stored <- Int.max 0 (t.stored - j);
     update_state t
 
   let harvest t j =
-    t.stored <- Float.min (energy_at t.c t.v_max) (t.stored +. j);
+    t.stored <- Int.min t.full (t.stored + j);
     update_state t
 
   let set_empty t =
-    t.stored <- energy_at t.c t.v_off;
+    t.stored <- t.empty;
     t.on <- false
 
   let set_full t =
-    t.stored <- energy_at t.c t.v_max;
+    t.stored <- t.full;
     t.on <- true
 end
 
@@ -165,30 +206,29 @@ let pair_of (c, v_on, v_off, v_max) =
     Sqrt_capacitor.create ~c ~v_on ~v_off ~v_max )
 
 let check_lockstep what cap (r : Sqrt_capacitor.t) =
-  let bits = Int64.bits_of_float (Capacitor.energy cap)
-  and ref_bits = Int64.bits_of_float r.stored in
-  if bits <> ref_bits then
-    Alcotest.failf "%s: stored %h, specification %h" what
-      (Capacitor.energy cap) r.stored;
+  if Capacitor.energy cap <> r.stored then
+    Alcotest.failf "%s: stored %d, specification %d" what (Capacitor.energy cap)
+      r.stored;
   if Capacitor.is_on cap <> r.on then
-    Alcotest.failf "%s: on %b, specification %b (stored %h)" what
+    Alcotest.failf "%s: on %b, specification %b (stored %d)" what
       (Capacitor.is_on cap) r.on r.stored
 
 (* Random harvest/drain sequences against the specification, tilted to
    drain while the device is on and to charge while it is off, so both
    thresholds are crossed many times, with step sizes spread over six
-   decades so states land close to them.  [Capacitor.run] takes a third
-   of the steps, checked as the harvest-then-drain it stands for. *)
+   decades so states land close to them.  A third of the steps are one
+   [charge] of both, checked as the harvest-then-drain it stands for. *)
 let test_capacitor_matches_sqrt_spec () =
   let rng = Wn_util.Rng.create 2024 in
   List.iter
-    (fun ((c, v_on, v_off, v_max) as config) ->
+    (fun ((c, v_on, v_off, _) as config) ->
       let cap, r = pair_of config in
       let what = Printf.sprintf "C=%g v_on=%g v_off=%g" c v_on v_off in
-      let span = Sqrt_capacitor.energy_at c v_max in
       let amount () =
-        span *. (10.0 ** -.Wn_util.Rng.float rng 6.0)
-        *. Wn_util.Rng.float rng 0.3
+        int_of_float
+          (float_of_int r.full
+          *. (10.0 ** -.Wn_util.Rng.float rng 6.0)
+          *. Wn_util.Rng.float rng 0.3)
       in
       let turn_ons = ref 0 and turn_offs = ref 0 in
       for step = 1 to 20_000 do
@@ -197,27 +237,19 @@ let test_capacitor_matches_sqrt_spec () =
         (match Wn_util.Rng.int rng 3 with
         | 0 when r.on ->
             let j = amount () in
-            Capacitor.drain cap j;
+            drain cap j;
             Sqrt_capacitor.drain r j
         | 0 | 1 ->
             let j = amount () in
-            Capacitor.harvest cap j;
+            harvest cap j;
             Sqrt_capacitor.harvest r j
         | _ ->
-            let cycles = Wn_util.Rng.int rng 2_000 in
-            let clock_hz = 24e6 in
-            let per_cycle = amount () /. 1_000.0 in
-            let power, cycle_energy =
-              if r.on then (per_cycle *. clock_hz *. 0.3, per_cycle)
-              else (per_cycle *. clock_hz, per_cycle *. 0.3)
-            in
-            let on =
-              Capacitor.run cap ~power ~clock_hz ~cycle_energy ~cycles
-            in
-            Sqrt_capacitor.harvest r
-              (power *. (float_of_int cycles /. clock_hz));
-            Sqrt_capacitor.drain r (float_of_int cycles *. cycle_energy);
-            if on <> r.on then Alcotest.failf "%s: run returned %b" what on);
+            let j = amount () and k = amount () in
+            let h, d = if r.on then (k / 3, j) else (j, k / 3) in
+            let on = Capacitor.charge cap ~harvest:h ~drain:d in
+            Sqrt_capacitor.harvest r h;
+            Sqrt_capacitor.drain r d;
+            if on <> r.on then Alcotest.failf "%s: charge returned %b" what on);
         check_lockstep what cap r;
         if r.on && not was_on then incr turn_ons;
         if was_on && not r.on then incr turn_offs
@@ -227,66 +259,51 @@ let test_capacitor_matches_sqrt_spec () =
           !turn_offs)
     capacitor_configs
 
-(* The least non-negative energy whose specification voltage reaches
-   [v], found by walking ulp by ulp from the rounded ½Cv², which lies
-   within a few ulps of it. *)
-let spec_threshold c v =
-  let reaches s = Sqrt_capacitor.voltage_of c s >= v in
-  let rec down s = if reaches (Float.pred s) then down (Float.pred s) else s in
-  let rec up s = if reaches s then s else up (Float.succ s) in
-  let s = Sqrt_capacitor.energy_at c v in
-  if reaches s then down s else up s
-
-(* The states one ulp below, at and one ulp above each exact threshold,
-   landed exactly: from [set_empty] plus one harvest, or from [set_full]
-   plus one drain.  A target the arithmetic cannot land exactly is
-   skipped; each threshold must be landed on from some start. *)
-let test_capacitor_threshold_neighbours () =
+(* Each level n is the least energy whose specification voltage reaches
+   its voltage: n reaches it and n - 1 does not.  The states n - 1, n
+   and n + 1 are then landed exactly, from [set_empty] plus one
+   harvest or from [set_full] plus one drain, and the latch must
+   agree with the specification's. *)
+let test_capacitor_level_neighbours () =
   List.iter
     (fun ((c, v_on, v_off, v_max) as config) ->
       let cap, r = pair_of config in
-      let e_empty = Sqrt_capacitor.energy_at c v_off
-      and e_full = Sqrt_capacitor.energy_at c v_max in
       List.iter
-        (fun (name, v) ->
-          let t = spec_threshold c v in
-          let landed = ref 0 in
+        (fun (name, v, n) ->
+          let what offset = Printf.sprintf "C=%g %s level %d, %s" c name n offset in
+          if not (Sqrt_capacitor.reaches c v n) then
+            Alcotest.failf "%s: below %g V" (what "at") v;
+          if Sqrt_capacitor.reaches c v (n - 1) then
+            Alcotest.failf "%s: already reaches %g V" (what "one below") v;
           List.iter
             (fun (offset, target) ->
-              let what =
-                Printf.sprintf "C=%g %s threshold %h, %s" c name t offset
-              in
-              let harvest = target -. e_empty in
-              if
-                harvest >= 0.0
-                && Float.min e_full (e_empty +. harvest) = target
-              then begin
-                incr landed;
+              let what = what offset in
+              if target >= r.empty then begin
                 Capacitor.set_empty cap;
                 Sqrt_capacitor.set_empty r;
-                Capacitor.harvest cap harvest;
-                Sqrt_capacitor.harvest r harvest;
+                harvest cap (target - r.empty);
+                Sqrt_capacitor.harvest r (target - r.empty);
                 check_lockstep (what ^ " from empty") cap r;
-                if name = "v_on" && Capacitor.is_on cap <> (target >= t) then
+                if name = "v_on" && Capacitor.is_on cap <> (target >= n) then
                   Alcotest.failf "%s from empty: on is %b" what
                     (Capacitor.is_on cap)
               end;
-              let drain = e_full -. target in
-              if drain >= 0.0 && Float.max 0.0 (e_full -. drain) = target then begin
-                incr landed;
+              if target <= r.full then begin
                 Capacitor.set_full cap;
                 Sqrt_capacitor.set_full r;
-                Capacitor.drain cap drain;
-                Sqrt_capacitor.drain r drain;
+                drain cap (r.full - target);
+                Sqrt_capacitor.drain r (r.full - target);
                 check_lockstep (what ^ " from full") cap r;
-                if name = "v_off" && Capacitor.is_on cap <> (target >= t) then
+                if name = "v_off" && Capacitor.is_on cap <> (target >= n) then
                   Alcotest.failf "%s from full: on is %b" what
                     (Capacitor.is_on cap)
               end)
-            [ ("one ulp below", Float.pred t); ("at", t); ("one ulp above", Float.succ t) ];
-          if !landed = 0 then
-            Alcotest.failf "C=%g: no state near the %s threshold landed" c name)
-        [ ("v_off", v_off); ("v_on", v_on) ])
+            [ ("one below", n - 1); ("at", n); ("one above", n + 1) ])
+        [
+          ("v_off", v_off, Capacitor.off_below cap);
+          ("v_on", v_on, Capacitor.on_from cap);
+          ("v_max", v_max, Capacitor.full cap);
+        ])
     capacitor_configs
 
 (* The same hysteresis property driven through the supply's tick-cached
@@ -357,43 +374,43 @@ let test_supply_starved () =
 
 let test_supply_piecewise_harvest () =
   (* Regression: a multi-cycle instruction straddling a trace edge must
-     credit each tick segment at that segment's power, not the whole
-     instruction at the starting tick's power.  A 1 kHz trace at 24 MHz
-     puts the edge of a 1 ms on / 1 ms off square at cycle 24_000. *)
+     credit each tick segment at that segment's rate, not the whole
+     instruction at the starting tick's.  A 1 kHz trace at 24 MHz puts
+     the edge of a 1 ms on / 1 ms off square at cycle 24_000. *)
   let trace = Trace.square ~on_ms:1 ~off_ms:1 ~power:2e-3 ~duration_s:0.1 in
   let cap = Capacitor.create () in
-  (* A tiny cycle energy keeps the capacitor strictly between empty and
-     the regulator clamp for the whole test, so stored energy is an
-     exact linear function of harvest and drain. *)
+  (* 2 mW at 24 MHz is 83,333 fJ per cycle, rounded once; 0.1 nJ per
+     cycle drains 100,000 fJ.  The capacitor stays strictly between
+     brown-out and full charge after the first consume, so stored
+     energy is an exact linear function of harvest and drain. *)
+  let rate = 83_333 and per_cycle = 100_000 in
   let supply = Supply.create ~cycle_energy:1e-10 ~trace ~capacitor:cap () in
   (* Advance to 10 cycles before the on->off edge, inside tick 0. *)
   ignore (Supply.consume supply ~cycles:23_990);
   Alcotest.(check int) "at edge - 10" 23_990 (Supply.now_cycles supply);
   let e0 = Capacitor.energy cap in
   (* A 20-cycle instruction straddling the edge: only its first 10
-     cycles see power, so it harvests 2 mW x 10 cycles, not 2 mW x 20
-     (the pre-fix behaviour). *)
+     cycles see power. *)
   ignore (Supply.consume supply ~cycles:20);
-  Alcotest.(check (float 1e-12)) "piecewise credit at the edge"
-    (e0 +. (2e-3 *. 10.0 /. 24e6) -. (20.0 *. 1e-10))
+  Alcotest.(check int) "piecewise credit at the edge"
+    (e0 + (rate * 10) - (20 * per_cycle))
     (Capacitor.energy cap);
   (* Entirely inside the off tick: no inflow at all. *)
   let e1 = Capacitor.energy cap in
   ignore (Supply.consume supply ~cycles:100);
-  Alcotest.(check (float 1e-12)) "no inflow off-tick"
-    (e1 -. (100.0 *. 1e-10))
+  Alcotest.(check int) "no inflow off-tick" (e1 - (100 * per_cycle))
     (Capacitor.energy cap);
   (* Spanning a whole off tick into the next burst: only the 110 cycles
      that land in the on tick harvest. *)
   let e2 = Capacitor.energy cap in
   ignore (Supply.consume supply ~cycles:24_000);
-  Alcotest.(check (float 1e-12)) "multi-tick span"
-    (e2 +. (2e-3 *. 110.0 /. 24e6) -. (24_000.0 *. 1e-10))
+  Alcotest.(check int) "multi-tick span"
+    (e2 + (rate * 110) - (24_000 * per_cycle))
     (Capacitor.energy cap)
 
 let test_wait_for_power_mid_tick () =
   (* Regression: an outage beginning mid-tick must first credit the
-     remainder of that tick at that tick's power, then proceed whole
+     remainder of that tick at that tick's rate, then proceed whole
      ticks on the trace grid.  The old code charged full-length ticks
      starting at the outage point, over-crediting the first one and
      drifting the clock off the 1 ms grid for good. *)
@@ -415,14 +432,16 @@ let test_wait_for_power_mid_tick () =
   Alcotest.(check int) "whole ticks after the partial one" 0
     ((waited - 14_000) mod 24_000);
   (* Exact energy balance: the 14k-cycle remainder of tick 0 at tick
-     0's power, then each full tick at its own power. *)
+     0's 83,333 fJ per cycle, then each full tick at its own rate; the
+     last tick overshoots the turn-on threshold by less than one tick's
+     harvest, well short of full charge. *)
+  let rate tick = Capacitor.femtojoules (Trace.power_at_tick trace tick /. 24e6) in
   let n_full = (waited - 14_000) / 24_000 in
-  let expect = ref (e0 +. (2e-3 *. 14_000.0 /. 24e6)) in
+  let expect = ref (e0 + (83_333 * 14_000)) in
   for k = 1 to n_full do
-    expect := !expect +. (Trace.power_at_tick trace k *. 24_000.0 /. 24e6)
+    expect := !expect + (rate k * 24_000)
   done;
-  Alcotest.(check (float 1e-12)) "mid-tick partial credit" !expect
-    (Capacitor.energy cap)
+  Alcotest.(check int) "mid-tick partial credit" !expect (Capacitor.energy cap)
 
 let test_supply_scripted () =
   let s = Supply.always_on ~off_cycles:1_000 () in
@@ -482,14 +501,13 @@ let test_trace_of_samples_copies () =
   samples.(0) <- Float.nan;
   Alcotest.(check (float 0.0)) "original sample" 1e-3 (Trace.power_at_tick t 0)
 
-let test_harvest_drain_reject_nan () =
+let test_charge_rejects_negative () =
   let c = Capacitor.create () in
-  Alcotest.check_raises "harvest NaN" (Invalid_argument "Capacitor.harvest")
-    (fun () -> Capacitor.harvest c Float.nan);
-  Alcotest.check_raises "drain NaN" (Invalid_argument "Capacitor.drain")
-    (fun () -> Capacitor.drain c Float.nan);
-  Alcotest.(check bool) "charge untouched" true
-    (Capacitor.energy c = Capacitor.energy (Capacitor.create ()))
+  Alcotest.check_raises "negative harvest" (Invalid_argument "Capacitor.charge")
+    (fun () -> ignore (Capacitor.charge c ~harvest:(-1) ~drain:0));
+  Alcotest.check_raises "negative drain" (Invalid_argument "Capacitor.charge")
+    (fun () -> ignore (Capacitor.charge c ~harvest:0 ~drain:min_int));
+  Alcotest.(check int) "charge untouched" (Capacitor.full c) (Capacitor.energy c)
 
 let test_supply_rejects_non_finite () =
   let trace = Trace.constant ~power:0.0 ~duration_s:0.1 in
@@ -561,6 +579,261 @@ let test_burst_length_calibration () =
   if !cycles < 10_000 || !cycles > 100_000 then
     Alcotest.failf "burst of %d cycles is outside the paper's regime" !cycles
 
+
+(* A supply whose trace saturates the harvest rate and whose cycle
+   energy saturates the drain: every span clamps, at any capacitor size
+   and span length, and nothing overflows.  A 1 PHz clock makes a trace
+   tick 10^12 cycles long, so a 2^41-cycle span crosses only a few, and
+   makes a watt one femtojoule per cycle. *)
+let test_supply_extreme_rates () =
+  (* Past 2^30 fJ per cycle the product is checked by a quotient: exact
+     below a full charge, saturated past it. *)
+  let cap = Capacitor.create ~capacitance:300.0 () in
+  let trace = Trace.constant ~power:0x1p30 ~duration_s:1.0 in
+  let s = Supply.create ~clock_hz:1e15 ~cycle_energy:0.0 ~trace ~capacitor:cap () in
+  Capacitor.set_empty cap;
+  ignore (Supply.consume s ~cycles:(1 lsl 28));
+  Alcotest.(check int) "2^30 fJ/cycle for 2^28 cycles"
+    (Capacitor.off_below cap + (1 lsl 58))
+    (Capacitor.energy cap);
+  ignore (Supply.consume s ~cycles:(1 lsl 30));
+  Alcotest.(check int) "saturated at full charge" (Capacitor.full cap)
+    (Capacitor.energy cap);
+  List.iter
+    (fun capacitance ->
+      List.iter
+        (fun (power, cycle_energy) ->
+          let trace = Trace.of_samples [| power; power; 0.0 |] in
+          let cap = Capacitor.create ~capacitance () in
+          let full = Capacitor.full cap in
+          let s =
+            Supply.create ~clock_hz:1e15 ~cycle_energy ~trace ~capacitor:cap ()
+          in
+          List.iter
+            (fun cycles ->
+              let what =
+                Printf.sprintf "C=%g power %g, %g J/cycle, %d cycles"
+                  capacitance power cycle_energy cycles
+              in
+              let on = Supply.consume s ~cycles in
+              let e = Capacitor.energy cap in
+              if e < 0 || e > full then
+                Alcotest.failf "%s: stored %d outside [0, %d]" what e full;
+              if on <> Capacitor.is_on cap then
+                Alcotest.failf "%s: verdict disagrees with the latch" what;
+              if power > 0.0 && cycle_energy = 0.0 && e <> full then
+                Alcotest.failf "%s: harvest did not fill the capacitor" what;
+              if cycle_energy > 1.0 && e <> 0 then
+                Alcotest.failf "%s: drain did not empty the capacitor" what;
+              if not on then ignore (Supply.wait_for_power s))
+            [ 1; 24_000; 1 lsl 41; 1 ])
+        [
+          (Float.max_float, 0.0);
+          (1e300, 1e-9);
+          (Float.max_float, Float.max_float);
+          (1e3, 1e300);
+        ])
+    [ 10e-6; 300.0 ]
+
+(* The energy guard admits a run exactly when its drain cannot take the
+   capacitor below brown-out and its harvest cannot take it past full
+   charge. *)
+let test_supply_guard_bounds () =
+  (* 2 mW in 1 ms bursts: 83,333 fJ per cycle in even ticks, none in
+     odd ones; the core drains 10^6 fJ per cycle. *)
+  let trace = Trace.square ~on_ms:1 ~off_ms:1 ~power:2e-3 ~duration_s:0.1 in
+  let cap = Capacitor.create () in
+  let s = Supply.create ~trace ~capacitor:cap () in
+  let set energy =
+    Capacitor.set_full cap;
+    drain cap (Capacitor.full cap - energy)
+  in
+  let check what expect energy cycles =
+    set energy;
+    Alcotest.(check bool) what expect (Supply.assured s ~cycles)
+  in
+  let off_below = Capacitor.off_below cap and full = Capacitor.full cap in
+  (* Tick 0 is a burst. *)
+  check "drain lands on the threshold" true (off_below + 1_024_000_000) 1_024;
+  check "drain one cycle past it" false (off_below + 1_024_000_000) 1_025;
+  check "harvest reaches full" true (full - 83_333) 1;
+  check "harvest passes full" false (full - 83_332) 1;
+  check "at full in a burst" false full 1;
+  (* 24,000 cycles in: the next tick delivers nothing. *)
+  ignore (Supply.consume s ~cycles:(24_000 - Supply.now_cycles s));
+  check "at full in a quiet tick" true full 16;
+  Capacitor.set_empty cap;
+  Alcotest.(check bool) "latch off" false (Supply.assured s ~cycles:1);
+  (* A span across the edge into the next burst takes its 83,333 fJ
+     per cycle there. *)
+  ignore (Supply.consume s ~cycles:(48_000 - 10 - Supply.now_cycles s));
+  check "harvest across an edge reaches full" true (full - (83_333 * 10)) 20;
+  check "harvest across an edge passes full" false (full - (83_333 * 10) + 1) 20;
+  Supply.cut s;
+  Alcotest.(check bool) "cut" false (Supply.assured s ~cycles:1)
+
+(* A run of instructions on a capacitor-backed supply: the clock speed
+   (a slow clock makes ticks of 100 and 300 cycles, so runs cross square
+   edges), the harvest rate of each tick of the wrapping trace, the
+   core's cycle energy, the clock position, the starting energy (a
+   level plus an offset, reached from full or from empty), and each
+   instruction's latency. *)
+type run_case = {
+  clock_hz : float;
+  rates : int array;
+  cycle_energy : float;
+  offset : int;
+  level : int;
+      (* 0: brown-out threshold, 1: turn-on threshold, 2: full charge,
+         3: where the run's drain alone ends at the brown-out threshold,
+         4: where its harvest alone ends at full charge *)
+  delta : int;
+  from_empty : bool;
+  latencies : int list;
+}
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let* clock_hz = oneofl [ 24e6; 1e5; 3e5 ] in
+  let* rates =
+    array_size (int_range 1 6)
+      (oneofl [ 0; 62_500; 500_000; 1_000_000; 2_000_000 ])
+  in
+  let* cycle_energy = oneofl [ 0.5e-9; 1e-9; 2e-9 ] in
+  let* offset = int_bound (int_of_float (clock_hz *. 3e-3)) in
+  let* level = int_bound 4 in
+  let* delta =
+    oneof
+      [
+        return 0;
+        int_range (-1_000_000) 1_000_000;
+        int_range (-40_000_000) 40_000_000;
+      ]
+  in
+  let* from_empty = bool in
+  let+ latencies = list_size (int_range 2 64) (int_range 1 16) in
+  { clock_hz; rates; cycle_energy; offset; level; delta; from_empty; latencies }
+
+let print_run_case c =
+  Printf.sprintf
+    "clock %g Hz, rates [%s] fJ/cycle, %g J/cycle, offset %d, level %d%+d \
+     from %s, latencies [%s]"
+    c.clock_hz
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.rates)))
+    c.cycle_energy c.offset c.level c.delta
+    (if c.from_empty then "empty" else "full")
+    (String.concat "; " (List.map string_of_int c.latencies))
+
+(* An independent model of the supply's integration: each tick harvests
+   its power over the clock, rounded to fJ per cycle once, times the
+   cycles of the span inside the tick; the core drains its cycle energy
+   rounded to fJ, per cycle. *)
+let model_harvest c trace a b =
+  let per_tick = int_of_float (Float.round (c.clock_hz *. Trace.sample_period_s)) in
+  let rate tick =
+    Capacitor.femtojoules (Trace.power_at_tick trace tick /. c.clock_hz)
+  in
+  let rec go a acc =
+    if a >= b then acc
+    else
+      let tick = a / per_tick in
+      let seg_end = Int.min b ((tick + 1) * per_tick) in
+      go seg_end (acc + (rate tick * (seg_end - a)))
+  in
+  go a 0
+
+let model_drain c cycles = Capacitor.femtojoules c.cycle_energy * cycles
+
+(* The supply at the case's clock position and starting energy. *)
+let run_supply c =
+  let trace =
+    Trace.of_samples (Array.map (fun r -> float_of_int r *. c.clock_hz /. 1e15) c.rates)
+  in
+  let cap = Capacitor.create () in
+  let s =
+    Supply.create ~clock_hz:c.clock_hz ~cycle_energy:c.cycle_energy ~trace
+      ~capacitor:cap ()
+  in
+  ignore (Supply.consume s ~cycles:c.offset);
+  let off_below = Capacitor.off_below cap and full = Capacitor.full cap in
+  let total = List.fold_left ( + ) 0 c.latencies in
+  let level =
+    match c.level with
+    | 0 -> off_below
+    | 1 -> Capacitor.on_from cap
+    | 2 -> full
+    | 3 -> off_below + model_drain c total
+    | _ -> full - model_harvest c trace c.offset (c.offset + total)
+  in
+  let target = Int.max 0 (Int.min full (level + c.delta)) in
+  if c.from_empty then begin
+    Capacitor.set_empty cap;
+    if target >= off_below then harvest cap (target - off_below)
+    else drain cap (off_below - target)
+  end
+  else begin
+    Capacitor.set_full cap;
+    drain cap (full - target)
+  end;
+  (s, cap, trace)
+
+(* Charges [spans] from the capacitor's energy at clock [start] on the
+   model, each span harvesting, clamping at full charge, draining and
+   flooring at zero.  Returns the harvested, drained and clamped totals
+   (clamped counts energy lost at full charge less energy floored at
+   zero). *)
+let model_spans c cap trace ~start spans =
+  let full = Capacitor.full cap in
+  let _, _, harvested, drained, clamped =
+    List.fold_left
+      (fun (e, clock, harvested, drained, clamped) cycles ->
+        let h = model_harvest c trace clock (clock + cycles) in
+        let d = model_drain c cycles in
+        let top = Int.max 0 (e + h - full) in
+        let after = e + h - top - d in
+        let bottom = Int.max 0 (-after) in
+        ( after + bottom,
+          clock + cycles,
+          harvested + h,
+          drained + d,
+          clamped + top - bottom ))
+      (Capacitor.energy cap, start, 0, 0, 0)
+      spans
+  in
+  (harvested, drained, clamped)
+
+(* Per-instruction consumes and one consume of the run's total, from the
+   same state: whenever the guard admits the run, both leave equal
+   energy, clock, latch and outage count, and neither clamps.  Either
+   way each run balances exactly against the model:
+   initial + harvested - drained - clamped = final. *)
+let prop_batched_charge_exact =
+  QCheck.Test.make ~count:10_000
+    ~name:"one guarded consume == per-instruction consumes"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun c ->
+      let total = List.fold_left ( + ) 0 c.latencies in
+      let run spans =
+        let s, cap, trace = run_supply c in
+        let initial = Capacitor.energy cap and start = Supply.now_cycles s in
+        let admitted = Supply.assured s ~cycles:total in
+        let harvested, drained, clamped =
+          model_spans c cap trace ~start spans
+        in
+        List.iter (fun cycles -> ignore (Supply.consume s ~cycles)) spans;
+        let final = Capacitor.energy cap in
+        if initial + harvested - drained - clamped <> final then
+          QCheck.Test.fail_reportf
+            "unbalanced: initial %d + harvested %d - drained %d - clamped %d <> final %d"
+            initial harvested drained clamped final;
+        if admitted && clamped <> 0 then
+          QCheck.Test.fail_reportf "admitted run clamped %d fJ" clamped;
+        (admitted, (final, Supply.now_cycles s, Supply.is_on s, Supply.outages s))
+      in
+      let admitted, stepped = run c.latencies in
+      let _, batched = run [ total ] in
+      (not admitted) || stepped = batched)
+
 let () =
   Alcotest.run "wn.power"
     [
@@ -584,10 +857,12 @@ let () =
             test_capacitor_invariants_random;
           Alcotest.test_case "matches the square-root specification" `Quick
             test_capacitor_matches_sqrt_spec;
-          Alcotest.test_case "exact thresholds, ulp by ulp" `Quick
-            test_capacitor_threshold_neighbours;
-          Alcotest.test_case "harvest and drain reject NaN" `Quick
-            test_harvest_drain_reject_nan;
+          Alcotest.test_case "exact levels at n-1, n and n+1" `Quick
+            test_capacitor_level_neighbours;
+          Alcotest.test_case "charge rejects negative amounts" `Quick
+            test_charge_rejects_negative;
+          Alcotest.test_case "range: amounts past a full charge" `Quick
+            test_capacitor_range;
         ] );
       ( "supply",
         [
@@ -606,5 +881,9 @@ let () =
             test_supply_rejects_non_finite;
           Alcotest.test_case "consume and assured allocation-free" `Quick
             test_supply_no_alloc;
+          Alcotest.test_case "saturated harvest and drain rates" `Quick
+            test_supply_extreme_rates;
+          Alcotest.test_case "energy guard bounds" `Quick test_supply_guard_bounds;
+          QCheck_alcotest.to_alcotest prop_batched_charge_exact;
         ] );
     ]

@@ -167,7 +167,9 @@ let test_doomed_config_static () =
   let b = Runner.build w { Workload.bits = 8; provisioned = true } in
   let budget = Wn_power.Capacitor.restart_budget (doomed_capacitor ()) in
   Alcotest.(check bool) "budget below one restore" true
-    (budget < 40.0 *. Wn_analysis.Energy.default_cycle_energy);
+    (budget
+    < Wn_analysis.Energy.energy_of_cycles
+        ~cycle_energy:Wn_analysis.Energy.default_cycle_energy 40);
   let diags =
     Wn_analysis.Progress.diagnostics
       (Compile.verify ~runtime:(Progress.clank ()) ~budget b.Runner.compiled)
