@@ -84,10 +84,6 @@ let charge t ~harvest ~drain =
   t.on
 [@@inline]
 
-let in_band t ~harvest ~drain =
-  t.on && t.stored + harvest <= t.full && t.stored - drain >= t.off_below
-[@@inline]
-
 let set_empty t =
   t.stored <- t.off_below;
   t.on <- false

@@ -7,8 +7,9 @@
     Energy is an integer count of femtojoules (fJ): a full 10 µF charge
     at 2.5 V is 3.125e10 fJ and 1 nJ is 10^6 fJ.  Integer harvest and
     drain reassociate, so charging a span in one call or in pieces
-    leaves the same energy whenever no clamp intervenes (see
-    {!in_band}).
+    leaves the same energy whenever no clamp intervenes: with the latch
+    on, harvest that cannot pass {!full} and drain that cannot pass
+    {!off_below} ({!Supply.lease} bounds a span by both).
 
     Three levels are fixed at {!create}, each the least stored energy
     whose {!voltage} reaches a voltage: [v_off] (the brown-out
@@ -80,13 +81,6 @@ val charge : t -> harvest:int -> drain:int -> bool
     and return {!is_on}.  Amounts below 2^60 never overflow; any amount
     past a full charge acts as a full charge plus one.  Allocates
     nothing.  Raises [Invalid_argument] on a negative amount. *)
-
-val in_band : t -> harvest:int -> drain:int -> bool
-(** True when the latch is on, [energy + harvest <= full] and
-    [energy - drain >= off_below].  Then one {!charge} of these totals
-    and any sequence of charges whose harvests and drains sum to them
-    leave the same energy, with no clamp and the latch on throughout.
-    Allocates nothing. *)
 
 val set_empty : t -> unit
 (** Discharge to {!off_below} with the latch off (device just browned

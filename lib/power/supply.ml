@@ -32,6 +32,10 @@ let default_clock_hz = 24e6
 
 let default_cycle_energy = 1.0e-9
 
+(* [wait_for_power] gives up on a trace that cannot recharge the
+   capacitor within this much simulated time. *)
+let recharge_window_s = 600.0
+
 let compute_per_tick clock_hz =
   int_of_float (Float.round (clock_hz *. Trace.sample_period_s))
 
@@ -89,9 +93,14 @@ let make ~clock_hz ~cycle_energy ~trace ~capacitor ~infinite ~off_cycles =
 
 let create ?(clock_hz = default_clock_hz) ?(cycle_energy = default_cycle_energy)
     ?(start_full = true) ~trace ~capacitor () =
+  (* A trace tick of at least one cycle (the clock is divided by it)
+     and a recharge window that fits an int: 500 Hz to about 7.7e15 Hz.
+     NaN fails every comparison. *)
   if
     not
-      (clock_hz > 0.0 && Float.is_finite clock_hz && cycle_energy >= 0.0
+      (clock_hz *. Trace.sample_period_s >= 0.5
+      && recharge_window_s *. clock_hz < 0x1p62
+      && cycle_energy >= 0.0
       && Float.is_finite cycle_energy)
   then invalid_arg "Supply.create";
   if start_full then Capacitor.set_full capacitor;
@@ -197,7 +206,7 @@ let wait_for_power t =
   end
   else begin
     let start = t.cycles in
-    let limit = t.cycles + int_of_float (600.0 *. t.clock_hz) in
+    let limit = t.cycles + int_of_float (recharge_window_s *. t.clock_hz) in
     let rec charge () =
       if is_on t then begin
         refresh_tick_cache t;
@@ -230,14 +239,25 @@ let energy_consumed t = float_of_int t.consumed_cycles *. t.cycle_energy
 
 let never_cuts t = t.infinite
 
-(* Exact: the guard refuses every span whose harvest could take the
-   capacitor past full charge or whose drain could take it below
-   brown-out, and within those bounds integer harvest and drain
-   reassociate, so one [consume] of [cycles] equals any split of them
-   into consecutive consumes — energy, latch, clock and outage count
-   alike. *)
-let assured t ~cycles =
-  (not t.forced_off)
-  && (t.infinite
-     || Capacitor.in_band t.capacitor ~harvest:(harvest_ahead t ~cycles)
-          ~drain:(over t ~rate:t.drain_rate ~cycles))
+(* The longest span inside the cached tick whose harvest at
+   [tick_rate] cannot take stored energy past full charge even with
+   zero drain, and whose drain at [drain_rate] cannot take it below
+   brown-out even with zero harvest.  No clamp fires within it, so
+   integer harvest and drain reassociate: one [consume] of up to
+   [lease t] cycles equals any split of them into consecutive
+   consumes, energy, latch, clock and outage count alike.  An on latch
+   holds at least [off_below], so neither quotient is negative. *)
+let lease t =
+  if t.forced_off then 0
+  else if t.infinite then max_int
+  else if not (Capacitor.is_on t.capacitor) then 0
+  else begin
+    let stored = Capacitor.energy t.capacitor in
+    let n = t.tick_end - t.cycles in
+    let n =
+      if t.tick_rate = 0 then n
+      else Int.min n ((Capacitor.full t.capacitor - stored) / t.tick_rate)
+    in
+    if t.drain_rate = 0 then n
+    else Int.min n ((stored - Capacitor.off_below t.capacitor) / t.drain_rate)
+  end

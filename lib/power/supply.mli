@@ -36,8 +36,11 @@ val create :
   capacitor:Capacitor.t ->
   unit ->
   t
-(** Raises [Invalid_argument] unless [clock_hz] is positive and
-    [cycle_energy] non-negative, both finite (NaN included). *)
+(** Raises [Invalid_argument "Supply.create"] unless [cycle_energy] is
+    non-negative and finite and [clock_hz] lies between 500 Hz and
+    about 7.7e15 Hz: a slower clock rounds a 1-ms trace tick to zero
+    cycles, and a faster one puts {!wait_for_power}'s 10-minute window
+    past the int range.  NaN and infinities are rejected. *)
 
 val always_on : ?off_cycles:int -> unit -> t
 (** A supply that never browns out on its own: for functional testing,
@@ -87,21 +90,25 @@ val never_cuts : t -> bool
 (** True for an {!always_on} supply: it can never brown out on its own.
     [cut] can still force an outage, but on such a supply it only
     latches the off state and reads neither the clock nor the drain
-    count, so {!consume} calls coalesced under this predicate may be
-    flushed after a cut: the clock, the drain count and {!outages} come
-    out as if they had been flushed before it. *)
+    count, so cycles leased before a cut (see {!lease}) may be charged
+    after it: the clock, the drain count and {!outages} come out as if
+    they had been charged before it.  On a capacitor-backed supply a
+    cut empties the capacitor, so leased cycles must be charged before
+    it. *)
 
-val assured : t -> cycles:int -> bool
-(** Exact batching guard: may the next [cycles] cycles be charged by one
-    {!consume}, whatever their split into instructions?  True when the
-    supply is on and not cut and — for a capacitor — the span's drain
-    cannot take stored energy below the brown-out threshold (ignoring
-    harvest) and its harvest cannot take it past full charge (ignoring
-    drain; see {!Capacitor.in_band}).  Then one [consume ~cycles] leaves the same
-    energy, clock, latch and outage count as any sequence of consumes
-    summing to [cycles], bit for bit, and power stays on throughout.  A
-    [false] answer does not mean power will die, only that batching
-    could differ.  Allocates nothing. *)
+val lease : t -> int
+(** Exact batching bound: how many cycles, counted from the clock, one
+    {!consume} can charge with the same energy, clock, latch and outage
+    count as any split of them into consecutive consumes, bit for bit,
+    with power on throughout.  [0] when the supply is off or cut;
+    [max_int] on an {!always_on} supply.  On a capacitor the lease
+    stays inside the current trace tick and is the largest span whose
+    harvest cannot take stored energy past full charge (ignoring drain)
+    and whose drain cannot take it below the brown-out threshold
+    (ignoring harvest): the least of the cycles left in the tick,
+    (full − stored) / harvest rate and (stored − brown-out) / drain
+    rate.  A lease stays valid for its remaining cycles after any of
+    them are consumed.  Allocates nothing. *)
 
 val outages : t -> int
 (** Number of brown-outs observed so far. *)

@@ -191,17 +191,21 @@ type live = {
   clank : Clank.t option;
   stores : store_table;
   halt_at_skim : bool;
-  emit : event -> unit;
-  (* Consume coalescing: an always-on supply can never cut power on its
-     own, so its [Supply.consume] calls are pure clock-and-drain
-     arithmetic — the cycles of every step and fused run are batched
-     into [pending] and flushed only at an outage or at run end.  A
-     capacitor-backed supply is charged at once, one consume per step or
-     per fused run.  The supply counts in integers (cycles, and
-     femtojoules on a capacitor), so one consume of a batch is
-     bit-identical to the consumes of its pieces. *)
-  coalesce : bool;
-  mutable pending : int;
+  on_event : (event -> unit) option;
+  (* Energy leases: [Supply.lease] grants cycles that one consume
+     charges bit-identically to any split of them (unbounded on an
+     always-on supply).  A step, fused run or overhead the lease holds
+     only adds its cycles to [pending]; the supply is charged once, when
+     the lease runs out, before an observer runs on a capacitor, at an
+     outage and at run end.  A span the renewed lease cannot hold is
+     charged on its own, which is exact in any state.  [clock] and [on]
+     mirror the supply after each call into it, so a leased step calls
+     nothing in wn.power. *)
+  capacitor_backed : bool;  (* a cut empties the capacitor *)
+  mutable clock : int;  (* [Supply.now_cycles] *)
+  mutable on : bool;  (* [Supply.is_on], read back after every observer *)
+  mutable lease : int;  (* cycles leased from [clock], [pending] of them used *)
+  mutable pending : int;  (* not yet charged *)
   (* Offsets that turn the supply clock and the machine's retired count
      into totals from task start: a resumed run inherits its captured
      prefix, so its outcome is bit-identical to an uninterrupted run's. *)
@@ -218,7 +222,7 @@ type live = {
   mutable rejoined : outcome option;  (* the run's outcome, once rejoined *)
 }
 
-let wall_elapsed l = Supply.now_cycles l.supply + l.pending + l.wall_offset
+let wall_elapsed l = l.clock + l.pending + l.wall_offset
 
 let outcome_of l =
   {
@@ -234,33 +238,66 @@ let outcome_of l =
     retired = Machine.instructions_retired l.machine + l.retired_offset;
   }
 
-let flush_pending l =
+(* Charge the used part of the lease; the rest stays leased. *)
+let settle l =
   if l.pending > 0 then begin
     ignore (Supply.consume l.supply ~cycles:l.pending);
+    l.clock <- l.clock + l.pending;
+    l.lease <- l.lease - l.pending;
     l.pending <- 0
   end
 
+let renew l =
+  settle l;
+  l.lease <- Supply.lease l.supply
+
 let spend l cycles =
-  if l.coalesce then l.pending <- l.pending + cycles
-  else ignore (Supply.consume l.supply ~cycles)
+  if cycles <= l.lease - l.pending then l.pending <- l.pending + cycles
+  else begin
+    renew l;
+    if cycles <= l.lease then l.pending <- cycles
+    else begin
+      l.on <- Supply.consume l.supply ~cycles;
+      l.clock <- l.clock + cycles;
+      (* A charge outside the lease voids it. *)
+      l.lease <- 0
+    end
+  end
 
 let spend_overhead l cycles =
   l.overhead <- l.overhead + cycles;
   spend l cycles
 
+(* Before an observer runs, the leased cycles reach a capacitor: a cut
+   empties it, and a charge after the cut would drain an empty
+   capacitor.  On an always-on supply a cut only latches the off state,
+   and charging them after it leaves the same clock, drain and outage
+   count. *)
+let before_observer l = if l.capacitor_backed then settle l
+
+(* Report [e] to the [on_event] observer, if any, and read the latch
+   back: the observer may have cut the supply.  A checkpoint fires
+   inside an instruction's step, so an outage cut there would only be
+   taken after that instruction retired on the cut supply: refuse the
+   cut rather than land it one instruction late.  A brown-out during
+   the checkpoint's own overhead has already turned the supply off and
+   is not a cut. *)
+let notify l e =
+  match l.on_event with
+  | None -> ()
+  | Some f ->
+      before_observer l;
+      let was_on = l.on in
+      f e;
+      l.on <- Supply.is_on l.supply;
+      if e = Checkpoint && was_on && not l.on then
+        invalid_arg "Executor.run: on_event cut the supply on a Checkpoint"
+
 let do_checkpoint l (st : Clank.t) =
   spend_overhead l st.cfg.checkpoint_cycles;
   Clank.commit st l.machine;
   l.checkpoints <- l.checkpoints + 1;
-  (* A checkpoint fires inside an instruction's step, so an outage cut
-     here would only be taken after that instruction retired on the cut
-     supply: refuse the cut rather than land it one instruction late.
-     A brown-out during the checkpoint's own overhead has already
-     turned the supply off and is not a cut. *)
-  let on = Supply.is_on l.supply in
-  l.emit Checkpoint;
-  if on && not (Supply.is_on l.supply) then
-    invalid_arg "Executor.run: on_event cut the supply on a Checkpoint"
+  notify l Checkpoint
 
 (* Insert into one tracking plane, checkpointing first on overflow
    (capacity is checked before the insert, as the hardware tests the
@@ -320,14 +357,14 @@ let handle_skim_jump l =
   | None -> false
 
 let handle_outage l =
-  (* On a coalescing supply the only way here is an observer's cut,
-     which only latched the supply off: flushing now leaves the clock,
-     the drain and the outage count exactly as flushing before the cut
-     would have. *)
-  flush_pending l;
-  l.emit Outage;
+  (* Cycles are still pending only on an always-on supply, after an
+     observer's cut (see [before_observer]). *)
+  settle l;
+  notify l Outage;
   l.outages <- l.outages + 1;
-  ignore (Supply.wait_for_power l.supply);
+  l.clock <- l.clock + Supply.wait_for_power l.supply;
+  l.on <- true;
+  l.lease <- 0;
   let m = l.machine in
   let skim =
     match l.clank with
@@ -355,7 +392,7 @@ let handle_outage l =
   in
   (* Restore complete: the machine is in exactly the state execution
      resumes from (skim jump taken, rollback applied). *)
-  l.emit (if skim then Skim_restore else Restore)
+  notify l (if skim then Skim_restore else Restore)
 
 (* Everything after one instruction executes, read from the machine's
    effect scratch: both steppers leave it identically. *)
@@ -402,15 +439,13 @@ let try_block l ~max_wall_cycles b =
          st.since_cycles + Machine.block_pre_cycles b < st.cfg.watchdog_period
          && st.tracked + Machine.block_loads b <= st.cfg.buffer_entries
      | None -> true)
-  && (l.coalesce || Supply.assured l.supply ~cycles:c)
+  (* The lease, renewed once if need be, holds the whole run: one
+     charge equals the per-instruction charges bit for bit. *)
+  && (c <= l.lease - l.pending || (renew l; c <= l.lease))
   && begin
        Machine.exec_block m b;
        l.active <- l.active + c;
-       (* One charge for the whole run.  On a capacitor the guard
-          admitted only a run whose harvest cannot pass full charge and
-          whose drain cannot reach brown-out, where one consume of [c]
-          cycles equals the per-instruction consumes bit for bit. *)
-       spend l c;
+       l.pending <- l.pending + c;
        (match l.clank with
        | Some st ->
            st.since_cycles <- st.since_cycles + c;
@@ -473,8 +508,6 @@ let rejoin l ~at ~final =
        true
      end
 
-let no_event (_ : event) = ()
-
 let task_start =
   {
     completed = false;
@@ -491,7 +524,7 @@ let task_start =
 
 let run ?(policy = Always_on) ?(engine = Block)
     ?(max_wall_cycles = 20_000_000_000) ?(halt_at_skim = false) ?resume
-    ?on_step ?(on_event = no_event) ~machine ~supply () =
+    ?on_step ?on_event ~machine ~supply () =
   let at =
     match resume with
     | None -> task_start
@@ -508,6 +541,7 @@ let run ?(policy = Always_on) ?(engine = Block)
     | Clank cfg, _ -> Some (Clank.create cfg machine)
     | (Always_on | Nvp _), _ -> None
   in
+  let clock = Supply.now_cycles supply in
   let l =
     {
       machine;
@@ -516,10 +550,13 @@ let run ?(policy = Always_on) ?(engine = Block)
       clank;
       stores = build_store_table (Machine.program machine);
       halt_at_skim;
-      emit = on_event;
-      coalesce = Supply.never_cuts supply;
+      on_event;
+      capacitor_backed = not (Supply.never_cuts supply);
+      clock;
+      on = Supply.is_on supply;
+      lease = 0;
       pending = 0;
-      wall_offset = at.wall_cycles - Supply.now_cycles supply;
+      wall_offset = at.wall_cycles - clock;
       retired_offset = at.retired - Machine.instructions_retired machine;
       active = at.active_cycles;
       overhead = at.overhead_cycles;
@@ -539,7 +576,7 @@ let run ?(policy = Always_on) ?(engine = Block)
   let fuse = (not reference) && Option.is_none on_step in
   let rec loop () =
     if Machine.halted machine || wall_elapsed l > max_wall_cycles then ()
-    else if not (Supply.is_on supply) then begin
+    else if not l.on then begin
       (* Natural brown-outs and an observer's cut alike are taken here,
          before the next instruction's pre-step. *)
       handle_outage l;
@@ -561,14 +598,16 @@ let run ?(policy = Always_on) ?(engine = Block)
       match on_step with
       | None -> loop ()
       | Some f ->
+          before_observer l;
           l.observing <- true;
           f l;
           l.observing <- false;
+          l.on <- Supply.is_on supply;
           if Option.is_none l.rejoined then loop ()
     end
   in
   loop ();
-  flush_pending l;
+  settle l;
   (* A rejoined run leaves the machine at the matched state, not at
      halt. *)
   match l.rejoined with Some o -> o | None -> outcome_of l

@@ -40,12 +40,14 @@ type engine = Block | Reference
     fused straight-line superinstructions
     ({!Wn_machine.Machine.exec_block}) whenever one energy-gated entry
     guard passes — the wall-clock limit, watchdog slack and Clank
-    tracking capacity cover the run, and on a capacitor the run can
-    neither brown out nor charge past full
-    ({!Wn_power.Supply.assured}) — and then charges the run's cycles in
-    one batch, bit-identical to charging them per instruction; a failed
-    guard falls back to per-instruction
-    {!Wn_machine.Machine.step_fast} until the next run entry.  An
+    tracking capacity cover the run, and the supply's energy lease
+    ({!Wn_power.Supply.lease}), renewed once if need be, holds its
+    cycles; a failed guard falls back to per-instruction
+    {!Wn_machine.Machine.step_fast} until the next run entry.  Under
+    either engine, the fused runs, steps and overheads a lease holds
+    are charged together, in one {!Wn_power.Supply.consume} once the
+    lease runs out, bit-identical to charging them one by one; a span
+    a fresh lease cannot hold is charged on its own.  An
     [on_step] observer turns fusion off for the whole run, so it sees
     every instruction boundary.
     [Reference] never fuses and steps every instruction through the
@@ -161,6 +163,12 @@ val run :
     fires inside an instruction's step, so the outage would only be
     taken after that instruction retired on the cut supply.  Otherwise
     it never changes how the run steps.
+    On a capacitor-backed supply every cycle spent so far has been
+    charged when an observer runs, so a cut empties the capacitor after
+    them.  On an {!Wn_power.Supply.always_on} supply, where a cut only
+    latches the off state, leased cycles are charged at the next outage
+    or at the run's end, and an observer may read a clock and a drain
+    count that lag behind the run's.
 
     Resume: [resume] seeds the run with a previously captured
     [resume_state]; the caller must first restore the matching

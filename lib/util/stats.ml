@@ -21,10 +21,19 @@ let rmse ~reference output =
   done;
   sqrt (!acc /. float_of_int n)
 
+(* [Stdlib.min] and [max] folded over the array, as float-typed loops:
+   the same [if acc <= x then acc else x] choice at every element (NaN
+   and signed zeros included), without a polymorphic compare per
+   element. *)
 let value_range a =
   check_nonempty "Stats.value_range" a;
-  let lo = Array.fold_left min a.(0) a and hi = Array.fold_left max a.(0) a in
-  hi -. lo
+  let lo = ref a.(0) and hi = ref a.(0) in
+  for i = 1 to Array.length a - 1 do
+    let x = a.(i) in
+    lo := if !lo <= x then !lo else x;
+    hi := if !hi >= x then !hi else x
+  done;
+  !hi -. !lo
 
 let nrmse ~reference output =
   let e = rmse ~reference output in

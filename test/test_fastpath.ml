@@ -358,10 +358,10 @@ let executor_differential wname ~skim (pname, policy) () =
   in
   check_outcomes_equal (name ^ "/block-vs-reference") block reference
 
-(* The Always_on batching path: when the supply can never cut power the
-   Block engine coalesces supply consumes into one pending counter per
-   block; the supply's cycle and energy accounting must come out
-   exactly as the per-instruction sequence of the Reference engine. *)
+(* An always-on supply leases without bound, so the Block engine's fused
+   runs and steps all pend until the run ends; the supply's cycle and
+   energy accounting must come out exactly as the Reference engine's
+   per-instruction steps leave it. *)
 let coalescing_regression wname () =
   let w = Suite.find Workload.Small wname in
   let b = Wn_core.Runner.build w wcfg in

@@ -524,7 +524,20 @@ let test_supply_rejects_non_finite () =
       ("NaN clock", fun capacitor -> Supply.create ~clock_hz:Float.nan ~trace ~capacitor ());
       ( "infinite clock",
         fun capacitor -> Supply.create ~clock_hz:Float.infinity ~trace ~capacitor () );
-    ]
+      (* Below 500 Hz a 1-ms tick rounds to no cycles at all. *)
+      ("100 Hz clock", fun capacitor -> Supply.create ~clock_hz:100.0 ~trace ~capacitor ());
+      ("400 Hz clock", fun capacitor -> Supply.create ~clock_hz:400.0 ~trace ~capacitor ());
+      (* Past about 7.7e15 Hz a 10-minute recharge window leaves the int
+         range. *)
+      ("1e16 Hz clock", fun capacitor -> Supply.create ~clock_hz:1e16 ~trace ~capacitor ());
+    ];
+  (* Each end of the range is usable: a 1-cycle tick at 500 Hz. *)
+  List.iter
+    (fun clock_hz ->
+      let s = Supply.create ~clock_hz ~trace ~capacitor:(Capacitor.create ()) () in
+      Alcotest.(check bool) (Printf.sprintf "%g Hz runs" clock_hz) true
+        (Supply.consume s ~cycles:3))
+    [ 500.0; 7.6e15 ]
 
 (* Minor words [f] allocates, less the boxed float [Gc.minor_words]
    itself returns, measured the way the real measurement pays it. *)
@@ -537,9 +550,9 @@ let minor_words_of f =
   let w1 = Gc.minor_words () in
   w1 -. w0 -. baseline
 
-(* The per-instruction supply calls of a capacitor-backed run allocate
-   nothing: 11k one-cycle consumes stay inside the first 24k-cycle
-   trace tick, so every call takes the cached-tick path. *)
+(* The supply calls of a capacitor-backed run allocate nothing: 11k
+   one-cycle consumes stay inside the first 24k-cycle trace tick, so
+   every call takes the cached-tick path. *)
 let test_supply_no_alloc () =
   let trace = Trace.constant ~power:1e-3 ~duration_s:0.1 in
   let supply = Supply.create ~trace ~capacitor:(Capacitor.create ()) () in
@@ -557,15 +570,15 @@ let test_supply_no_alloc () =
       consumed;
   Alcotest.(check int) "still inside the first tick" 11_000
     (Supply.now_cycles supply);
-  let guarded =
+  let leased =
     minor_words_of (fun () ->
         for _ = 1 to 10_000 do
-          ignore (Sys.opaque_identity (Supply.assured supply ~cycles:40))
+          ignore (Sys.opaque_identity (Supply.lease supply))
         done)
   in
-  if guarded <> 0.0 then
-    Alcotest.failf "Supply.assured allocated %.0f minor words over 10k calls"
-      guarded
+  if leased <> 0.0 then
+    Alcotest.failf "Supply.lease allocated %.0f minor words over 10k calls"
+      leased
 
 let test_burst_length_calibration () =
   (* The paper's regime: a full charge lasts of the order of a
@@ -635,9 +648,10 @@ let test_supply_extreme_rates () =
         ])
     [ 10e-6; 300.0 ]
 
-(* The energy guard admits a run exactly when its drain cannot take the
-   capacitor below brown-out and its harvest cannot take it past full
-   charge. *)
+(* The lease is the longest span inside the trace tick whose drain
+   cannot take the capacitor below brown-out and whose harvest cannot
+   take it past full charge; nothing while the supply is off or cut, and
+   no bound on an always-on supply. *)
 let test_supply_guard_bounds () =
   (* 2 mW in 1 ms bursts: 83,333 fJ per cycle in even ticks, none in
      odd ones; the core drains 10^6 fJ per cycle. *)
@@ -648,29 +662,35 @@ let test_supply_guard_bounds () =
     Capacitor.set_full cap;
     drain cap (Capacitor.full cap - energy)
   in
-  let check what expect energy cycles =
+  let check what expect energy =
     set energy;
-    Alcotest.(check bool) what expect (Supply.assured s ~cycles)
+    Alcotest.(check int) what expect (Supply.lease s)
   in
   let off_below = Capacitor.off_below cap and full = Capacitor.full cap in
   (* Tick 0 is a burst. *)
-  check "drain lands on the threshold" true (off_below + 1_024_000_000) 1_024;
-  check "drain one cycle past it" false (off_below + 1_024_000_000) 1_025;
-  check "harvest reaches full" true (full - 83_333) 1;
-  check "harvest passes full" false (full - 83_332) 1;
-  check "at full in a burst" false full 1;
+  check "drain lands on the threshold" 1_024 (off_below + 1_024_000_000);
+  check "drain one fJ short of a cycle" 1_023 (off_below + 1_023_999_999);
+  check "at the threshold" 0 off_below;
+  check "harvest reaches full" 1 (full - 83_333);
+  check "harvest one fJ short of a cycle" 0 (full - 83_332);
+  check "at full in a burst" 0 full;
   (* 24,000 cycles in: the next tick delivers nothing. *)
   ignore (Supply.consume s ~cycles:(24_000 - Supply.now_cycles s));
-  check "at full in a quiet tick" true full 16;
+  check "at full in a quiet tick" ((full - off_below) / 1_000_000) full;
   Capacitor.set_empty cap;
-  Alcotest.(check bool) "latch off" false (Supply.assured s ~cycles:1);
-  (* A span across the edge into the next burst takes its 83,333 fJ
-     per cycle there. *)
+  Alcotest.(check int) "latch off" 0 (Supply.lease s);
+  (* Ten cycles before the edge into the next burst, the lease ends at
+     the edge, however much charge is left. *)
   ignore (Supply.consume s ~cycles:(48_000 - 10 - Supply.now_cycles s));
-  check "harvest across an edge reaches full" true (full - (83_333 * 10)) 20;
-  check "harvest across an edge passes full" false (full - (83_333 * 10) + 1) 20;
+  check "ends at the tick edge" 10 (full - (83_333 * 10));
   Supply.cut s;
-  Alcotest.(check bool) "cut" false (Supply.assured s ~cycles:1)
+  Alcotest.(check int) "cut" 0 (Supply.lease s);
+  let always = Supply.always_on () in
+  Alcotest.(check int) "always on" max_int (Supply.lease always);
+  Supply.cut always;
+  Alcotest.(check int) "always on, cut" 0 (Supply.lease always);
+  ignore (Supply.wait_for_power always);
+  Alcotest.(check int) "always on, restored" max_int (Supply.lease always)
 
 (* A run of instructions on a capacitor-backed supply: the clock speed
    (a slow clock makes ticks of 100 and 300 cycles, so runs cross square
@@ -802,21 +822,39 @@ let model_spans c cap trace ~start spans =
   in
   (harvested, drained, clamped)
 
-(* Per-instruction consumes and one consume of the run's total, from the
-   same state: whenever the guard admits the run, both leave equal
-   energy, clock, latch and outage count, and neither clamps.  Either
-   way each run balances exactly against the model:
+(* The lease's specification, kept here on its own: with the latch on,
+   [cycles] from clock [start] are in band when their harvest alone
+   cannot take stored energy past full charge and their drain alone
+   cannot take it below the brown-out threshold. *)
+let in_band c cap trace ~start cycles =
+  let e = Capacitor.energy cap in
+  Capacitor.is_on cap
+  && e + model_harvest c trace start (start + cycles) <= Capacitor.full cap
+  && e - model_drain c cycles >= Capacitor.off_below cap
+
+(* [latencies] cut short to sum to at most [limit], the last kept one
+   trimmed to fit. *)
+let rec clip limit = function
+  | l :: rest when l < limit -> l :: clip (limit - l) rest
+  | _ :: _ when limit > 0 -> [ limit ]
+  | _ -> []
+
+(* From each generated state, [Supply.lease] is the longest span inside
+   the trace tick that [in_band] admits: one cycle more leaves the tick
+   or breaks the band, and it is 0 whenever the latch is off.  The
+   run's instructions cut short to the lease charge the same in
+   per-instruction consumes as in one consume of their total: equal
+   energy, clock, latch and outage count, and neither clamps.  Any run,
+   leased or not, balances exactly against the model:
    initial + harvested - drained - clamped = final. *)
 let prop_batched_charge_exact =
   QCheck.Test.make ~count:10_000
     ~name:"one guarded consume == per-instruction consumes"
     (QCheck.make ~print:print_run_case gen_run_case)
     (fun c ->
-      let total = List.fold_left ( + ) 0 c.latencies in
-      let run spans =
+      let charge spans =
         let s, cap, trace = run_supply c in
         let initial = Capacitor.energy cap and start = Supply.now_cycles s in
-        let admitted = Supply.assured s ~cycles:total in
         let harvested, drained, clamped =
           model_spans c cap trace ~start spans
         in
@@ -826,13 +864,29 @@ let prop_batched_charge_exact =
           QCheck.Test.fail_reportf
             "unbalanced: initial %d + harvested %d - drained %d - clamped %d <> final %d"
             initial harvested drained clamped final;
-        if admitted && clamped <> 0 then
-          QCheck.Test.fail_reportf "admitted run clamped %d fJ" clamped;
-        (admitted, (final, Supply.now_cycles s, Supply.is_on s, Supply.outages s))
+        (clamped, (final, Supply.now_cycles s, Supply.is_on s, Supply.outages s))
       in
-      let admitted, stepped = run c.latencies in
-      let _, batched = run [ total ] in
-      (not admitted) || stepped = batched)
+      let s, cap, trace = run_supply c in
+      let start = Supply.now_cycles s and lease = Supply.lease s in
+      let per_tick =
+        int_of_float (Float.round (c.clock_hz *. Trace.sample_period_s))
+      in
+      let tick_end = ((start / per_tick) + 1) * per_tick in
+      if start + lease > tick_end then
+        QCheck.Test.fail_reportf "lease %d leaves the tick ending at %d"
+          lease tick_end;
+      if lease > 0 && not (in_band c cap trace ~start lease) then
+        QCheck.Test.fail_reportf "lease %d is out of band" lease;
+      if start + lease < tick_end && in_band c cap trace ~start (lease + 1) then
+        QCheck.Test.fail_reportf "lease %d stops short of the band" lease;
+      ignore (charge c.latencies);
+      let leased = clip lease c.latencies in
+      let clamped, stepped = charge leased in
+      let total = List.fold_left ( + ) 0 leased in
+      let _, batched = charge (if total = 0 then [] else [ total ]) in
+      if clamped <> 0 then
+        QCheck.Test.fail_reportf "leased run clamped %d fJ" clamped;
+      stepped = batched)
 
 let () =
   Alcotest.run "wn.power"
@@ -879,7 +933,7 @@ let () =
           Alcotest.test_case "burst calibration" `Quick test_burst_length_calibration;
           Alcotest.test_case "rejects NaN and infinities" `Quick
             test_supply_rejects_non_finite;
-          Alcotest.test_case "consume and assured allocation-free" `Quick
+          Alcotest.test_case "consume and lease allocation-free" `Quick
             test_supply_no_alloc;
           Alcotest.test_case "saturated harvest and drain rates" `Quick
             test_supply_extreme_rates;

@@ -401,6 +401,147 @@ let test_cut_on_restore () =
         0 );
     ]
 
+(* A run's outcome and the supply it leaves, every field exact. *)
+let summary (o : Executor.outcome) supply cap =
+  Printf.sprintf
+    "completed %b skimmed %b first_skim %s wall %d active %d overhead %d \
+     reexecuted %d outages %d checkpoints %d retired %d | clock %d energy %h \
+     J outages %d stored %d fJ"
+    o.completed o.skimmed
+    (match o.first_skim_active with
+    | Some c -> string_of_int c
+    | None -> "none")
+    o.wall_cycles o.active_cycles o.overhead_cycles o.reexecuted_instructions
+    o.outage_count o.checkpoint_count o.retired (Supply.now_cycles supply)
+    (Supply.energy_consumed supply)
+    (Supply.outages supply) (Capacitor.energy cap)
+
+(* Observers that cut a capacitor-backed supply.  A cut empties the
+   capacitor, so every cycle the executor has charged before the
+   observer ran must have reached the supply by then: a charge applied
+   after the cut would drain an empty capacitor, and the recharge, the
+   clock and every later outage would move.  Each run is cut by
+   [on_event] on its first restore and, in the observed runs, by
+   [on_step] at retired instruction 2,000; natural outages follow on the
+   RF trace.  Without [on_step] the block engine fuses.  Every figure is
+   pinned to per-instruction supply accounting, each charge applied the
+   moment it is made, and both engines agree. *)
+let test_cut_capacitor_supply () =
+  List.iter
+    (fun (pname, policy, observed, expected) ->
+      List.iter
+        (fun (ename, engine) ->
+          let name =
+            Printf.sprintf "%s/%s/%s" pname ename
+              (if observed then "on_step" else "on_event")
+          in
+          let machine, mem =
+            fresh ~program:(loop_program ~iters:2_000 ~muls:2 ()) ()
+          in
+          let cap = Capacitor.create () in
+          let supply =
+            Supply.create
+              ~trace:(Trace.rf_burst ~seed:5 ~duration_s:2.0 ())
+              ~capacitor:cap ()
+          in
+          let restores = ref 0 in
+          let on_step =
+            if observed then
+              Some
+                (fun _ ->
+                  if Machine.instructions_retired machine = 2_000 then
+                    Supply.cut supply)
+            else None
+          in
+          let o =
+            Executor.run ~policy ~engine ?on_step
+              ~on_event:(fun e ->
+                if e = Executor.Restore then begin
+                  incr restores;
+                  if !restores = 1 then Supply.cut supply
+                end)
+              ~machine ~supply ()
+          in
+          Alcotest.(check int) (name ^ ": result") 2_000
+            (Wn_mem.Memory.read32 mem 0);
+          Alcotest.(check string) name expected (summary o supply cap))
+        [ ("block", Executor.Block); ("reference", Executor.Reference) ])
+    [
+      ( "clank",
+        Executor.Clank Executor.default_clank,
+        true,
+        "completed true skimmed false first_skim none wall 23532034 active \
+         103363 overhead 720 reexecuted 4320 outages 9 checkpoints 9 retired \
+         16324 | clock 23532034 energy 0x1.b48e45303e69ep-14 J outages 9 \
+         stored 17196506540 fJ" );
+      ( "clank",
+        Executor.Clank Executor.default_clank,
+        false,
+        "completed true skimmed false first_skim none wall 23532034 active \
+         105719 overhead 720 reexecuted 4692 outages 9 checkpoints 9 retired \
+         16696 | clock 23532034 energy 0x1.be70018986c0cp-14 J outages 9 \
+         stored 17196506540 fJ" );
+      ( "nvp",
+        Executor.Nvp Executor.default_nvp,
+        true,
+        "completed true skimmed false first_skim none wall 17046034 active \
+         76003 overhead 56 reexecuted 0 outages 7 checkpoints 0 retired 12004 \
+         | clock 17046034 energy 0x1.3f03bab968b0bp-14 J outages 7 stored \
+         21465288000 fJ" );
+      ( "nvp",
+        Executor.Nvp Executor.default_nvp,
+        false,
+        "completed true skimmed false first_skim none wall 17043640 active \
+         76003 overhead 56 reexecuted 0 outages 7 checkpoints 0 retired 12004 \
+         | clock 17043640 energy 0x1.3f03bab968b0bp-14 J outages 7 stored \
+         23861288000 fJ" );
+    ]
+
+(* A no-op [on_step] observer makes the executor charge every step on
+   its own, since leased cycles are settled before each observer runs:
+   an observed run is the per-instruction reference for the leases of
+   unobserved ones, fused or stepped.  The square traces' 2-ms bursts
+   harvest 1.7 and 5 times what the core drains, pinning the capacitor
+   at full charge, where leases are empty or a few cycles long and most
+   spans are charged on their own (a 500-cycle Clank watchdog adds
+   40-cycle checkpoints among them), and their 1-ms gaps starve it into
+   brown-outs; runs cross tick edges in both directions. *)
+let test_leases_match_stepwise_charging () =
+  List.iter
+    (fun ((pname, policy), power) ->
+      let pname = Printf.sprintf "%s at %g W" pname power in
+      let run engine ~observed =
+        let machine, mem =
+          fresh ~program:(loop_program ~iters:2_000 ~muls:2 ()) ()
+        in
+        let cap = Capacitor.create () in
+        let supply =
+          Supply.create
+            ~trace:(Trace.square ~on_ms:2 ~off_ms:1 ~power ~duration_s:1.0)
+            ~capacitor:cap ()
+        in
+        let on_step = if observed then Some ignore else None in
+        let o = Executor.run ~policy ~engine ?on_step ~machine ~supply () in
+        Alcotest.(check int) (pname ^ ": result") 2_000
+          (Wn_mem.Memory.read32 mem 0);
+        if o.outage_count = 0 then Alcotest.failf "%s: no outage" pname;
+        summary o supply cap
+      in
+      let stepwise = run Executor.Reference ~observed:true in
+      List.iter
+        (fun (ename, engine) ->
+          Alcotest.(check string) (pname ^ "/" ^ ename) stepwise
+            (run engine ~observed:false))
+        [ ("block", Executor.Block); ("reference", Executor.Reference) ])
+    (List.concat_map
+       (fun policy -> [ (policy, 40e-3); (policy, 120e-3) ])
+       [
+         ( "clank",
+           Executor.Clank { Executor.default_clank with watchdog_period = 500 }
+         );
+         ("nvp", Executor.Nvp Executor.default_nvp);
+       ])
+
 (* A cut on a [Checkpoint] event would be taken only after the
    instruction the checkpoint fired in had retired on the cut supply, so
    the executor rejects it, under either engine.  Var@8 under default
@@ -657,6 +798,10 @@ let () =
             test_capture_rejects_cut_supply;
           Alcotest.test_case "a cut on restore strikes again at once" `Quick
             test_cut_on_restore;
+          Alcotest.test_case "a cut on a capacitor-backed supply" `Quick
+            test_cut_capacitor_supply;
+          Alcotest.test_case "leases charge as per-instruction steps" `Quick
+            test_leases_match_stepwise_charging;
           Alcotest.test_case "a cut on checkpoint is rejected" `Quick
             test_cut_on_checkpoint_rejected;
           Alcotest.test_case "resume rejects another policy" `Quick

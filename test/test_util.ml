@@ -226,6 +226,24 @@ let test_stats_value_range () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.value_range")
     (fun () -> ignore (Stats.value_range [||]))
 
+(* The float loops pick what [Stdlib.min]/[max] folds pick, bit for
+   bit, with NaN, signed zeros and infinities mixed into the input. *)
+let prop_value_range_matches_fold =
+  let special =
+    QCheck.Gen.oneofl
+      [ Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity; 1.0; -1.0 ]
+  in
+  let elt = QCheck.Gen.(frequency [ (1, special); (2, float_range (-1e3) 1e3) ]) in
+  QCheck.Test.make ~count:2_000 ~name:"value range matches the min/max fold"
+    (QCheck.make
+       ~print:QCheck.Print.(array float)
+       QCheck.Gen.(array_size (int_range 1 12) elt))
+    (fun a ->
+      let lo = Array.fold_left min a.(0) a and hi = Array.fold_left max a.(0) a in
+      Int64.equal
+        (Int64.bits_of_float (hi -. lo))
+        (Int64.bits_of_float (Stats.value_range a)))
+
 let prop_median_bounds =
   QCheck.Test.make ~count:300 ~name:"median within min/max"
     QCheck.(array_of_size Gen.(int_range 1 40) (float_range (-100.) 100.))
@@ -236,7 +254,8 @@ let prop_median_bounds =
 
 let qtests = List.map QCheck_alcotest.to_alcotest
     [ prop_split_combine; prop_lanes_add_matches_per_lane;
-      prop_digit_decomposition; prop_fixed_add_exact; prop_median_bounds ]
+      prop_digit_decomposition; prop_fixed_add_exact; prop_median_bounds;
+      prop_value_range_matches_fold ]
 
 let () =
   Alcotest.run "wn.util"
